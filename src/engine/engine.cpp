@@ -181,46 +181,38 @@ RunResult Engine::Run(const nal::AlgebraPtr& plan, ExecMode mode,
   {
     obs::TraceLog::Span execute_span(trace, "execute");
     switch (mode) {
-    case ExecMode::kStreaming: {
-      if (memory_budget_bytes != 0) {
-        nal::SpoolContext spool(memory_budget_bytes);
-        // Grace-admission row hints (opt/parallel.h): the estimation walk
-        // is cheap (plan-sized), and sizing partition counts from expected
-        // build volume instead of the static budget/32KB rule needs it.
-        // max_threads=1 skips the placement search; only the hints matter.
-        xml::StoreReadLease lease(store_);
-        opt::ParallelPlacement hints = opt::ChooseParallelPlacement(
-            store_, *plan, /*max_threads=*/1, memory_budget_bytes);
-        spool.set_row_hints(&hints.breaker_build_rows);
+    case ExecMode::kStreaming:
+    case ExecMode::kParallel: {
+      // One spool context carries the run's budget for either executor.
+      nal::SpoolContext spool(
+          nal::SpoolContext::ResolveBudgetBytes(memory_budget_bytes));
+      // Cost-driven placement (opt/parallel.h) picks the partition point
+      // and dop by price; its placement points into `plan`, which outlives
+      // the run. The same estimation walk yields the per-breaker grace
+      // admission row hints, which size partition counts from expected
+      // build volume instead of the static budget/32KB rule — all a
+      // budgeted streaming run needs (max_threads=1 skips the placement
+      // search). An unlimited streaming run needs neither.
+      std::optional<xml::StoreReadLease> lease;
+      opt::ParallelPlacement place;
+      if (mode == ExecMode::kParallel || spool.enabled()) {
+        lease.emplace(store_);
+        place = opt::ChooseParallelPlacement(
+            store_, *plan, mode == ExecMode::kParallel ? threads : 1,
+            spool.budget().limit_bytes());
+        spool.set_row_hints(&place.breaker_build_rows);
+      }
+      if (mode == ExecMode::kStreaming) {
         result.root_tuples =
             nal::DrainStreaming(evaluator, *plan, &result.exec, &spool);
       } else {
-        // env default budget may apply inside
-        result.root_tuples =
-            nal::DrainStreaming(evaluator, *plan, &result.exec);
+        nal::ParallelOptions options;
+        options.threads = place.point.has_value() ? place.dop : threads;
+        options.point = place.point;
+        options.point_resolved = true;
+        result.root_tuples = nal::DrainParallel(evaluator, *plan, options,
+                                                &result.exec, &spool);
       }
-      break;
-    }
-    case ExecMode::kParallel: {
-      nal::ParallelOptions options;
-      options.threads = threads;
-      options.memory_budget_bytes = memory_budget_bytes;
-      // Cost-driven placement (opt/parallel.h): pick the partition point
-      // and dop by price instead of the hard-coded deepest-segment rule.
-      // The chooser sees the budget the executors will run under; its
-      // placement points into `plan`, which outlives the run.
-      uint64_t effective_budget = memory_budget_bytes != 0
-                                      ? memory_budget_bytes
-                                      : nal::SpoolContext::EnvBudgetBytes();
-      xml::StoreReadLease lease(store_);
-      opt::ParallelPlacement place = opt::ChooseParallelPlacement(
-          store_, *plan, threads, effective_budget);
-      options.point = place.point;
-      options.point_resolved = true;
-      if (place.point.has_value()) options.threads = place.dop;
-      options.breaker_row_hints = &place.breaker_build_rows;
-      result.root_tuples =
-          nal::DrainParallel(evaluator, *plan, options, &result.exec);
       break;
     }
     case ExecMode::kMaterializing:
@@ -252,10 +244,9 @@ RunResult Engine::RunQuery(std::string_view query_text, ExecMode mode,
   // Resolve the budget the executors will actually run under so the plan
   // choice sees it too (a build side that spills at run time should be
   // charged for it at choice time).
-  uint64_t effective_budget = memory_budget_bytes != 0
-                                  ? memory_budget_bytes
-                                  : nal::SpoolContext::EnvBudgetBytes();
-  CompiledQuery q = Compile(query_text, choice, effective_budget);
+  CompiledQuery q = Compile(
+      query_text, choice,
+      nal::SpoolContext::ResolveBudgetBytes(memory_budget_bytes));
   return Run(q.best.plan, mode, path_mode, threads, memory_budget_bytes,
              deadline_ms, control, instr);
 }

@@ -190,10 +190,11 @@ class Engine {
   /// supplies a default. The budget applies to the streaming and parallel
   /// executors; the materializing evaluator (a differential reference)
   /// ignores it, as do the RAM-resident exceptions documented in
-  /// src/nal/README.md (CSE caches, XiGroup group construction, and ΠD's
-  /// distinct-key set). Under kParallel one shared accountant bounds the
-  /// consumer and all workers, and the worker count is clamped so
-  /// uncharged per-worker state cannot over-commit it (nal/exchange.h).
+  /// src/nal/README.md (CSE caches, XiGroup group construction, ΠD's
+  /// distinct-key set, and breakers whose own subscripts write Ξ output).
+  /// Under kParallel one shared accountant bounds the consumer and all
+  /// workers, and the worker count is clamped so uncharged per-worker state
+  /// cannot over-commit it (nal/exchange.h).
   ///
   /// Lifecycle knobs (src/nal/README.md, "Query lifecycle & failure
   /// semantics"): `deadline_ms` bounds the run on the monotonic clock — on

@@ -1,6 +1,5 @@
 #include "nal/cursor.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/error.h"
 #include "nal/analysis.h"
 #include "nal/physical.h"
 #include "nal/probe_loops.h"
@@ -26,11 +24,11 @@ CursorPtr MakeOpCursor(const AlgebraOp& op, ExecContext& ctx);
 /// Counts one emitted tuple for the operator that owns `ctx` — the streaming
 /// equivalent of the materializing evaluator's per-node
 /// `stats_.tuples_produced += out.size()`. One definition, shared with the
-/// spill cursors (nal/probe_loops.h).
+/// hybrid breakers (nal/probe_loops.h).
 using probe::CountProducedTuple;
 
-/// Fully drains `c` into a Sequence (used by pipeline breakers; charged to
-/// StreamStats by the caller).
+/// Fully drains `c` into a Sequence (the CSE cache and the exchange's shared
+/// build; charged to StreamStats by the caller).
 Sequence Materialize(Cursor& c) {
   Sequence out;
   Tuple t;
@@ -62,11 +60,11 @@ bool ContainsXiProgram(const XiProgram& program) {
   return false;
 }
 
-// ContainsXi restricted to `op`'s own subscripts — the spine children are
-// checked separately by the partition-point analysis. This is the single
-// place that enumerates every subscript slot of an operator; the full
-// subtree walks below build on it, so a future subscript field only needs
-// to be added here.
+}  // namespace
+
+// This is the single place that enumerates every subscript slot of an
+// operator; the full subtree walks build on it, so a future subscript field
+// only needs to be added here.
 bool SubscriptsContainXi(const AlgebraOp& op) {
   if (op.pred != nullptr && ContainsXiExpr(*op.pred)) return true;
   if (op.expr != nullptr && ContainsXiExpr(*op.expr)) return true;
@@ -74,6 +72,8 @@ bool SubscriptsContainXi(const AlgebraOp& op) {
   return ContainsXiProgram(op.s1) || ContainsXiProgram(op.s2) ||
          ContainsXiProgram(op.s3);
 }
+
+namespace {
 
 bool ContainsXi(const AlgebraOp& op) {
   if (op.kind == OpKind::kXiSimple || op.kind == OpKind::kXiGroup) return true;
@@ -124,63 +124,19 @@ bool ContainsCse(const AlgebraOp& op) {
   return false;
 }
 
-/// Pass-through cursor that fully materializes its input on Open and then
-/// streams from the buffer. Not an operator: it re-emits already-counted
-/// tuples, so Next does not touch tuples_produced. Used to pin evaluation
-/// order where lazy pulls would reorder Ξ writes on the shared output
-/// stream.
-class BufferCursor final : public Cursor {
- public:
-  BufferCursor(ExecContext& ctx, CursorPtr input)
-      : ctx_(ctx), input_(std::move(input)) {}
-  void Open() override {
-    seq_ = Materialize(*input_);
-    if (ctx_.stream != nullptr) ctx_.stream->OnBuffer(seq_.size());
-    pos_ = 0;
-  }
-  bool Next(Tuple* out) override {
-    if (pos_ >= seq_.size()) return false;
-    *out = std::move(seq_[pos_++]);
-    return true;
-  }
-  void Close() override {
-    if (ctx_.stream != nullptr) ctx_.stream->OnRelease(seq_.size());
-  }
-
- private:
-  ExecContext& ctx_;
-  CursorPtr input_;
-  Sequence seq_;
-  size_t pos_ = 0;
-};
-
 /// Left input of a binary operator. The materializing evaluator runs the
 /// left child to completion before the right one; the streaming cursors
 /// build the right (hash) side in Open and pull the left lazily afterwards.
 /// That flip is observable only when BOTH subtrees write to the Ξ output
 /// stream, in which case the left is buffered up front (its Open precedes
-/// the right-side build) to restore the evaluator's write order. Under a
-/// finite memory budget the buffer is spool-backed (nal/spool.h) so the
-/// pinned stream can exceed RAM.
+/// the right-side build) to restore the evaluator's write order. The buffer
+/// is spool-backed (nal/spool.h), so the pinned stream can exceed RAM.
 CursorPtr MakeLeftCursor(const AlgebraOp& op, ExecContext& ctx) {
   CursorPtr left = MakeCursor(*op.child(0), ctx);
   if (ContainsXi(*op.child(0)) && ContainsXi(*op.child(1))) {
-    if (SpillEnabled(ctx)) {
-      return MakeSpoolBufferCursor(ctx, std::move(left));
-    }
-    return std::make_unique<BufferCursor>(ctx, std::move(left));
+    return MakeSpoolBufferCursor(ctx, std::move(left));
   }
   return left;
-}
-
-/// True when `op`'s cursor should be the spill-aware variant from
-/// nal/spool.h: the run carries a finite budget and the operator's own
-/// subscripts are Ξ-free. A Ξ hidden in a subscript (never produced by the
-/// translator, but expressible) pins the exact interleaving of subscript
-/// evaluation with input pulls, which the spill cursors' deferred
-/// evaluation would reorder — such nodes keep the plain in-memory breaker.
-bool UseSpillCursor(const AlgebraOp& op, ExecContext& ctx) {
-  return SpillEnabled(ctx) && !SubscriptsContainXi(op);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,335 +391,28 @@ class UnnestCursor final : public Cursor {
 };
 
 // ---------------------------------------------------------------------------
-// Join cursors (right side materialized = hash build side; left side streams)
-//
-// The probe loops themselves live in nal/probe_loops.h, shared with the
-// spill-aware cursors' fits-in-memory mode (spool.cpp) — one implementation
-// instead of the former verbatim mirror, so budgeted-but-fitting runs match
-// the unlimited executor by construction (tests/spool_test.cpp still
-// asserts the identity differentially).
-// ---------------------------------------------------------------------------
-
-/// Shared helper: materializes the right operand and, when the predicate has
-/// equality conjuncts, builds the hash index over it.
-class JoinRightSide {
- public:
-  void Build(const AlgebraOp& op, ExecContext& ctx, Cursor& right_cursor,
-             bool try_equi) {
-    right_ = Materialize(right_cursor);
-    if (ctx.stream != nullptr) ctx.stream->OnBuffer(right_.size());
-    if (try_equi) {
-      SymbolSet lattrs = OutputAttrs(*op.child(0)).attrs;
-      SymbolSet rattrs = OutputAttrs(*op.child(1)).attrs;
-      equi_ = ExtractEquiPredicate(op.pred, lattrs, rattrs);
-      if (equi_.has_value()) {
-        index_.Build(right_, equi_->right_attrs, ctx.ev->store());
-      }
-    }
-  }
-  void Release(ExecContext& ctx) {
-    if (released_) return;
-    released_ = true;
-    if (ctx.stream != nullptr) ctx.stream->OnRelease(right_.size());
-  }
-
-  const Sequence& right() const { return right_; }
-  bool has_equi() const { return equi_.has_value(); }
-  const EquiPredicate& equi() const { return *equi_; }
-  const HashIndex& index() const { return index_; }
-
- private:
-  Sequence right_;
-  std::optional<EquiPredicate> equi_;
-  HashIndex index_;
-  bool released_ = false;
-};
-
-/// Common shape of the ⋈/×/⋉/▷/outer cursors: materialized right side
-/// (JoinRightSide) plus the shared probe loops. The derived classes only
-/// differ in Open extras and which loop Next forwards to.
-class HashJoinCursorBase : public Cursor {
- public:
-  HashJoinCursorBase(const AlgebraOp& op, ExecContext& ctx, CursorPtr left,
-                     CursorPtr right)
-      : op_(op), ctx_(ctx), left_(std::move(left)), right_(std::move(right)) {}
-  void Close() override {
-    left_->Close();
-    rhs_.Release(ctx_);
-  }
-
-  // probe::JoinProbeLoops access policy (nal/probe_loops.h).
-  ExecContext& ctx() { return ctx_; }
-  const AlgebraOp& op() const { return op_; }
-  bool LeftNext(Tuple* out) { return left_->Next(out); }
-  bool use_index() const { return rhs_.has_equi(); }
-  const HashIndex& hash_index() const { return rhs_.index(); }
-  const Expr* residual() const { return rhs_.equi().residual.get(); }
-  std::span<const Symbol> probe_attrs() const {
-    return rhs_.equi().left_attrs;
-  }
-  const Tuple& right_at(uint32_t pos) const { return rhs_.right()[pos]; }
-  void ScanRestart() { scan_pos_ = 0; }
-  bool ScanNext(const Tuple** r) {
-    if (scan_pos_ >= rhs_.right().size()) return false;
-    *r = &rhs_.right()[scan_pos_++];
-    return true;
-  }
-  const std::vector<Symbol>& outer_null_attrs() const { return null_attrs_; }
-  const Value& outer_default() const { return dflt_; }
-
- protected:
-  const AlgebraOp& op_;
-  ExecContext& ctx_;
-  CursorPtr left_;
-  CursorPtr right_;
-  JoinRightSide rhs_;
-  std::vector<Symbol> null_attrs_;  // outer join
-  Value dflt_;                      // outer join
-  probe::JoinProbeLoops<HashJoinCursorBase> loops_;
-  size_t scan_pos_ = 0;
-};
-
-class CrossJoinCursor final : public HashJoinCursorBase {
- public:
-  using HashJoinCursorBase::HashJoinCursorBase;
-  void Open() override {
-    left_->Open();
-    rhs_.Build(op_, ctx_, *right_, /*try_equi=*/op_.kind == OpKind::kJoin);
-    loops_.Reset();
-  }
-  bool Next(Tuple* out) override { return loops_.NextCrossJoin(*this, out); }
-};
-
-class SemiAntiJoinCursor final : public HashJoinCursorBase {
- public:
-  using HashJoinCursorBase::HashJoinCursorBase;
-  void Open() override {
-    left_->Open();
-    rhs_.Build(op_, ctx_, *right_, /*try_equi=*/true);
-    loops_.Reset();
-  }
-  bool Next(Tuple* out) override { return loops_.NextSemiAnti(*this, out); }
-};
-
-class OuterJoinCursor final : public HashJoinCursorBase {
- public:
-  OuterJoinCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr left,
-                  CursorPtr right)
-      : HashJoinCursorBase(op, ctx, std::move(left), std::move(right)) {
-    AttrInfo info = OutputAttrs(*op_.child(1));
-    for (Symbol a : info.attrs) {
-      if (a != op_.attr) null_attrs_.push_back(a);
-    }
-  }
-  void Open() override {
-    left_->Open();
-    rhs_.Build(op_, ctx_, *right_, /*try_equi=*/true);
-    dflt_ = op_.expr != nullptr
-                ? ctx_.ev->EvalExpr(*op_.expr, Tuple(), *ctx_.env)
-                : Value::Null();
-    loops_.Reset();
-  }
-  bool Next(Tuple* out) override { return loops_.NextOuter(*this, out); }
-};
-
-class GroupBinaryCursor final : public Cursor {
- public:
-  GroupBinaryCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr left,
-                    CursorPtr right)
-      : op_(op), ctx_(ctx), left_(std::move(left)), right_(std::move(right)) {}
-  void Open() override {
-    left_->Open();
-    right_seq_ = Materialize(*right_);
-    if (ctx_.stream != nullptr) ctx_.stream->OnBuffer(right_seq_.size());
-    if (op_.theta == CmpOp::kEq) {
-      index_.Build(right_seq_, op_.right_attrs, ctx_.ev->store());
-    } else if (op_.left_attrs.size() != 1) {
-      throw engine::Error(engine::ErrorCode::kPlanError,
-                          "theta nest-join requires a single attribute", 0, {},
-                          "GroupBinary");
-    }
-    loops_.Reset();
-  }
-  bool Next(Tuple* out) override {
-    return loops_.NextGroupBinary(*this, out);
-  }
-  void Close() override {
-    left_->Close();
-    if (ctx_.stream != nullptr) ctx_.stream->OnRelease(right_seq_.size());
-  }
-
-  // probe::JoinProbeLoops access policy (nal/probe_loops.h).
-  ExecContext& ctx() { return ctx_; }
-  const AlgebraOp& op() const { return op_; }
-  bool LeftNext(Tuple* out) { return left_->Next(out); }
-  bool use_index() const { return op_.theta == CmpOp::kEq; }
-  const HashIndex& hash_index() const { return index_; }
-  const Expr* residual() const { return nullptr; }
-  std::span<const Symbol> probe_attrs() const { return op_.left_attrs; }
-  const Tuple& right_at(uint32_t pos) const { return right_seq_[pos]; }
-  void ScanRestart() { scan_pos_ = 0; }
-  bool ScanNext(const Tuple** r) {
-    if (scan_pos_ >= right_seq_.size()) return false;
-    *r = &right_seq_[scan_pos_++];
-    return true;
-  }
-  const std::vector<Symbol>& outer_null_attrs() const { return op_.attrs; }
-  const Value& outer_default() const { return dflt_; }
-
- private:
-  const AlgebraOp& op_;
-  ExecContext& ctx_;
-  CursorPtr left_;
-  CursorPtr right_;
-  Sequence right_seq_;
-  HashIndex index_;
-  Value dflt_;  // unused (outer-join hook of the access policy)
-  probe::JoinProbeLoops<GroupBinaryCursor> loops_;
-  size_t scan_pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Full pipeline breakers
-// ---------------------------------------------------------------------------
-
-class GroupUnaryCursor final : public Cursor {
- public:
-  GroupUnaryCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr input)
-      : op_(op), ctx_(ctx), input_(std::move(input)) {}
-  void Open() override {
-    input_seq_ = Materialize(*input_);
-    if (ctx_.stream != nullptr) ctx_.stream->OnBuffer(input_seq_.size());
-    // Distinct keys in first-occurrence order (ΠD semantics: deterministic);
-    // bucketing and group emission shared with the spill cursor
-    // (nal/probe_loops.h).
-    gamma_.Build(input_seq_, op_.left_attrs, ctx_.ev->store());
-  }
-  bool Next(Tuple* out) override {
-    if (op_.theta == CmpOp::kEq) {
-      return probe::NextEqGammaGroup(gamma_, input_seq_, op_, ctx_, out);
-    }
-    // θ-grouping: group for key v = σ_{v θ A}(e), rescanning the input.
-    return probe::NextThetaGammaGroup(
-        gamma_.order, &gamma_.next_key, op_, ctx_,
-        [&](auto&& fn) {
-          for (const Tuple& u : input_seq_) fn(u);
-        },
-        out);
-  }
-  void Close() override {
-    if (ctx_.stream != nullptr) ctx_.stream->OnRelease(input_seq_.size());
-  }
-
- private:
-  const AlgebraOp& op_;
-  ExecContext& ctx_;
-  CursorPtr input_;
-  Sequence input_seq_;
-  probe::GammaBuckets gamma_;
-};
-
-class SortCursor final : public Cursor {
- public:
-  SortCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr input)
-      : op_(op), ctx_(ctx), input_(std::move(input)) {}
-  void Open() override {
-    input_seq_ = Materialize(*input_);
-    if (ctx_.stream != nullptr) ctx_.stream->OnBuffer(input_seq_.size());
-    idx_.resize(input_seq_.size());
-    for (uint32_t i = 0; i < idx_.size(); ++i) idx_[i] = i;
-    std::vector<std::vector<Value>> keys(input_seq_.size());
-    for (uint32_t i = 0; i < input_seq_.size(); ++i) {
-      for (Symbol a : op_.attrs) {
-        keys[i].push_back(input_seq_[i].Get(a).Atomize(ctx_.ev->store()));
-      }
-    }
-    std::stable_sort(idx_.begin(), idx_.end(), [&](uint32_t a, uint32_t b) {
-      for (size_t j = 0; j < op_.attrs.size(); ++j) {
-        auto c = Value::Compare(keys[a][j], keys[b][j]);
-        if (c != std::strong_ordering::equal) {
-          bool descending = j < op_.sort_desc.size() && op_.sort_desc[j] != 0;
-          return descending ? c == std::strong_ordering::greater
-                            : c == std::strong_ordering::less;
-        }
-      }
-      return false;
-    });
-    pos_ = 0;
-  }
-  bool Next(Tuple* out) override {
-    if (pos_ >= idx_.size()) return false;
-    *out = std::move(input_seq_[idx_[pos_++]]);
-    CountProducedTuple(ctx_);
-    return true;
-  }
-  void Close() override {
-    if (ctx_.stream != nullptr) ctx_.stream->OnRelease(input_seq_.size());
-  }
-
- private:
-  const AlgebraOp& op_;
-  ExecContext& ctx_;
-  CursorPtr input_;
-  Sequence input_seq_;
-  std::vector<uint32_t> idx_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Result construction
 // ---------------------------------------------------------------------------
 
 class XiSimpleCursor final : public Cursor {
  public:
-  /// `buffer_input` — a Ξ below us would interleave its output writes with
-  /// ours under tuple-at-a-time pulls; buffering our input restores the
-  /// materializing evaluator's "child first, then us" write order. Under a
-  /// memory budget, MakeOpCursor passes false and pre-wraps the input in a
-  /// spool-backed buffer instead.
-  XiSimpleCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr input,
-                 bool buffer_input)
-      : op_(op),
-        ctx_(ctx),
-        input_(std::move(input)),
-        buffer_input_(buffer_input) {}
-  void Open() override {
-    if (buffer_input_) {
-      input_seq_ = Materialize(*input_);
-      if (ctx_.stream != nullptr) ctx_.stream->OnBuffer(input_seq_.size());
-      pos_ = 0;
-    } else {
-      input_->Open();
-    }
-  }
+  XiSimpleCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr input)
+      : op_(op), ctx_(ctx), input_(std::move(input)) {}
+  void Open() override { input_->Open(); }
   bool Next(Tuple* out) override {
     Tuple t;
-    if (buffer_input_) {
-      if (pos_ >= input_seq_.size()) return false;
-      t = std::move(input_seq_[pos_++]);
-    } else if (!input_->Next(&t)) {
-      return false;
-    }
+    if (!input_->Next(&t)) return false;
     ctx_.ev->RunXiProgram(op_.s1, t, *ctx_.env);
     *out = std::move(t);
     CountProducedTuple(ctx_);
     return true;
   }
-  void Close() override {
-    if (buffer_input_) {
-      if (ctx_.stream != nullptr) ctx_.stream->OnRelease(input_seq_.size());
-    } else {
-      input_->Close();
-    }
-  }
+  void Close() override { input_->Close(); }
 
  private:
   const AlgebraOp& op_;
   ExecContext& ctx_;
   CursorPtr input_;
-  bool buffer_input_;
-  Sequence input_seq_;
-  size_t pos_ = 0;
 };
 
 class XiGroupCursor final : public Cursor {
@@ -880,57 +529,25 @@ CursorPtr MakeOpCursor(const AlgebraOp& op, ExecContext& ctx) {
                                             MakeCursor(*op.child(0), ctx));
     case OpKind::kCross:
     case OpKind::kJoin:
-      if (UseSpillCursor(op, ctx)) {
-        return MakeSpillJoinCursor(op, ctx, MakeLeftCursor(op, ctx),
-                                   MakeCursor(*op.child(1), ctx));
-      }
-      return std::make_unique<CrossJoinCursor>(
-          op, ctx, MakeLeftCursor(op, ctx), MakeCursor(*op.child(1), ctx));
     case OpKind::kSemiJoin:
     case OpKind::kAntiJoin:
-      if (UseSpillCursor(op, ctx)) {
-        return MakeSpillJoinCursor(op, ctx, MakeLeftCursor(op, ctx),
-                                   MakeCursor(*op.child(1), ctx));
-      }
-      return std::make_unique<SemiAntiJoinCursor>(
-          op, ctx, MakeLeftCursor(op, ctx), MakeCursor(*op.child(1), ctx));
     case OpKind::kOuterJoin:
-      if (UseSpillCursor(op, ctx)) {
-        return MakeSpillJoinCursor(op, ctx, MakeLeftCursor(op, ctx),
-                                   MakeCursor(*op.child(1), ctx));
-      }
-      return std::make_unique<OuterJoinCursor>(
-          op, ctx, MakeLeftCursor(op, ctx), MakeCursor(*op.child(1), ctx));
-    case OpKind::kGroupUnary:
-      if (UseSpillCursor(op, ctx)) {
-        return MakeSpillGroupUnaryCursor(op, ctx,
-                                         MakeCursor(*op.child(0), ctx));
-      }
-      return std::make_unique<GroupUnaryCursor>(op, ctx,
-                                                MakeCursor(*op.child(0), ctx));
     case OpKind::kGroupBinary:
-      if (UseSpillCursor(op, ctx)) {
-        return MakeSpillJoinCursor(op, ctx, MakeLeftCursor(op, ctx),
-                                   MakeCursor(*op.child(1), ctx));
-      }
-      return std::make_unique<GroupBinaryCursor>(
-          op, ctx, MakeLeftCursor(op, ctx), MakeCursor(*op.child(1), ctx));
+      return MakeSpillJoinCursor(op, ctx, MakeLeftCursor(op, ctx),
+                                 MakeCursor(*op.child(1), ctx));
+    case OpKind::kGroupUnary:
+      return MakeSpillGroupUnaryCursor(op, ctx, MakeCursor(*op.child(0), ctx));
     case OpKind::kSort:
-      if (UseSpillCursor(op, ctx)) {
-        return MakeSpillSortCursor(op, ctx, MakeCursor(*op.child(0), ctx));
-      }
-      return std::make_unique<SortCursor>(op, ctx,
-                                          MakeCursor(*op.child(0), ctx));
+      return MakeSpillSortCursor(op, ctx, MakeCursor(*op.child(0), ctx));
     case OpKind::kXiSimple: {
+      // A Ξ below would interleave its output writes with ours under
+      // tuple-at-a-time pulls; buffering the input restores the
+      // materializing evaluator's "child first, then us" write order.
       CursorPtr input = MakeCursor(*op.child(0), ctx);
-      bool buffer_input = ContainsXi(*op.child(0));
-      if (buffer_input && SpillEnabled(ctx)) {
-        // Spool-backed order pinning: same write order, bounded memory.
+      if (ContainsXi(*op.child(0))) {
         input = MakeSpoolBufferCursor(ctx, std::move(input));
-        buffer_input = false;
       }
-      return std::make_unique<XiSimpleCursor>(op, ctx, std::move(input),
-                                              buffer_input);
+      return std::make_unique<XiSimpleCursor>(op, ctx, std::move(input));
     }
     case OpKind::kXiGroup:
       return std::make_unique<XiGroupCursor>(op, ctx,
@@ -1044,17 +661,6 @@ CursorPtr MakeCursor(const AlgebraOp& op, ExecContext& ctx) {
 // sides + the per-worker probe cursor over them.
 // ---------------------------------------------------------------------------
 
-struct SharedJoinBuild {
-  const AlgebraOp* op = nullptr;
-  Sequence right;
-  std::optional<EquiPredicate> equi;  ///< join family; binary-Γ uses op attrs
-  HashIndex index;
-  bool indexed = false;             ///< index built (equi join or '='-nest)
-  std::vector<Symbol> null_attrs;   ///< outer join ⊥ padding
-  Value dflt;                       ///< outer join default
-  bool released = false;
-};
-
 namespace {
 
 bool IsProbeKind(OpKind kind) {
@@ -1085,49 +691,21 @@ class SharedProbeCursor final : public Cursor {
     loops_.Reset();
     scan_pos_ = 0;
   }
-  bool Next(Tuple* out) override {
-    switch (op_.kind) {
-      case OpKind::kCross:
-      case OpKind::kJoin:
-        return loops_.NextCrossJoin(*this, out);
-      case OpKind::kSemiJoin:
-      case OpKind::kAntiJoin:
-        return loops_.NextSemiAnti(*this, out);
-      case OpKind::kOuterJoin:
-        return loops_.NextOuter(*this, out);
-      case OpKind::kGroupBinary:
-        return loops_.NextGroupBinary(*this, out);
-      default:
-        throw std::logic_error("SharedProbeCursor: not a probe operator");
-    }
-  }
+  bool Next(Tuple* out) override { return loops_.Next(*this, out); }
   void Close() override { input_->Close(); }
 
   // probe::JoinProbeLoops access policy (nal/probe_loops.h).
   ExecContext& ctx() { return ctx_; }
   const AlgebraOp& op() const { return op_; }
   bool LeftNext(Tuple* out) { return input_->Next(out); }
-  bool use_index() const { return build_.indexed; }
-  const HashIndex& hash_index() const { return build_.index; }
-  const Expr* residual() const {
-    return build_.equi.has_value() ? build_.equi->residual.get() : nullptr;
-  }
-  std::span<const Symbol> probe_attrs() const {
-    return op_.kind == OpKind::kGroupBinary
-               ? std::span<const Symbol>(op_.left_attrs)
-               : std::span<const Symbol>(build_.equi->left_attrs);
-  }
-  const Tuple& right_at(uint32_t pos) const { return build_.right[pos]; }
+  bool use_index() const { return build_.equi.has_value(); }
+  const SharedJoinBuild& build() const { return build_; }
   void ScanRestart() { scan_pos_ = 0; }
   bool ScanNext(const Tuple** r) {
     if (scan_pos_ >= build_.right.size()) return false;
     *r = &build_.right[scan_pos_++];
     return true;
   }
-  const std::vector<Symbol>& outer_null_attrs() const {
-    return op_.kind == OpKind::kGroupBinary ? op_.attrs : build_.null_attrs;
-  }
-  const Value& outer_default() const { return build_.dflt; }
 
  private:
   const AlgebraOp& op_;
@@ -1162,44 +740,16 @@ bool IsGammaPartitionableOp(const AlgebraOp& op) {
 }
 
 SharedJoinBuildPtr BuildSharedJoin(const AlgebraOp& op, ExecContext& ctx) {
-  auto b = std::make_shared<SharedJoinBuild>();
-  b->op = &op;
+  auto b = std::make_shared<SharedJoinBuild>(op);
   CursorPtr right = MakeCursor(*op.child(1), ctx);
   b->right = Materialize(*right);
   if (ctx.stream != nullptr) ctx.stream->OnBuffer(b->right.size());
-  if (op.kind == OpKind::kGroupBinary) {
-    if (op.theta == CmpOp::kEq) {
-      b->index.Build(b->right, op.right_attrs, ctx.ev->store());
-      b->indexed = true;
-    } else if (op.left_attrs.size() != 1) {
-      throw engine::Error(engine::ErrorCode::kPlanError,
-                          "theta nest-join requires a single attribute", 0, {},
-                          "GroupBinary");
-    }
-  } else if (op.kind != OpKind::kCross) {
-    SymbolSet lattrs = OutputAttrs(*op.child(0)).attrs;
-    SymbolSet rattrs = OutputAttrs(*op.child(1)).attrs;
-    b->equi = ExtractEquiPredicate(op.pred, lattrs, rattrs);
-    if (b->equi.has_value()) {
-      b->index.Build(b->right, b->equi->right_attrs, ctx.ev->store());
-      b->indexed = true;
-    }
-  }
-  if (op.kind == OpKind::kOuterJoin) {
-    AttrInfo info = OutputAttrs(*op.child(1));
-    for (Symbol a : info.attrs) {
-      if (a != op.attr) b->null_attrs.push_back(a);
-    }
-    b->dflt = op.expr != nullptr
-                  ? ctx.ev->EvalExpr(*op.expr, Tuple(), *ctx.env)
-                  : Value::Null();
-  }
+  b->IndexRight(ctx.ev->store());
+  b->Finish(op, ctx);
   return b;
 }
 
 void ReleaseSharedJoin(SharedJoinBuild& build, ExecContext& ctx) {
-  if (build.released) return;
-  build.released = true;
   if (ctx.stream != nullptr) ctx.stream->OnRelease(build.right.size());
 }
 
@@ -1259,60 +809,39 @@ CursorPtr MakeCursorOver(const AlgebraOp& op, ExecContext& ctx,
 
 namespace {
 
-/// Env-default spool for runs that did not pass one explicitly: a local
-/// SpoolContext carrying NALQ_MEMORY_BUDGET_BYTES. Construction is cheap
-/// (no filesystem work until the first spill), so paying it per run keeps
-/// temp-file lifetime tied to the run.
-std::optional<SpoolContext> MakeEnvSpool(SpoolContext* explicit_spool) {
-  if (explicit_spool != nullptr) return std::nullopt;
-  uint64_t budget = SpoolContext::EnvBudgetBytes();
-  if (budget == 0) return std::nullopt;
-  return std::optional<SpoolContext>(std::in_place, budget);
+/// The streaming entry points' shared body: every root tuple goes to `emit`.
+template <typename Emit>
+uint64_t RunStreaming(Evaluator& ev, const AlgebraOp& op, StreamStats* stream,
+                      SpoolContext* spool, Emit&& emit) {
+  xml::StoreReadLease lease(ev.store());
+  ev.ClearCse();
+  std::optional<SpoolContext> local_spool;
+  Tuple env;
+  ExecContext ctx{&ev, &env, stream, &RunSpool(spool, &local_spool, ev)};
+  CursorPtr root = MakeCursor(op, ctx);
+  uint64_t count = 0;
+  Tuple t;
+  root->Open();
+  while (root->Next(&t)) {
+    emit(std::move(t));
+    ++count;
+  }
+  root->Close();
+  return count;
 }
 
 }  // namespace
 
 uint64_t DrainStreaming(Evaluator& ev, const AlgebraOp& op,
                         StreamStats* stream, SpoolContext* spool) {
-  xml::StoreReadLease lease(ev.store());
-  ev.ClearCse();
-  std::optional<SpoolContext> env_spool = MakeEnvSpool(spool);
-  if (env_spool.has_value()) spool = &*env_spool;
-  // The spool layer polls the run's cancellation token per temp-file record
-  // (spool.h); wire the evaluator's token in unless the caller set its own.
-  if (spool != nullptr && spool->control() == nullptr) {
-    spool->set_control(ev.control());
-  }
-  Tuple env;
-  ExecContext ctx{&ev, &env, stream,
-                  spool != nullptr && spool->enabled() ? spool : nullptr};
-  CursorPtr root = MakeCursor(op, ctx);
-  uint64_t count = 0;
-  Tuple t;
-  root->Open();
-  while (root->Next(&t)) ++count;
-  root->Close();
-  return count;
+  return RunStreaming(ev, op, stream, spool, [](Tuple&&) {});
 }
 
 Sequence ExecuteStreaming(Evaluator& ev, const AlgebraOp& op,
                           StreamStats* stream, SpoolContext* spool) {
-  xml::StoreReadLease lease(ev.store());
-  ev.ClearCse();
-  std::optional<SpoolContext> env_spool = MakeEnvSpool(spool);
-  if (env_spool.has_value()) spool = &*env_spool;
-  if (spool != nullptr && spool->control() == nullptr) {
-    spool->set_control(ev.control());
-  }
-  Tuple env;
-  ExecContext ctx{&ev, &env, stream,
-                  spool != nullptr && spool->enabled() ? spool : nullptr};
-  CursorPtr root = MakeCursor(op, ctx);
   Sequence out;
-  Tuple t;
-  root->Open();
-  while (root->Next(&t)) out.Append(std::move(t));
-  root->Close();
+  RunStreaming(ev, op, stream, spool,
+               [&out](Tuple&& t) { out.Append(std::move(t)); });
   return out;
 }
 

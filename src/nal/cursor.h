@@ -2,7 +2,7 @@
 //
 // One cursor per operator with the classic Open/Next/Close protocol.
 // Tuples flow one at a time from the leaves to the root; a full intermediate
-// Sequence is materialized only at the true pipeline breakers:
+// Sequence is buffered only at the true pipeline breakers:
 //
 //   * Sort            — needs its whole input before the first output tuple,
 //   * hash build sides — the right operand of ⋈/⋉/▷/outer-join/binary-Γ,
@@ -10,11 +10,14 @@
 //                       whole input by key,
 //   * CSE nodes       — a shared subtree is computed once and its result
 //                       re-read, which requires the result to exist,
-//   * Ξ over Ξ        — a Ξ cursor materializes its input iff the subtree
-//                       below it contains another Ξ, so interleaving pulls
-//                       can never reorder writes on the shared output stream.
+//   * Ξ over Ξ        — a Ξ cursor buffers its input iff the subtree below
+//                       it contains another Ξ, so interleaving pulls can
+//                       never reorder writes on the shared output stream.
 //
 // Everything else (σ, Π, χ, Υ, μ, the probe side of every join, Ξ) streams.
+// Sort, the join family, unary Γ and the order-pinning buffer have one
+// implementation each, the hybrid cursors of nal/spool.h: they buffer in
+// RAM while the run's memory budget allows and spill once it binds.
 //
 // Order preservation: probes run in left-input order and hash buckets keep
 // positions in right-input order (physical.h), exactly like the materializing
@@ -102,11 +105,12 @@ struct ExecContext {
   const Tuple* env = nullptr;
   StreamStats* stream = nullptr;  ///< optional
 
-  /// Memory-bounded execution (nal/spool.h): when set and carrying a finite
-  /// budget, the pipeline breakers buffer through the spool layer — grace
-  /// partitioning for hash builds, external merge sort for Sort/Γ — instead
-  /// of materializing fully in RAM. Null or unlimited preserves the plain
-  /// in-memory breakers bit for bit.
+  /// The run's memory budget and temp-file directory (nal/spool.h). Never
+  /// null: every streaming and parallel run carries exactly one context
+  /// (each exchange worker a private one sharing its accountant). The
+  /// breakers buffer in RAM while the budget allows; once it binds they
+  /// grace-partition hash builds and Γ and external-sort Sort. A limit of 0
+  /// means unlimited, and then nothing spills.
   SpoolContext* spool = nullptr;
 
   /// Exchange injection point (exchange.h): when MakeCursor reaches the
@@ -114,11 +118,16 @@ struct ExecContext {
   /// cursor spanning that node's partitionable segment — instead of the
   /// serial operator cursor. One-shot; null in plain streaming execution.
   const AlgebraOp* exchange_op = nullptr;
-  std::function<CursorPtr(ExecContext&)> make_exchange;
+  std::function<CursorPtr(ExecContext&)> make_exchange = nullptr;
 };
 
 /// Builds the cursor tree for `op`. `ctx` must outlive the cursor.
 CursorPtr MakeCursor(const AlgebraOp& op, ExecContext& ctx);
+
+/// True if `op`'s own subscripts (predicate, expressions, aggregate filter,
+/// Ξ programs — not its input subtrees) can write to the Ξ output stream,
+/// including through algebra nested inside them.
+bool SubscriptsContainXi(const AlgebraOp& op);
 
 /// True if `op`'s cursor processes input tuples one at a time with no state
 /// spanning tuples, no CSE caching and no Ξ output writes — anywhere,
@@ -144,12 +153,16 @@ CursorPtr MakeCursorOver(const AlgebraOp& op, ExecContext& ctx,
 // are already thread-safe (the guarantees exchange.h lists).
 // ---------------------------------------------------------------------------
 
+namespace probe {
+struct JoinBuild;  // nal/probe_loops.h
+}  // namespace probe
+
 /// The consumer-built, read-only right side of one probe-partitionable
 /// breaker: the materialized build sequence, its hash index (when the
 /// predicate has equality conjuncts), and the outer join's ⊥-padding
-/// attributes and default value. Defined in cursor.cpp; shared_ptr keeps
-/// the type opaque to exchange.cpp.
-struct SharedJoinBuild;
+/// attributes and default value — the same setup as the hybrid join's
+/// in-RAM mode. shared_ptr keeps the type opaque to exchange.cpp.
+using SharedJoinBuild = probe::JoinBuild;
 using SharedJoinBuildPtr = std::shared_ptr<SharedJoinBuild>;
 
 /// True if `op` is a join-family breaker (⋈/×/⋉/▷/outer-join/binary-Γ)
@@ -169,13 +182,13 @@ bool IsProbePartitionableOp(const AlgebraOp& op);
 bool IsGammaPartitionableOp(const AlgebraOp& op);
 
 /// Materializes `op`'s build side through `ctx` (consumer thread): the
-/// exact work the serial cursor's Open would do, including the StreamStats
+/// work the serial cursor's Open does in RAM, including the StreamStats
 /// buffer charge and the outer join's default-value evaluation.
 /// Precondition: IsProbePartitionableOp(op).
 SharedJoinBuildPtr BuildSharedJoin(const AlgebraOp& op, ExecContext& ctx);
 
-/// Releases the build's StreamStats buffer charge (idempotent; call from
-/// the exchange's Close).
+/// Releases the build's StreamStats buffer charge (call once, from the
+/// exchange's Close).
 void ReleaseSharedJoin(SharedJoinBuild& build, ExecContext& ctx);
 
 /// Builds the probe-side cursor of `op` for one worker: reads the worker's
@@ -188,10 +201,11 @@ CursorPtr MakeProbeCursorOver(const AlgebraOp& op, ExecContext& ctx,
 /// accumulate on the evaluator's output stream). Clears the CSE cache first,
 /// mirroring Evaluator::Eval. Returns the number of root tuples.
 ///
-/// `spool` opts the run into memory-bounded execution (nal/spool.h). When
-/// null, the NALQ_MEMORY_BUDGET_BYTES environment variable — read once per
-/// process — supplies a default budget, so existing differential suites can
-/// be re-run with spilling active without code changes.
+/// `spool` carries the run's memory budget (nal/spool.h). When null, the
+/// run uses a local context with SpoolContext::ResolveBudgetBytes(0) — the
+/// NALQ_MEMORY_BUDGET_BYTES environment variable, else unlimited — so the
+/// differential suites can be re-run with spilling active without code
+/// changes.
 uint64_t DrainStreaming(Evaluator& ev, const AlgebraOp& op,
                         StreamStats* stream = nullptr,
                         SpoolContext* spool = nullptr);

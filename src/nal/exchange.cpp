@@ -10,7 +10,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,14 +39,16 @@ unsigned ResolveThreads(unsigned requested) {
   return hw == 0 ? 1 : hw;
 }
 
-/// Budget-aware degree of parallelism. Workers share the run's accountant
-/// for anything they would buffer, but each worker also carries in-flight
-/// state the accountant never sees — its dispatch-window chunk and result
-/// packet. Clamping the worker count to budget / kMinWorkerBudgetBytes
-/// keeps that uncharged per-worker footprint proportional to the budget,
-/// so a high `threads` request cannot over-commit it.
-unsigned ResolveBudgetedThreads(unsigned requested, uint64_t budget_bytes) {
-  unsigned dop = ResolveThreads(requested);
+}  // namespace
+
+// Budget-aware degree of parallelism. Workers share the run's accountant
+// for anything they would buffer, but each worker also carries in-flight
+// state the accountant never sees — its dispatch-window chunk and result
+// packet. Clamping the worker count to budget / kMinWorkerBudgetBytes
+// keeps that uncharged per-worker footprint proportional to the budget,
+// so a high `threads` request cannot over-commit it.
+unsigned ResolveParallelThreads(unsigned threads, uint64_t budget_bytes) {
+  unsigned dop = ResolveThreads(threads);
   if (budget_bytes != 0) {
     uint64_t cap = budget_bytes / kMinWorkerBudgetBytes;
     if (cap == 0) cap = 1;
@@ -56,14 +57,16 @@ unsigned ResolveBudgetedThreads(unsigned requested, uint64_t budget_bytes) {
   return dop;
 }
 
+namespace {
+
 bool IsExpanding(const AlgebraOp& op) {
   return op.kind == OpKind::kUnnestMap || op.kind == OpKind::kUnnest;
 }
 
 /// The leaf of a worker's cursor chain: replays the tuples of the chunk
-/// currently assigned to the pipeline. Like BufferCursor it re-emits
-/// already-counted tuples (the producer's operator counted them), so Next
-/// never touches tuples_produced.
+/// currently assigned to the pipeline. Like the order-pinning buffer it
+/// re-emits already-counted tuples (the producer's operator counted them),
+/// so Next never touches tuples_produced.
 class PartitionCursor final : public Cursor {
  public:
   void Reset(std::vector<Tuple> tuples) {
@@ -86,13 +89,25 @@ class PartitionCursor final : public Cursor {
   size_t pos_ = 0;
 };
 
+/// A worker's private SpoolContext: its own temp-file directory (spool
+/// files stay worker-private) sharing the run's global MemoryBudget
+/// accountant, cancellation token, fault injector and grace row hints.
+/// Workers inherit the run's fault injector, not the ambient one: the
+/// worker contexts are built on the consumer thread, but must fault (or
+/// not) with the run they belong to.
+std::unique_ptr<SpoolContext> MakeWorkerSpool(const ExecContext& run) {
+  auto spool = std::make_unique<SpoolContext>(run.spool->budget());
+  spool->set_control(run.ev->control());
+  spool->set_injector(run.spool->injector());
+  spool->set_row_hints(run.spool->row_hints());
+  return spool;
+}
+
 /// One worker's clone of the partitionable segment: a private Evaluator
 /// (own EvalStats, own scratch caches, same store and path mode) driving a
-/// private cursor chain over the shared plan nodes. Heap-allocated and
-/// never moved, because ctx points into the object. Under a memory budget
-/// the worker also carries a private SpoolContext — its own temp-file
-/// directory (spool files stay worker-private) sharing the run's global
-/// MemoryBudget accountant.
+/// private cursor chain over the shared plan nodes, with a private
+/// SpoolContext (MakeWorkerSpool). Heap-allocated and never moved, because
+/// ctx points into the object.
 struct WorkerPipeline {
   std::unique_ptr<Evaluator> ev;
   Tuple env;  ///< the top-level empty outer binding
@@ -190,8 +205,8 @@ class MergeCursor final : public Cursor {
   ~MergeCursor() override { WaitForTasks(); }
 
   void Open() override {
-    dop_ = ResolveBudgetedThreads(options_.threads,
-                                  options_.memory_budget_bytes);
+    dop_ = ResolveParallelThreads(options_.threads,
+                                  ctx_.spool->budget().limit_bytes());
     Scheduler::Global().EnsureThreads(dop_);
     state_ = std::make_shared<ExchangeState>();
     // The source subtree opens BEFORE any shared build, and the builds run
@@ -236,26 +251,11 @@ class MergeCursor final : public Cursor {
       // Workers reserve against the SAME accountant as the consumer (the
       // MemoryBudget is thread-safe), so one limit bounds the whole run —
       // the consumer pipeline, which runs every breaker, is not throttled
-      // to a fraction of it. Worker spool files stay worker-private via a
-      // per-worker directory. (Today a worker segment holds only
-      // per-tuple operators — IsPartitionableOp — so worker charges are
-      // theoretical until segments ever gain stateful operators.)
-      if (ctx_.spool != nullptr) {
-        wp->spool = std::make_unique<SpoolContext>(ctx_.spool->budget());
-        wp->spool->set_control(ctx_.ev->control());
-        // Workers inherit the parent run's fault injector, not the ambient
-        // one: Open() runs on the consumer thread, but the worker contexts
-        // must fault (or not) with the run they belong to.
-        wp->spool->set_injector(ctx_.spool->injector());
-        // And its grace-admission row hints, keyed by shared plan nodes.
-        if (ctx_.spool->row_hints() != nullptr) {
-          wp->spool->set_row_hints(ctx_.spool->row_hints());
-        }
-      }
-      wp->ctx = ExecContext{wp->ev.get(), &wp->env, nullptr,
-                            wp->spool != nullptr && wp->spool->enabled()
-                                ? wp->spool.get()
-                                : nullptr};
+      // to a fraction of it. (Today a worker segment holds only per-tuple
+      // operators and shared-build probes, so worker charges are
+      // theoretical until segments ever gain buffering operators.)
+      wp->spool = MakeWorkerSpool(ctx_);
+      wp->ctx = ExecContext{wp->ev.get(), &wp->env, nullptr, wp->spool.get()};
       auto leaf = std::make_unique<PartitionCursor>();
       wp->leaf = leaf.get();
       CursorPtr chain = std::move(leaf);
@@ -488,24 +488,14 @@ class MergeCursor final : public Cursor {
   size_t cpos_ = 0;
 };
 
-/// One routed Γ input record: the tuple, its group key, and its global
-/// position — `seq` over input tuples, `ordinal` over that tuple's keys
-/// (a sequence-valued key fans one tuple into several groups; GammaBuckets
-/// visits them in key order, so (seq, ordinal) is the serial
-/// first-occurrence order of groups).
-struct GammaRec {
-  uint64_t seq;
-  uint32_t ordinal;
-  Key key;
-  Tuple tuple;
-};
-
-/// One partition's aggregation worker: a private Evaluator (stats folded at
-/// Close) producing (first_seq, first_ordinal, result) triples.
+/// One partition's aggregation worker: a private Evaluator and
+/// SpoolContext (stats folded at Close) producing (first_seq,
+/// first_ordinal, result) triples.
 struct GammaWorker {
   std::unique_ptr<Evaluator> ev;
+  std::unique_ptr<SpoolContext> spool;
   Tuple env;
-  std::vector<GammaRec> part;  ///< input records, global order
+  std::vector<probe::GammaRecord> part;  ///< input records, global order
   struct Result {
     uint64_t first_seq;
     uint32_t first_ordinal;
@@ -530,41 +520,20 @@ void RunGammaTask(const std::shared_ptr<GammaState>& state, GammaWorker* w,
   if (!state->abort.load(std::memory_order_acquire)) {
     obs::TraceLog::Span span(w->ev->trace(), "exchange.gamma");
     try {
-      // Bucket in local first-occurrence order. Records are partition-
-      // private copies, so members always move (value-equal to the serial
-      // cursor's move-unless-multi-key policy).
-      struct LocalGroup {
-        uint64_t first_seq;
-        uint32_t first_ordinal;
-        Sequence members;
-      };
-      std::unordered_map<Key, size_t, KeyHash> idx;
-      std::vector<Key> order;
-      std::vector<LocalGroup> groups;
-      for (GammaRec& r : w->part) {
-        auto [it, inserted] = idx.try_emplace(r.key, groups.size());
-        if (inserted) {
-          groups.push_back(LocalGroup{r.seq, r.ordinal, {}});
-          order.push_back(std::move(r.key));
-        }
-        groups[it->second].members.Append(std::move(r.tuple));
-      }
-      w->part.clear();
-      ExecContext wctx{w->ev.get(), &w->env, nullptr, nullptr};
+      ExecContext wctx{w->ev.get(), &w->env, nullptr, w->spool.get()};
       // Group emissions belong to the Γ node; the worker has no cursor
       // chain (so no ProfileCursor scope), set the scope by hand.
       if (w->profile != nullptr) w->profile->set_current(w->profile->Find(g));
-      for (size_t i = 0; i < groups.size(); ++i) {
-        Tuple result;
-        for (size_t j = 0; j < g->left_attrs.size(); ++j) {
-          result.Set(g->left_attrs[j], order[i].values[j]);
-        }
-        result.Set(g->attr, w->ev->ApplyAgg(g->agg, std::move(groups[i].members),
-                                            w->env));
-        probe::CountProducedTuple(wctx);
-        w->results.push_back(GammaWorker::Result{
-            groups[i].first_seq, groups[i].first_ordinal, std::move(result)});
-      }
+      // Records are partition-private copies, so members always move
+      // (value-equal to the serial cursor's move-unless-multi-key policy).
+      probe::AggregateGammaPartition(
+          w->part, *g, wctx,
+          [&](uint64_t first_seq, uint32_t first_ordinal, Tuple result) {
+            probe::CountProducedTuple(wctx);
+            w->results.push_back(GammaWorker::Result{first_seq, first_ordinal,
+                                                     std::move(result)});
+          });
+      w->part.clear();
     } catch (...) {
       w->error = std::current_exception();
       w->results.clear();
@@ -599,8 +568,8 @@ class GammaExchangeCursor final : public Cursor {
 
   void Open() override {
     const AlgebraOp& g = *point_.gamma;
-    dop_ = ResolveBudgetedThreads(options_.threads,
-                                  options_.memory_budget_bytes);
+    dop_ = ResolveParallelThreads(options_.threads,
+                                  ctx_.spool->budget().limit_bytes());
     Scheduler::Global().EnsureThreads(dop_);
     CursorPtr input;
     if (point_.top != nullptr) {
@@ -627,9 +596,9 @@ class GammaExchangeCursor final : public Cursor {
           // The last key takes the tuple by move; earlier keys (a
           // sequence-valued key fanning into several groups) copy it, like
           // GammaBuckets' multi-key path.
-          workers_[p]->part.push_back(
-              GammaRec{seq, static_cast<uint32_t>(k), std::move(keys[k]),
-                       k + 1 == keys.size() ? std::move(t) : t});
+          workers_[p]->part.push_back(probe::GammaRecord{
+              seq, static_cast<uint32_t>(k), std::move(keys[k]),
+              k + 1 == keys.size() ? std::move(t) : t});
         }
         ++seq;
       }
@@ -655,6 +624,7 @@ class GammaExchangeCursor final : public Cursor {
         w->ev->set_profile(w->profile.get());
       }
       w->ev->set_trace(ctx_.ev->trace());
+      w->spool = MakeWorkerSpool(ctx_);
       ++state_->dispatched;
       std::shared_ptr<GammaState> state = state_;
       const AlgebraOp* gp = &g;
@@ -729,11 +699,6 @@ class GammaExchangeCursor final : public Cursor {
 };
 
 }  // namespace
-
-unsigned ResolveParallelThreads(unsigned threads, uint64_t budget_bytes) {
-  return budget_bytes != 0 ? ResolveBudgetedThreads(threads, budget_bytes)
-                           : ResolveThreads(threads);
-}
 
 std::optional<PartitionPoint> FindPartitionPoint(const AlgebraOp& root) {
   return FindPartitionPoint(root, PartitionScan{});
@@ -835,28 +800,16 @@ namespace {
 template <typename Emit>
 uint64_t RunParallel(Evaluator& ev, const AlgebraOp& op,
                      const ParallelOptions& options, StreamStats* stream,
-                     Emit&& emit) {
+                     SpoolContext* spool, Emit&& emit) {
   xml::StoreReadLease lease(ev.store());
   ev.ClearCse();
-  // Budget resolution mirrors DrainStreaming: an explicit option wins, the
-  // NALQ_MEMORY_BUDGET_BYTES environment default applies otherwise. One
-  // accountant carries the whole limit; the exchange's worker contexts
-  // share it (MergeCursor::Open), so the consumer pipeline — which runs
-  // every pipeline breaker — sees the full budget while the global bound
-  // still holds across every participant.
-  ParallelOptions eff = options;
-  if (eff.memory_budget_bytes == 0) {
-    eff.memory_budget_bytes = SpoolContext::EnvBudgetBytes();
-  }
-  std::optional<SpoolContext> consumer_spool;
-  if (eff.memory_budget_bytes != 0) {
-    eff.threads = ResolveBudgetedThreads(eff.threads, eff.memory_budget_bytes);
-    consumer_spool.emplace(eff.memory_budget_bytes);
-    consumer_spool->set_control(ev.control());
-    if (eff.breaker_row_hints != nullptr) {
-      consumer_spool->set_row_hints(eff.breaker_row_hints);
-    }
-  }
+  // One accountant carries the whole limit; the exchange's worker contexts
+  // share it (MakeWorkerSpool), so the consumer pipeline — which runs every
+  // pipeline breaker — sees the full budget while the global bound still
+  // holds across every participant.
+  std::optional<SpoolContext> local_spool;
+  Tuple env;
+  ExecContext ctx{&ev, &env, stream, &RunSpool(spool, &local_spool, ev)};
   // Placement: a resolved caller choice (the cost-driven chooser,
   // opt/parallel.h) is honored as-is; an unresolved run scans for itself —
   // breaker-extended only when the whole run is unlimited, because the
@@ -864,25 +817,20 @@ uint64_t RunParallel(Evaluator& ev, const AlgebraOp& op,
   // Under a finite budget the legacy per-tuple segment keeps every breaker
   // on the consumer, where the spool layer bounds it.
   std::optional<PartitionPoint> point;
-  if (eff.point_resolved) {
-    point = eff.point;
+  if (options.point_resolved) {
+    point = options.point;
   } else {
-    const bool unlimited = eff.memory_budget_bytes == 0;
+    const bool unlimited = !ctx.spool->enabled();
     point = FindPartitionPoint(op, PartitionScan{unlimited, unlimited});
   }
-  Tuple env;
-  ExecContext ctx{&ev, &env, stream,
-                  consumer_spool.has_value() && consumer_spool->enabled()
-                      ? &*consumer_spool
-                      : nullptr};
   if (point.has_value() && point->injection() != nullptr) {
     ctx.exchange_op = point->injection();
     const PartitionPoint* pp = &*point;
-    ctx.make_exchange = [pp, &eff](ExecContext& c) -> CursorPtr {
+    ctx.make_exchange = [pp, &options](ExecContext& c) -> CursorPtr {
       if (pp->gamma != nullptr) {
-        return std::make_unique<GammaExchangeCursor>(*pp, c, eff);
+        return std::make_unique<GammaExchangeCursor>(*pp, c, options);
       }
-      return std::make_unique<MergeCursor>(*pp, c, eff);
+      return std::make_unique<MergeCursor>(*pp, c, options);
     };
   }
   CursorPtr root = MakeCursor(op, ctx);
@@ -905,14 +853,16 @@ uint64_t RunParallel(Evaluator& ev, const AlgebraOp& op,
 }  // namespace
 
 uint64_t DrainParallel(Evaluator& ev, const AlgebraOp& op,
-                       const ParallelOptions& options, StreamStats* stream) {
-  return RunParallel(ev, op, options, stream, [](Tuple&&) {});
+                       const ParallelOptions& options, StreamStats* stream,
+                       SpoolContext* spool) {
+  return RunParallel(ev, op, options, stream, spool, [](Tuple&&) {});
 }
 
 Sequence ExecuteParallel(Evaluator& ev, const AlgebraOp& op,
-                         const ParallelOptions& options, StreamStats* stream) {
+                         const ParallelOptions& options, StreamStats* stream,
+                         SpoolContext* spool) {
   Sequence out;
-  RunParallel(ev, op, options, stream,
+  RunParallel(ev, op, options, stream, spool,
               [&out](Tuple&& t) { out.Append(std::move(t)); });
   return out;
 }

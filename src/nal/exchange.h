@@ -29,7 +29,6 @@
 #ifndef NALQ_NAL_EXCHANGE_H_
 #define NALQ_NAL_EXCHANGE_H_
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -75,17 +74,6 @@ struct ParallelOptions {
   PartitionStrategy strategy = PartitionStrategy::kRoundRobin;
   /// Morsel size for round-robin partitioning.
   uint32_t chunk_tuples = 64;
-  /// Memory budget for the whole parallel run (0 = unlimited, falling back
-  /// to NALQ_MEMORY_BUDGET_BYTES like the serial entry points). One
-  /// MemoryBudget accountant carries the limit for every participant: the
-  /// consumer pipeline (which runs every pipeline breaker) and all worker
-  /// pipelines reserve against it, so the global bound holds without
-  /// throttling the breakers to a fraction of it. Worker spool files live
-  /// in worker-private directories, and the effective degree of
-  /// parallelism is clamped (see kMinWorkerBudgetBytes) so a high thread
-  /// count cannot over-commit the budget through per-worker in-flight
-  /// state.
-  uint64_t memory_budget_bytes = 0;
   /// Caller-chosen partition point (the cost-driven chooser in
   /// opt/parallel.h). Honored only when `point_resolved` is true; a
   /// resolved-but-empty point forces serial streaming. When unresolved the
@@ -93,10 +81,6 @@ struct ParallelOptions {
   /// budget, the per-tuple legacy scan otherwise.
   std::optional<PartitionPoint> point;
   bool point_resolved = false;
-  /// Estimated build-side rows per breaker node (opt/parallel.h), consumed
-  /// by the spool layer's grace-partition admission policy. Borrowed; must
-  /// outlive the run. Null = no hints (static partition-count rule).
-  const std::map<const AlgebraOp*, double>* breaker_row_hints = nullptr;
 };
 
 /// Per-worker footprint the budget accountant cannot see — the dispatch-
@@ -149,15 +133,28 @@ std::vector<PartitionPoint> EnumeratePartitionPoints(const AlgebraOp& root);
 /// Byte-identical output and identical (merged) EvalStats at any `threads`
 /// and any memory budget. Falls back to serial streaming when no partition
 /// point exists.
+///
+/// `spool` carries the run's memory budget and grace row hints exactly as
+/// for DrainStreaming (null: a local context from
+/// SpoolContext::ResolveBudgetBytes(0)). Its one MemoryBudget accountant
+/// bounds every participant: the consumer pipeline (which runs every
+/// pipeline breaker) and all worker pipelines reserve against it, so the
+/// global bound holds without throttling the breakers to a fraction of it.
+/// Worker spool files live in worker-private directories, and under a
+/// finite budget the effective degree of parallelism is clamped (see
+/// kMinWorkerBudgetBytes) so a high thread count cannot over-commit it
+/// through per-worker in-flight state.
 uint64_t DrainParallel(Evaluator& ev, const AlgebraOp& op,
                        const ParallelOptions& options = {},
-                       StreamStats* stream = nullptr);
+                       StreamStats* stream = nullptr,
+                       SpoolContext* spool = nullptr);
 
 /// Pull-runs `op` in parallel and collects the root output — the parallel
 /// counterpart of ExecuteStreaming, used by the differential tests.
 Sequence ExecuteParallel(Evaluator& ev, const AlgebraOp& op,
                          const ParallelOptions& options = {},
-                         StreamStats* stream = nullptr);
+                         StreamStats* stream = nullptr,
+                         SpoolContext* spool = nullptr);
 
 }  // namespace nalq::nal
 

@@ -1,42 +1,36 @@
-// Shared join/Γ probe loops for the streaming cursors (cursor.cpp) and the
-// spill-aware cursors' fits-in-memory and spooled-nested-loop modes
-// (spool.cpp).
+// Shared join/Γ building blocks: the probe loops of the hybrid join
+// (spool.cpp) and of the exchange's shared-build probe (cursor.cpp), the
+// in-RAM join build side both of them probe, and the per-partition Γ
+// aggregation of the spilled Γ (spool.cpp) and the exchange's Γ workers
+// (exchange.cpp). One implementation each, so every executor and budget
+// runs the same code (asserted differentially by tests/spool_test.cpp and
+// tests/parallel_breakers_test.cpp).
 //
-// Before this header the spill cursors replicated the plain cursors' probe
-// loops verbatim under a "mirror contract" comment — a semantic change to
-// one side silently broke the byte-identity of budgeted-but-fitting runs.
-// Now there is exactly one implementation of each loop, parameterized over
-// an Access policy, and the identity holds by construction (still asserted
-// differentially by tests/spool_test.cpp).
-//
-// Access policy — the cursor itself, exposing:
+// Access policy of the probe loops — the cursor itself, exposing:
 //
 //   ExecContext& ctx();
 //   const AlgebraOp& op() const;
 //   bool LeftNext(Tuple* out);             // next probe-side tuple
-//   bool use_index() const;                // hash path active
-//   const HashIndex& hash_index() const;   // valid when use_index()
-//   const Expr* residual() const;          // equi residual or null; "
-//   std::span<const Symbol> probe_attrs() const;  // probe key attrs;  "
-//   const Tuple& right_at(uint32_t pos) const;    // build-side tuple; "
+//   bool use_index() const;                // hash path over build() active
+//   const JoinBuild& build() const;        // in-RAM build side
 //   void ScanRestart();                    // nested-loop scan of the build
 //   bool ScanNext(const Tuple** r);        // side (in RAM or spooled)
-//   // outer join only:
-//   const std::vector<Symbol>& outer_null_attrs() const;
-//   const Value& outer_default() const;
 //
 // The loops own the per-probe iteration state (current left tuple, lookup
 // positions, key scratch), so a cursor embeds one JoinProbeLoops and
-// forwards Next() to the member matching its operator kind.
+// forwards its Next() to JoinProbeLoops::Next.
 #ifndef NALQ_NAL_PROBE_LOOPS_H_
 #define NALQ_NAL_PROBE_LOOPS_H_
 
+#include <optional>
 #include <span>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/error.h"
 #include "nal/algebra.h"
+#include "nal/analysis.h"
 #include "nal/cursor.h"
 #include "nal/physical.h"
 
@@ -51,6 +45,65 @@ inline void CountProducedTuple(ExecContext& ctx) {
   ctx.ev->CheckInterrupt();
 }
 
+/// In-RAM build side of a join-family breaker (⋈/×/⋉/▷/outer join/binary
+/// Γ): the buffered right input, the equality conjuncts the hash path
+/// probes — a '='-nest-join's attribute lists, with no residual — the index
+/// over them, and the outer join's ⊥ padding and default. One setup, shared
+/// by the hybrid join (spool.cpp) and the exchange's consumer-built shared
+/// build (BuildSharedJoin, cursor.cpp).
+struct JoinBuild {
+  explicit JoinBuild(const AlgebraOp& op) {
+    switch (op.kind) {
+      case OpKind::kJoin:
+      case OpKind::kSemiJoin:
+      case OpKind::kAntiJoin:
+      case OpKind::kOuterJoin:
+        equi = ExtractEquiPredicate(op.pred, OutputAttrs(*op.child(0)).attrs,
+                                    OutputAttrs(*op.child(1)).attrs);
+        break;
+      case OpKind::kGroupBinary:
+        if (op.theta == CmpOp::kEq) {
+          equi = EquiPredicate{op.left_attrs, op.right_attrs, nullptr};
+        }
+        break;
+      default:  // ×: no predicate, nested loop by definition
+        break;
+    }
+    if (op.kind == OpKind::kOuterJoin) {
+      for (Symbol a : OutputAttrs(*op.child(1)).attrs) {
+        if (a != op.attr) null_attrs.push_back(a);
+      }
+    }
+  }
+
+  /// Indexes the complete `right` on the equality conjuncts' attributes.
+  void IndexRight(const xml::Store& store) {
+    if (equi.has_value()) index.Build(right, equi->right_attrs, store);
+  }
+
+  /// Post-build checks and constants, in the serial Open order: a θ
+  /// nest-join needs a single attribute, and the outer join's default is
+  /// evaluated on the empty binding.
+  void Finish(const AlgebraOp& op, ExecContext& ctx) {
+    if (op.kind == OpKind::kGroupBinary && op.theta != CmpOp::kEq &&
+        op.left_attrs.size() != 1) {
+      throw engine::Error(engine::ErrorCode::kPlanError,
+                          "theta nest-join requires a single attribute", 0, {},
+                          "GroupBinary");
+    }
+    if (op.kind == OpKind::kOuterJoin) {
+      dflt = op.expr != nullptr ? ctx.ev->EvalExpr(*op.expr, Tuple(), *ctx.env)
+                                : Value::Null();
+    }
+  }
+
+  Sequence right;
+  std::optional<EquiPredicate> equi;
+  HashIndex index;
+  std::vector<Symbol> null_attrs;  ///< outer join
+  Value dflt;                      ///< outer join
+};
+
 template <class Access>
 class JoinProbeLoops {
  public:
@@ -62,6 +115,24 @@ class JoinProbeLoops {
     lookup_pos_ = 0;
   }
 
+  /// The loop of `a.op()`'s kind.
+  bool Next(Access& a, Tuple* out) {
+    switch (a.op().kind) {
+      case OpKind::kCross:
+      case OpKind::kJoin:
+        return NextCrossJoin(a, out);
+      case OpKind::kSemiJoin:
+      case OpKind::kAntiJoin:
+        return NextSemiAnti(a, out);
+      case OpKind::kOuterJoin:
+        return NextOuter(a, out);
+      case OpKind::kGroupBinary:
+        return NextGroupBinary(a, out);
+      default:
+        throw std::logic_error("JoinProbeLoops: not a join-family operator");
+    }
+  }
+
   /// × and ⋈: emit every (residual-satisfying) combination.
   bool NextCrossJoin(Access& a, Tuple* out) {
     ExecContext& ctx = a.ctx();
@@ -69,11 +140,12 @@ class JoinProbeLoops {
     while (true) {
       if (have_left_) {
         if (a.use_index()) {
+          const Expr* residual = a.build().equi->residual.get();
           while (lookup_pos_ < lookup_.size()) {
             uint32_t rpos = lookup_[lookup_pos_++];
-            Tuple combined = cur_left_.Concat(a.right_at(rpos));
-            if (a.residual() == nullptr ||
-                ctx.ev->EvalPred(*a.residual(), combined, *ctx.env)) {
+            Tuple combined = cur_left_.Concat(a.build().right[rpos]);
+            if (residual == nullptr ||
+                ctx.ev->EvalPred(*residual, combined, *ctx.env)) {
               *out = std::move(combined);
               CountProducedTuple(ctx);
               return true;
@@ -98,8 +170,8 @@ class JoinProbeLoops {
       lookup_pos_ = 0;
       a.ScanRestart();
       if (a.use_index()) {
-        a.hash_index().LookupInto(cur_left_, a.probe_attrs(), ctx.ev->store(),
-                                  &key_scratch_, &lookup_);
+        a.build().index.LookupInto(cur_left_, a.build().equi->left_attrs,
+                                   ctx.ev->store(), &key_scratch_, &lookup_);
       }
     }
   }
@@ -114,11 +186,12 @@ class JoinProbeLoops {
     while (a.LeftNext(&l)) {
       bool matched = false;
       if (a.use_index()) {
-        a.hash_index().LookupInto(l, a.probe_attrs(), ctx.ev->store(),
-                                  &key_scratch_, &lookup_);
+        const EquiPredicate& equi = *a.build().equi;
+        a.build().index.LookupInto(l, equi.left_attrs, ctx.ev->store(),
+                                   &key_scratch_, &lookup_);
         for (uint32_t pos : lookup_) {
-          if (a.residual() == nullptr ||
-              ctx.ev->EvalPred(*a.residual(), l.Concat(a.right_at(pos)),
+          if (equi.residual == nullptr ||
+              ctx.ev->EvalPred(*equi.residual, l.Concat(a.build().right[pos]),
                                *ctx.env)) {
             matched = true;
             break;
@@ -151,11 +224,12 @@ class JoinProbeLoops {
     while (true) {
       if (have_left_) {
         if (a.use_index()) {
+          const Expr* residual = a.build().equi->residual.get();
           while (lookup_pos_ < lookup_.size()) {
             uint32_t rpos = lookup_[lookup_pos_++];
-            Tuple combined = cur_left_.Concat(a.right_at(rpos));
-            if (a.residual() == nullptr ||
-                ctx.ev->EvalPred(*a.residual(), combined, *ctx.env)) {
+            Tuple combined = cur_left_.Concat(a.build().right[rpos]);
+            if (residual == nullptr ||
+                ctx.ev->EvalPred(*residual, combined, *ctx.env)) {
               matched_ = true;
               *out = std::move(combined);
               CountProducedTuple(ctx);
@@ -176,8 +250,8 @@ class JoinProbeLoops {
         }
         have_left_ = false;
         if (!matched_) {
-          Tuple t = cur_left_.Concat(Tuple::Nulls(a.outer_null_attrs()));
-          t.Set(op.attr, a.outer_default());
+          Tuple t = cur_left_.Concat(Tuple::Nulls(a.build().null_attrs));
+          t.Set(op.attr, a.build().dflt);
           *out = std::move(t);
           CountProducedTuple(ctx);
           return true;
@@ -189,8 +263,8 @@ class JoinProbeLoops {
       lookup_pos_ = 0;
       a.ScanRestart();
       if (a.use_index()) {
-        a.hash_index().LookupInto(cur_left_, a.probe_attrs(), ctx.ev->store(),
-                                  &key_scratch_, &lookup_);
+        a.build().index.LookupInto(cur_left_, a.build().equi->left_attrs,
+                                   ctx.ev->store(), &key_scratch_, &lookup_);
       }
     }
   }
@@ -204,9 +278,9 @@ class JoinProbeLoops {
     if (!a.LeftNext(&l)) return false;
     Sequence group;
     if (a.use_index()) {
-      a.hash_index().LookupInto(l, a.probe_attrs(), ctx.ev->store(),
-                                &key_scratch_, &lookup_);
-      for (uint32_t pos : lookup_) group.Append(a.right_at(pos));
+      a.build().index.LookupInto(l, a.build().equi->left_attrs,
+                                 ctx.ev->store(), &key_scratch_, &lookup_);
+      for (uint32_t pos : lookup_) group.Append(a.build().right[pos]);
     } else {
       a.ScanRestart();
       const Tuple* r = nullptr;
@@ -234,11 +308,23 @@ class JoinProbeLoops {
 };
 
 // ---------------------------------------------------------------------------
-// Unary Γ over '=' — first-occurrence bucketing and group emission, shared
-// by GroupUnaryCursor (cursor.cpp) and the fits-in-memory mode of
-// SpillGroupUnaryCursor (spool.cpp).
+// Unary Γ — group emission of the hybrid Γ (spool.cpp) and the
+// per-partition aggregation it shares with the exchange's Γ workers
+// (exchange.cpp).
 // ---------------------------------------------------------------------------
 
+/// One Γ output tuple: the group key's attributes plus g = f(group).
+inline Tuple GammaResult(const AlgebraOp& op, const Key& key, Sequence group,
+                         ExecContext& ctx) {
+  Tuple result;
+  for (size_t j = 0; j < op.left_attrs.size(); ++j) {
+    result.Set(op.left_attrs[j], key.values[j]);
+  }
+  result.Set(op.attr, ctx.ev->ApplyAgg(op.agg, std::move(group), *ctx.env));
+  return result;
+}
+
+/// '='-bucketing of an in-RAM Γ input in first-occurrence key order (ΠD).
 struct GammaBuckets {
   std::vector<Key> order;  ///< distinct keys, first-occurrence order (ΠD)
   std::unordered_map<Key, std::vector<uint32_t>, KeyHash> buckets;
@@ -279,21 +365,15 @@ inline bool NextEqGammaGroup(GammaBuckets& b, Sequence& input,
       group.Append(std::move(input[pos]));
     }
   }
-  Tuple result;
-  for (size_t j = 0; j < op.left_attrs.size(); ++j) {
-    result.Set(op.left_attrs[j], key.values[j]);
-  }
-  result.Set(op.attr, ctx.ev->ApplyAgg(op.agg, std::move(group), *ctx.env));
-  *out = std::move(result);
+  *out = GammaResult(op, key, std::move(group), ctx);
   CountProducedTuple(ctx);
   return true;
 }
 
 /// Emits the next θ-group (group for key v = σ_{v θ A}(e)): `for_each_input`
-/// re-presents every input tuple — an in-RAM sequence walk in cursor.cpp
-/// (pass lvalues: the sequence is rescanned per key, so matches are
-/// copied), a spool rescan in spool.cpp (pass rvalues: the deserialized
-/// tuple is fresh, so matches are moved).
+/// re-presents every input tuple — by reference from RAM (matches are
+/// copied), or as fresh rvalues decoded from a spool rescan (matches are
+/// moved).
 template <class ForEachInput>
 bool NextThetaGammaGroup(const std::vector<Key>& order, size_t* next_key,
                          const AlgebraOp& op, ExecContext& ctx,
@@ -312,14 +392,47 @@ bool NextThetaGammaGroup(const std::vector<Key>& order, size_t* next_key,
       group.Append(std::forward<decltype(u)>(u));
     }
   });
-  Tuple result;
-  for (size_t j = 0; j < op.left_attrs.size(); ++j) {
-    result.Set(op.left_attrs[j], key.values[j]);
-  }
-  result.Set(op.attr, ctx.ev->ApplyAgg(op.agg, std::move(group), *ctx.env));
-  *out = std::move(result);
+  *out = GammaResult(op, key, std::move(group), ctx);
   CountProducedTuple(ctx);
   return true;
+}
+
+/// One routed '='-Γ input record: the tuple, the group key it was routed
+/// by, and its global position — `seq` over input tuples, `ordinal` over
+/// that tuple's keys (a sequence-valued key fans one tuple into several
+/// groups). The (seq, ordinal) of a group's first member is the group's
+/// serial first-occurrence rank.
+struct GammaRecord {
+  uint64_t seq = 0;
+  uint32_t ordinal = 0;
+  Key key;
+  Tuple tuple;
+};
+
+/// Aggregates one Γ partition whose `records` arrive in global
+/// (seq, ordinal) order: buckets them by their routed key — never a
+/// recomputed one, which would resurrect other partitions' groups — in
+/// first-occurrence order, and calls emit(first_seq, first_ordinal, result)
+/// once per group. Group members are moved out of `records`.
+template <class Emit>
+void AggregateGammaPartition(std::vector<GammaRecord>& records,
+                             const AlgebraOp& op, ExecContext& ctx,
+                             Emit&& emit) {
+  struct Group {
+    const GammaRecord* first;
+    Sequence members;
+  };
+  std::unordered_map<Key, size_t, KeyHash> index;
+  std::vector<Group> groups;
+  for (GammaRecord& r : records) {
+    auto [it, inserted] = index.try_emplace(r.key, groups.size());
+    if (inserted) groups.push_back(Group{&r, {}});
+    groups[it->second].members.Append(std::move(r.tuple));
+  }
+  for (Group& g : groups) {
+    emit(g.first->seq, g.first->ordinal,
+         GammaResult(op, g.first->key, std::move(g.members), ctx));
+  }
 }
 
 }  // namespace nalq::nal::probe

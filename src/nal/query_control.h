@@ -86,7 +86,7 @@ class QueryControl {
   /// Deadline from the NALQ_DEADLINE_MS environment variable (0 when
   /// unset/invalid), read once per process. Engine::Run/RunQuery fall back
   /// to it when no explicit deadline_ms is supplied, mirroring
-  /// SpoolContext::EnvBudgetBytes().
+  /// SpoolContext::ResolveBudgetBytes().
   static uint64_t EnvDeadlineMs();
 
  private:

@@ -10,7 +10,6 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -19,7 +18,6 @@
 #endif
 
 #include "engine/error.h"
-#include "nal/analysis.h"
 #include "nal/codec.h"
 #include "nal/env_knobs.h"
 #include "nal/fault_injection.h"
@@ -347,18 +345,14 @@ SpoolContext::SpoolContext(MemoryBudget& shared, std::string dir)
     : budget_(&shared),
       injector_(&FaultInjector::Current()),
       dir_(std::move(dir)),
-      owns_dir_(dir_.empty()) {
-  if (dir_.empty()) dir_ = AutoSpoolDir();
-}
+      owns_dir_(dir_.empty()) {}
 
 SpoolContext::SpoolContext(uint64_t budget_bytes, std::string dir)
     : own_budget_(std::make_unique<MemoryBudget>(budget_bytes)),
       budget_(own_budget_.get()),
       injector_(&FaultInjector::Current()),
       dir_(std::move(dir)),
-      owns_dir_(dir_.empty()) {
-  if (dir_.empty()) dir_ = AutoSpoolDir();
-}
+      owns_dir_(dir_.empty()) {}
 
 SpoolContext::~SpoolContext() {
   if (created_ && owns_dir_) {
@@ -369,6 +363,8 @@ SpoolContext::~SpoolContext() {
 
 std::string SpoolContext::NewFilePath() {
   if (!created_) {
+    // Named only now: every run carries a context, but few ever spill.
+    if (owns_dir_) dir_ = AutoSpoolDir();
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     if (ec) {
@@ -381,9 +377,21 @@ std::string SpoolContext::NewFilePath() {
   return dir_ + "/s" + std::to_string(next_file_++);
 }
 
-uint64_t SpoolContext::EnvBudgetBytes() {
-  static const uint64_t cached = EnvKnobU64("NALQ_MEMORY_BUDGET_BYTES", 0);
-  return cached;
+uint64_t SpoolContext::ResolveBudgetBytes(uint64_t explicit_bytes) {
+  if (explicit_bytes != 0) return explicit_bytes;
+  static const uint64_t env = EnvKnobU64("NALQ_MEMORY_BUDGET_BYTES", 0);
+  return env;
+}
+
+SpoolContext& RunSpool(SpoolContext* spool, std::optional<SpoolContext>* local,
+                       const Evaluator& ev) {
+  if (spool == nullptr) {
+    spool = &local->emplace(SpoolContext::ResolveBudgetBytes(0));
+  }
+  // The spool layer polls the run's cancellation token per temp-file record;
+  // wire the evaluator's token in unless the caller set its own.
+  if (spool->control() == nullptr) spool->set_control(ev.control());
+  return *spool;
 }
 
 namespace {
@@ -602,6 +610,12 @@ class ChargeGuard {
     charged_ += bytes;
     return true;
   }
+  /// Reserves one buffered tuple. Under an unlimited budget the limit can
+  /// never bind, so the tuple is not even sized.
+  bool TryChargeTuple(const Tuple& t) {
+    return !budget_->limited() ||
+           TryCharge(ApproximateTupleBytes(t) + kTupleOverhead);
+  }
   void ChargeUnchecked(uint64_t bytes) {
     budget_->ChargeUnchecked(bytes);
     charged_ += bytes;
@@ -623,13 +637,14 @@ class ChargeGuard {
 
 class TupleSpool {
  public:
-  TupleSpool(SpoolContext* ctx, SpillStats* stats)
-      : ctx_(ctx), stats_(stats), charge_(&ctx->budget()) {}
+  /// Buffers against `budget` — the run's accountant, or for a breaker
+  /// that must not spill one that never binds (BreakerBudget).
+  TupleSpool(SpoolContext* ctx, MemoryBudget& budget, SpillStats* stats)
+      : ctx_(ctx), stats_(stats), charge_(&budget) {}
 
   void Append(Tuple t) {
     if (file_ == nullptr) {
-      uint64_t b = ApproximateTupleBytes(t) + kTupleOverhead;
-      if (charge_.TryCharge(b)) {
+      if (charge_.TryChargeTuple(t)) {
         mem_.Append(std::move(t));
         ++n_;
         return;
@@ -649,6 +664,8 @@ class TupleSpool {
   size_t size() const { return n_; }
   bool spilled() const { return file_ != nullptr; }
   size_t memory_size() const { return mem_.size(); }
+  /// The whole spool while it has not spilled.
+  const Sequence& memory() const { return mem_; }
 
   /// Sequential reader from the start; several may coexist. `consume` moves
   /// the in-memory tuples out (single-pass readers only).
@@ -866,15 +883,19 @@ ExternalSorter::ExternalSorter(SpoolContext* spool, SpillStats* stats,
 ExternalSorter::~ExternalSorter() = default;
 
 void ExternalSorter::Add(std::vector<Value> key, uint64_t seq, Tuple tuple) {
-  uint64_t bytes = kTupleOverhead + ApproximateTupleBytes(tuple);
-  for (const Value& v : key) bytes += 16 + ApproximateValueBytes(v);
-  if (!impl_->charge_.TryCharge(bytes)) {
-    if (!impl_->buffer_.empty()) Flush();
+  // Under an unlimited budget nothing can spill: skip sizing the record.
+  if (spool_->budget().limited()) {
+    uint64_t bytes = kTupleOverhead + ApproximateTupleBytes(tuple);
+    for (const Value& v : key) bytes += 16 + ApproximateValueBytes(v);
     if (!impl_->charge_.TryCharge(bytes)) {
-      // Progress guarantee: a single record may exceed what is left of the
-      // budget (shared with other breakers); hold it anyway. With a budget
-      // below one tuple this is what degenerates runs to 1–2 records.
-      impl_->charge_.ChargeUnchecked(bytes);
+      if (!impl_->buffer_.empty()) Flush();
+      if (!impl_->charge_.TryCharge(bytes)) {
+        // Progress guarantee: a single record may exceed what is left of
+        // the budget (shared with other breakers); hold it anyway. With a
+        // budget below one tuple this is what degenerates runs to 1–2
+        // records.
+        impl_->charge_.ChargeUnchecked(bytes);
+      }
     }
   }
   impl_->buffer_.push_back(
@@ -1010,6 +1031,25 @@ inline SpillStats* StatsOf(ExecContext& ctx) {
   return &ctx.ev->stats().spill;
 }
 
+/// The hybrid breakers do not reset their partition/spool state on
+/// re-Open; enforce the single-use cursor contract (cursor.h) loudly.
+void OpenOnce(bool* opened) {
+  if (*opened) throw std::logic_error("spill cursor is single-use (cursor.h)");
+  *opened = true;
+}
+
+/// The accountant a breaker buffers against. A Ξ in the breaker's own
+/// subscripts (never produced by the translator, but expressible) pins the
+/// interleaving of subscript evaluation with input pulls, which the spilled
+/// modes' deferred evaluation would reorder — such a breaker keeps
+/// buffering in RAM past the limit, against an accountant that never binds.
+MemoryBudget& BreakerBudget(const AlgebraOp& op, ExecContext& ctx) {
+  static MemoryBudget unlimited(0);
+  return ctx.spool->enabled() && SubscriptsContainXi(op)
+             ? unlimited
+             : ctx.spool->budget();
+}
+
 /// Drains `input` Materialize-style (Open / Next* / Close) into `sink`.
 template <typename Sink>
 void DrainInto(Cursor& input, Sink&& sink) {
@@ -1029,13 +1069,7 @@ class SpillSortCursor final : public Cursor {
       : op_(op), ctx_(ctx), input_(std::move(input)) {}
 
   void Open() override {
-    if (opened_) {
-      // Unlike the in-memory cursors (which happen to tolerate it), the
-      // spill cursors do not reset their partition/spool state on re-Open;
-      // enforce the documented single-use cursor contract loudly.
-      throw std::logic_error("spill cursor is single-use (cursor.h)");
-    }
-    opened_ = true;
+    OpenOnce(&opened_);
     sorter_.emplace(ctx_.spool, StatsOf(ctx_),
                     std::vector<uint8_t>(op_.sort_desc));
     uint64_t seq = 0;
@@ -1076,7 +1110,7 @@ class SpillSortCursor final : public Cursor {
 };
 
 // ---------------------------------------------------------------------------
-// Order-pinning buffer (spool-backed BufferCursor)
+// Order-pinning buffer
 // ---------------------------------------------------------------------------
 
 class SpoolBufferCursor final : public Cursor {
@@ -1085,14 +1119,8 @@ class SpoolBufferCursor final : public Cursor {
       : ctx_(ctx), input_(std::move(input)) {}
 
   void Open() override {
-    if (opened_) {
-      // Unlike the in-memory cursors (which happen to tolerate it), the
-      // spill cursors do not reset their partition/spool state on re-Open;
-      // enforce the documented single-use cursor contract loudly.
-      throw std::logic_error("spill cursor is single-use (cursor.h)");
-    }
-    opened_ = true;
-    spool_.emplace(ctx_.spool, StatsOf(ctx_));
+    OpenOnce(&opened_);
+    spool_.emplace(ctx_.spool, ctx_.spool->budget(), StatsOf(ctx_));
     DrainInto(*input_, [&](Tuple t) { spool_->Append(std::move(t)); });
     spool_->FinishWrites();
     if (ctx_.stream != nullptr) {
@@ -1128,16 +1156,14 @@ class SpoolBufferCursor final : public Cursor {
 class SpillGroupUnaryCursor final : public Cursor {
  public:
   SpillGroupUnaryCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr input)
-      : op_(op), ctx_(ctx), input_(std::move(input)), charge_(BudgetOf(ctx)) {}
+      : op_(op),
+        ctx_(ctx),
+        input_(std::move(input)),
+        budget_(BreakerBudget(op, ctx)),
+        charge_(&budget_) {}
 
   void Open() override {
-    if (opened_) {
-      // Unlike the in-memory cursors (which happen to tolerate it), the
-      // spill cursors do not reset their partition/spool state on re-Open;
-      // enforce the documented single-use cursor contract loudly.
-      throw std::logic_error("spill cursor is single-use (cursor.h)");
-    }
-    opened_ = true;
+    OpenOnce(&opened_);
     if (op_.theta == CmpOp::kEq) {
       OpenEq();
     } else {
@@ -1163,22 +1189,9 @@ class SpillGroupUnaryCursor final : public Cursor {
   }
 
  private:
-  static MemoryBudget* BudgetOf(ExecContext& ctx) {
-    return &ctx.spool->budget();
-  }
-
   // ---- Γ over = : grace partitions + first-occurrence order restoration --
 
-  /// Partition record: (seq, key ordinal within its tuple, routed key,
-  /// tuple). Bucketing uses the ROUTED key, never recomputed keys — a
-  /// recomputed key set would recreate foreign-partition groups here and
-  /// split their membership.
-  struct GammaRecord {
-    uint64_t seq = 0;
-    uint32_t ordinal = 0;
-    Key key;
-    Tuple tuple;
-  };
+  using GammaRecord = probe::GammaRecord;
 
   static void EncodeGamma(const GammaRecord& r, std::string* out) {
     PutU64(out, r.seq);
@@ -1213,8 +1226,7 @@ class SpillGroupUnaryCursor final : public Cursor {
     uint64_t seq = 0;
     DrainInto(*input_, [&](Tuple t) {
       if (!spilled_) {
-        uint64_t b = ApproximateTupleBytes(t) + kTupleOverhead;
-        if (charge_.TryCharge(b)) {
+        if (charge_.TryChargeTuple(t)) {
           input_seq_.Append(std::move(t));
           ++seq;
           return;
@@ -1225,8 +1237,6 @@ class SpillGroupUnaryCursor final : public Cursor {
     });
 
     if (!spilled_) {
-      // In-memory: exactly the plain GroupUnaryCursor — literally, the
-      // bucketing and emission are the shared nal/probe_loops.h helpers.
       gamma_.Build(input_seq_, op_.left_attrs, store);
       if (ctx_.stream != nullptr) {
         stream_charged_ = input_seq_.size();
@@ -1256,7 +1266,7 @@ class SpillGroupUnaryCursor final : public Cursor {
                      : 0.0;
     partitions_ = MakePartitionSet(
         ctx_.spool, StatsOf(ctx_),
-        GracePartitionCount(ctx_.spool->budget().limit_bytes(),
+        GracePartitionCount(budget_.limit_bytes(),
                             ctx_.spool->RowHint(&op_) * avg));
     std::vector<Key> keys;
     uint64_t seq = 0;
@@ -1286,8 +1296,7 @@ class SpillGroupUnaryCursor final : public Cursor {
 
   void ProcessGammaPartition(SpoolFile& part, int depth, uint64_t* emit_seq) {
     if (part.records() == 0) return;
-    uint64_t limit = ctx_.spool->budget().limit_bytes();
-    if (part.bytes() > PartitionLoadLimit(limit) &&
+    if (part.bytes() > PartitionLoadLimit(budget_.limit_bytes()) &&
         depth < kMaxRepartitionDepth) {
       SpillStats* stats = StatsOf(ctx_);
       stats->repartitions = xml::SaturatingAdd(stats->repartitions, 1);
@@ -1313,7 +1322,7 @@ class SpillGroupUnaryCursor final : public Cursor {
     // Load the partition; records arrive in (seq, ordinal) order, so
     // first-occurrence bucketing reproduces the global bucket order within
     // this partition's key subset.
-    ChargeGuard charge(&ctx_.spool->budget());
+    ChargeGuard charge(&budget_);
     std::vector<GammaRecord> records;
     {
       SpoolFile::Reader reader(part);
@@ -1326,31 +1335,13 @@ class SpillGroupUnaryCursor final : public Cursor {
         records.push_back(std::move(rec));
       }
     }
-    std::unordered_map<Key, std::vector<size_t>, KeyHash> buckets;
-    std::vector<const Key*> order;
-    for (size_t i = 0; i < records.size(); ++i) {
-      auto [it, inserted] = buckets.try_emplace(records[i].key);
-      if (inserted) order.push_back(&records[i].key);
-      it->second.push_back(i);
-    }
-    for (const Key* key : order) {
-      std::vector<size_t>& members = buckets[*key];
-      Sequence group;
-      group.Reserve(members.size());
-      for (size_t idx : members) {
-        group.Append(std::move(records[idx].tuple));
-      }
-      const GammaRecord& first = records[members.front()];
-      Tuple result;
-      for (size_t j = 0; j < op_.left_attrs.size(); ++j) {
-        result.Set(op_.left_attrs[j], key->values[j]);
-      }
-      result.Set(op_.attr,
-                 ctx_.ev->ApplyAgg(op_.agg, std::move(group), *ctx_.env));
-      sorter_->Add({Value(static_cast<int64_t>(first.seq)),
-                    Value(static_cast<int64_t>(first.ordinal))},
-                   (*emit_seq)++, std::move(result));
-    }
+    probe::AggregateGammaPartition(
+        records, op_, ctx_,
+        [&](uint64_t first_seq, uint32_t first_ordinal, Tuple result) {
+          sorter_->Add({Value(static_cast<int64_t>(first_seq)),
+                        Value(static_cast<int64_t>(first_ordinal))},
+                       (*emit_seq)++, std::move(result));
+        });
   }
 
   bool NextEqInMemory(Tuple* out) {
@@ -1361,7 +1352,7 @@ class SpillGroupUnaryCursor final : public Cursor {
 
   void OpenTheta() {
     const xml::Store& store = ctx_.ev->store();
-    theta_spool_.emplace(ctx_.spool, StatsOf(ctx_));
+    theta_spool_.emplace(ctx_.spool, budget_, StatsOf(ctx_));
     std::vector<Key> keys;
     std::unordered_set<Key, KeyHash> seen;
     DrainInto(*input_, [&](Tuple t) {
@@ -1380,12 +1371,14 @@ class SpillGroupUnaryCursor final : public Cursor {
   }
 
   bool NextTheta(Tuple* out) {
-    // Group construction shared with GroupUnaryCursor (nal/probe_loops.h);
-    // only the input rescan differs — a spool replay instead of an in-RAM
-    // sequence walk.
     return probe::NextThetaGammaGroup(
         gamma_.order, &gamma_.next_key, op_, ctx_,
         [&](auto&& fn) {
+          if (!theta_spool_->spilled()) {
+            // By reference: K keys over N tuples copy only the matches.
+            for (const Tuple& u : theta_spool_->memory()) fn(u);
+            return;
+          }
           TupleSpool::Reader reader = theta_spool_->NewReader();
           Tuple u;
           // Rvalue: each deserialized tuple is fresh, so a match is moved
@@ -1398,6 +1391,7 @@ class SpillGroupUnaryCursor final : public Cursor {
   const AlgebraOp& op_;
   ExecContext& ctx_;
   CursorPtr input_;
+  MemoryBudget& budget_;
   ChargeGuard charge_;
 
   bool spilled_ = false;
@@ -1424,39 +1418,15 @@ class SpillJoinCursor final : public Cursor {
         ctx_(ctx),
         left_(std::move(left)),
         right_(std::move(right)),
-        charge_(&ctx.spool->budget()) {
-    if (op_.kind == OpKind::kOuterJoin) {
-      AttrInfo info = OutputAttrs(*op_.child(1));
-      for (Symbol a : info.attrs) {
-        if (a != op_.attr) null_attrs_.push_back(a);
-      }
-    }
-  }
+        budget_(BreakerBudget(op, ctx)),
+        charge_(&budget_),
+        build_(op) {}
 
   void Open() override {
-    if (opened_) {
-      // Unlike the in-memory cursors (which happen to tolerate it), the
-      // spill cursors do not reset their partition/spool state on re-Open;
-      // enforce the documented single-use cursor contract loudly.
-      throw std::logic_error("spill cursor is single-use (cursor.h)");
-    }
-    opened_ = true;
+    OpenOnce(&opened_);
     left_->Open();
-    DetectEqui();
     BuildRight();
-    // Post-build checks and constants, mirroring the in-memory cursors'
-    // Open order.
-    if (op_.kind == OpKind::kGroupBinary && op_.theta != CmpOp::kEq &&
-        op_.left_attrs.size() != 1) {
-      throw engine::Error(engine::ErrorCode::kPlanError,
-                          "theta nest-join requires a single attribute", 0, {},
-                          "SpillJoinCursor");
-    }
-    if (op_.kind == OpKind::kOuterJoin) {
-      dflt_ = op_.expr != nullptr
-                  ? ctx_.ev->EvalExpr(*op_.expr, Tuple(), *ctx_.env)
-                  : Value::Null();
-    }
+    build_.Finish(op_, ctx_);
     if (mode_ == Mode::kSpilledEqui) DrainLeftAndProbe();
   }
 
@@ -1464,9 +1434,9 @@ class SpillJoinCursor final : public Cursor {
     switch (mode_) {
       case Mode::kInMemory:
       case Mode::kSpilledLoop:
-        // In-memory and spooled-nested-loop probes share the plain cursors'
-        // loops (nal/probe_loops.h); the access methods below read mode_.
-        return NextProbeLoop(out);
+        // In-memory and spooled-nested-loop probes share the probe loops
+        // (nal/probe_loops.h); the access methods below read mode_.
+        return loops_.Next(*this, out);
       case Mode::kSpilledEqui:
         return NextSpilledEqui(out);
       case Mode::kBuilding:
@@ -1481,14 +1451,9 @@ class SpillJoinCursor final : public Cursor {
   const AlgebraOp& op() const { return op_; }
   bool LeftNext(Tuple* out) { return left_->Next(out); }
   bool use_index() const {
-    return mode_ == Mode::kInMemory && equi_.has_value();
+    return mode_ == Mode::kInMemory && build_.equi.has_value();
   }
-  const HashIndex& hash_index() const { return index_; }
-  const Expr* residual() const { return equi_->residual.get(); }
-  std::span<const Symbol> probe_attrs() const {
-    return equi_->left_attrs;
-  }
-  const Tuple& right_at(uint32_t pos) const { return right_seq_[pos]; }
+  const probe::JoinBuild& build() const { return build_; }
   void ScanRestart() {
     if (mode_ == Mode::kInMemory) {
       scan_pos_ = 0;
@@ -1502,17 +1467,14 @@ class SpillJoinCursor final : public Cursor {
   }
   bool ScanNext(const Tuple** r) {
     if (mode_ == Mode::kInMemory) {
-      if (scan_pos_ >= right_seq_.size()) return false;
-      *r = &right_seq_[scan_pos_++];
+      if (scan_pos_ >= build_.right.size()) return false;
+      *r = &build_.right[scan_pos_++];
       return true;
     }
     if (!scan_reader_->Next(&scan_tuple_)) return false;
     *r = &scan_tuple_;
     return true;
   }
-  const std::vector<Symbol>& outer_null_attrs() const { return null_attrs_; }
-  const Value& outer_default() const { return dflt_; }
-
   void Close() override {
     left_->Close();
     if (ctx_.stream != nullptr) ctx_.stream->OnRelease(stream_charged_);
@@ -1523,31 +1485,10 @@ class SpillJoinCursor final : public Cursor {
   enum class Mode { kBuilding, kInMemory, kSpilledLoop, kSpilledEqui };
 
   std::span<const Symbol> build_attrs() const {
-    return equi_->right_attrs;
+    return build_.equi->right_attrs;
   }
-
-  void DetectEqui() {
-    switch (op_.kind) {
-      case OpKind::kJoin:
-      case OpKind::kSemiJoin:
-      case OpKind::kAntiJoin:
-      case OpKind::kOuterJoin: {
-        SymbolSet lattrs = OutputAttrs(*op_.child(0)).attrs;
-        SymbolSet rattrs = OutputAttrs(*op_.child(1)).attrs;
-        equi_ = ExtractEquiPredicate(op_.pred, lattrs, rattrs);
-        break;
-      }
-      case OpKind::kGroupBinary:
-        if (op_.theta == CmpOp::kEq) {
-          EquiPredicate e;
-          e.left_attrs = op_.left_attrs;
-          e.right_attrs = op_.right_attrs;
-          equi_ = std::move(e);
-        }
-        break;
-      default:  // kCross: no predicate, nested loop by definition
-        break;
-    }
+  std::span<const Symbol> probe_attrs() const {
+    return build_.equi->left_attrs;
   }
 
   void BuildRight() {
@@ -1555,9 +1496,8 @@ class SpillJoinCursor final : public Cursor {
     Tuple t;
     while (right_->Next(&t)) {
       if (mode_ == Mode::kBuilding) {
-        uint64_t b = ApproximateTupleBytes(t) + kTupleOverhead;
-        if (charge_.TryCharge(b)) {
-          right_seq_.Append(std::move(t));
+        if (charge_.TryChargeTuple(t)) {
+          build_.right.Append(std::move(t));
           continue;
         }
         SwitchToSpill();
@@ -1567,11 +1507,9 @@ class SpillJoinCursor final : public Cursor {
     right_->Close();
     if (mode_ == Mode::kBuilding) {
       mode_ = Mode::kInMemory;
-      if (equi_.has_value()) {
-        index_.Build(right_seq_, build_attrs(), ctx_.ev->store());
-      }
+      build_.IndexRight(ctx_.ev->store());
       if (ctx_.stream != nullptr) {
-        stream_charged_ = right_seq_.size();
+        stream_charged_ = build_.right.size();
         ctx_.stream->OnBuffer(stream_charged_);
       }
     } else if (mode_ == Mode::kSpilledLoop) {
@@ -1582,29 +1520,29 @@ class SpillJoinCursor final : public Cursor {
   }
 
   void SwitchToSpill() {
-    if (equi_.has_value()) {
+    if (build_.equi.has_value()) {
       mode_ = Mode::kSpilledEqui;
       // Admission policy: expected build volume = optimizer row hint for
       // this breaker × the average resident tuple size observed up to the
       // overflow (see GracePartitionCount).
-      double avg = right_seq_.size() > 0
+      double avg = build_.right.size() > 0
                        ? static_cast<double>(charge_.charged()) /
-                             static_cast<double>(right_seq_.size())
+                             static_cast<double>(build_.right.size())
                        : 0.0;
       build_parts_ = MakePartitionSet(
           ctx_.spool, StatsOf(ctx_),
-          GracePartitionCount(ctx_.spool->budget().limit_bytes(),
+          GracePartitionCount(budget_.limit_bytes(),
                               ctx_.spool->RowHint(&op_) * avg));
-      for (Tuple& u : right_seq_) RouteBuild(std::move(u));
+      for (Tuple& u : build_.right) RouteBuild(std::move(u));
     } else {
       mode_ = Mode::kSpilledLoop;
-      right_spool_.emplace(ctx_.spool, StatsOf(ctx_));
-      for (Tuple& u : right_seq_) {
+      right_spool_.emplace(ctx_.spool, budget_, StatsOf(ctx_));
+      for (Tuple& u : build_.right) {
         right_spool_->Append(std::move(u));
         ++rpos_next_;  // keep the arrival count (unused in loop mode)
       }
     }
-    right_seq_.Clear();
+    build_.right.Clear();
     charge_.ReleaseAll();
   }
 
@@ -1631,7 +1569,7 @@ class SpillJoinCursor final : public Cursor {
 
   void DrainLeftAndProbe() {
     const xml::Store& store = ctx_.ev->store();
-    left_spool_.emplace(ctx_.spool, StatsOf(ctx_));
+    left_spool_.emplace(ctx_.spool, budget_, StatsOf(ctx_));
     probe_parts_ = MakePartitionSet(ctx_.spool, StatsOf(ctx_),
                                     build_parts_.size());
     uint64_t lseq = 0;
@@ -1671,8 +1609,7 @@ class SpillJoinCursor final : public Cursor {
                             uint64_t* cand_seq) {
     if (build.records() == 0 || probe.records() == 0) return;
     const xml::Store& store = ctx_.ev->store();
-    uint64_t limit = ctx_.spool->budget().limit_bytes();
-    if (build.bytes() > PartitionLoadLimit(limit) &&
+    if (build.bytes() > PartitionLoadLimit(budget_.limit_bytes()) &&
         depth < kMaxRepartitionDepth) {
       SpillStats* stats = StatsOf(ctx_);
       stats->repartitions = xml::SaturatingAdd(stats->repartitions, 1);
@@ -1700,7 +1637,7 @@ class SpillJoinCursor final : public Cursor {
     // probe can only reach such an entry through a key it genuinely shares
     // with the build tuple, so the extra entries produce at most duplicate
     // (lseq, rpos) pairs, which the merge drops.
-    ChargeGuard charge(&ctx_.spool->budget());
+    ChargeGuard charge(&budget_);
     Sequence part;
     std::vector<uint64_t> rpos_map;
     {
@@ -1806,6 +1743,7 @@ class SpillJoinCursor final : public Cursor {
 
   bool NextSpilledEqui(Tuple* out) {
     const bool anti = op_.kind == OpKind::kAntiJoin;
+    const Expr* residual = build_.equi->residual.get();
     while (true) {
       if (!have_left_) {
         if (!left_reader_->Next(&cur_left_)) return false;
@@ -1820,8 +1758,8 @@ class SpillJoinCursor final : public Cursor {
         case OpKind::kJoin: {
           while (TakeCandidate(&right)) {
             Tuple combined = cur_left_.Concat(right);
-            if (equi_->residual == nullptr ||
-                ctx_.ev->EvalPred(*equi_->residual, combined, *ctx_.env)) {
+            if (residual == nullptr ||
+                ctx_.ev->EvalPred(*residual, combined, *ctx_.env)) {
               *out = std::move(combined);
               CountProducedTuple(ctx_);
               return true;
@@ -1833,8 +1771,8 @@ class SpillJoinCursor final : public Cursor {
         case OpKind::kSemiJoin:
         case OpKind::kAntiJoin: {
           while (!matched_ && TakeCandidate(&right)) {
-            if (equi_->residual == nullptr ||
-                ctx_.ev->EvalPred(*equi_->residual, cur_left_.Concat(right),
+            if (residual == nullptr ||
+                ctx_.ev->EvalPred(*residual, cur_left_.Concat(right),
                                   *ctx_.env)) {
               matched_ = true;
             }
@@ -1853,8 +1791,8 @@ class SpillJoinCursor final : public Cursor {
         case OpKind::kOuterJoin: {
           while (TakeCandidate(&right)) {
             Tuple combined = cur_left_.Concat(right);
-            if (equi_->residual == nullptr ||
-                ctx_.ev->EvalPred(*equi_->residual, combined, *ctx_.env)) {
+            if (residual == nullptr ||
+                ctx_.ev->EvalPred(*residual, combined, *ctx_.env)) {
               matched_ = true;
               *out = std::move(combined);
               CountProducedTuple(ctx_);
@@ -1865,8 +1803,8 @@ class SpillJoinCursor final : public Cursor {
           Tuple l = std::move(cur_left_);
           have_left_ = false;
           if (pad) {
-            Tuple t = l.Concat(Tuple::Nulls(null_attrs_));
-            t.Set(op_.attr, dflt_);
+            Tuple t = l.Concat(Tuple::Nulls(build_.null_attrs));
+            t.Set(op_.attr, build_.dflt);
             *out = std::move(t);
             CountProducedTuple(ctx_);
             return true;
@@ -1891,41 +1829,17 @@ class SpillJoinCursor final : public Cursor {
     }
   }
 
-  /// In-memory and spooled-nested-loop probes via the shared loops — the
-  /// fits-in-memory byte-identity with the plain cursors holds because this
-  /// IS the plain cursors' code (nal/probe_loops.h).
-  bool NextProbeLoop(Tuple* out) {
-    switch (op_.kind) {
-      case OpKind::kCross:
-      case OpKind::kJoin:
-        return loops_.NextCrossJoin(*this, out);
-      case OpKind::kSemiJoin:
-      case OpKind::kAntiJoin:
-        return loops_.NextSemiAnti(*this, out);
-      case OpKind::kOuterJoin:
-        return loops_.NextOuter(*this, out);
-      case OpKind::kGroupBinary:
-        return loops_.NextGroupBinary(*this, out);
-      default:
-        return false;
-    }
-  }
-
   const AlgebraOp& op_;
   ExecContext& ctx_;
   CursorPtr left_;
   CursorPtr right_;
+  MemoryBudget& budget_;
   ChargeGuard charge_;
 
   Mode mode_ = Mode::kBuilding;
-  std::optional<EquiPredicate> equi_;
-  Sequence right_seq_;  // in-memory build side
-  HashIndex index_;
+  probe::JoinBuild build_;  // in-memory mode buffers build_.right
   uint64_t rpos_next_ = 0;
   uint64_t stream_charged_ = 0;
-
-  std::vector<Symbol> null_attrs_;  // outer join
-  Value dflt_;
 
   // Probe state: loops_ for the shared in-memory/nested-loop paths,
   // cur_left_/have_left_/matched_ for the spilled-equi restoration merge.
@@ -2007,10 +1921,6 @@ CursorPtr Annotate(std::string op_name, CursorPtr inner) {
 }
 
 }  // namespace
-
-bool SpillEnabled(const ExecContext& ctx) {
-  return ctx.spool != nullptr && ctx.spool->enabled();
-}
 
 CursorPtr MakeSpillSortCursor(const AlgebraOp& op, ExecContext& ctx,
                               CursorPtr input) {

@@ -20,14 +20,13 @@
 //     k-way merge with a bounded fan-in; backs the Sort breaker, and doubles
 //     as the order-restoration sort of the grace joins and the grouped-Γ
 //     output (records carry a (key, seq) pair the merge orders by);
-//   * spill-aware breaker cursors — drop-in replacements for the Sort,
-//     hash-join/semi/anti/outer/nest-join and unary-Γ cursors of cursor.cpp
-//     that buffer in RAM while the budget allows and grace-partition /
-//     external-sort once it runs out. With an unlimited budget the spill
-//     cursors are never built; with a finite budget but inputs that fit,
-//     they reproduce the in-memory cursors bit for bit (same output bytes,
-//     same EvalStats, same StreamStats charges) — asserted differentially
-//     by tests/spool_test.cpp.
+//   * the hybrid breaker cursors — the only implementation of Sort, the
+//     join family (×/⋈/⋉/▷/outer join/binary Γ), unary Γ and the
+//     order-pinning buffer. Each buffers in RAM while the budget allows and
+//     grace-partitions / external-sorts once it binds, with the same output
+//     bytes and EvalStats either way — asserted differentially against
+//     Evaluator::Eval by tests/spool_test.cpp. Under an unlimited budget
+//     nothing can spill, so the breakers do not even size their tuples.
 //
 // Order preservation under spilling: grace hash builds partition both sides
 // by join-key hash, join each partition pair (recursively re-partitioning a
@@ -48,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,8 +114,9 @@ class MemoryBudget {
 /// parallel workers each get their own.
 class SpoolContext {
  public:
-  /// `budget_bytes` of 0 disables spilling (the context is inert).
-  /// `dir` overrides the automatic temp directory (tests).
+  /// `budget_bytes` of 0 means unlimited: nothing spills, and the temp
+  /// directory is never created. `dir` overrides the automatic temp
+  /// directory (tests).
   explicit SpoolContext(uint64_t budget_bytes, std::string dir = {});
   /// Worker form: shares `shared` — the run's global accountant — instead
   /// of owning a budget, while keeping its own (worker-private) temp
@@ -132,6 +133,7 @@ class SpoolContext {
   /// Fresh file path inside the spool directory (created on first call).
   std::string NewFilePath();
 
+  /// The spool directory; empty for an automatic one not yet created.
   const std::string& dir() const { return dir_; }
   bool dir_created() const { return created_; }
 
@@ -175,13 +177,13 @@ class SpoolContext {
   void set_injector(FaultInjector* injector) { injector_ = injector; }
   FaultInjector* injector() const { return injector_; }
 
-  /// Budget from the NALQ_MEMORY_BUDGET_BYTES environment variable (0 when
-  /// unset; malformed values throw — see nal/env_knobs.h), read once per
-  /// process. The streaming/parallel entry points fall back to it when no
-  /// explicit spool is supplied, so every existing differential suite can
-  /// run with spilling active under one environment setting (see
-  /// .github/workflows/ci.yml).
-  static uint64_t EnvBudgetBytes();
+  /// The budget a run executes under: `explicit_bytes` when non-zero, else
+  /// the NALQ_MEMORY_BUDGET_BYTES environment variable (read once per
+  /// process; malformed values throw — see nal/env_knobs.h), else 0 —
+  /// unlimited. Engine::Run and the streaming/parallel entry points resolve
+  /// through it, so every differential suite can run with spilling active
+  /// under one environment setting (see .github/workflows/ci.yml).
+  static uint64_t ResolveBudgetBytes(uint64_t explicit_bytes);
 
  private:
   std::unique_ptr<MemoryBudget> own_budget_;  ///< null in the worker form
@@ -194,6 +196,12 @@ class SpoolContext {
   bool owns_dir_ = true;
   uint64_t next_file_ = 0;
 };
+
+/// The one SpoolContext of a streaming or parallel run: `spool` when the
+/// caller passed one, else `*local`, emplaced with ResolveBudgetBytes(0).
+/// Wires `ev`'s cancellation token in unless the caller set its own.
+SpoolContext& RunSpool(SpoolContext* spool, std::optional<SpoolContext>* local,
+                       const Evaluator& ev);
 
 // ---------------------------------------------------------------------------
 // Tuple/Value codec (spool temp files are process-private: Symbol ids and
@@ -264,12 +272,11 @@ class ExternalSorter {
 };
 
 // ---------------------------------------------------------------------------
-// Spill-aware breaker cursors (built by cursor.cpp when the run carries a
-// finite budget and the operator's subscripts are Ξ-free)
+// Hybrid breaker cursors (built by cursor.cpp). A breaker whose own
+// subscripts contain Ξ (SubscriptsContainXi) buffers in RAM past the limit
+// instead of spilling: the spilled modes' deferred evaluation would reorder
+// its subscript writes.
 // ---------------------------------------------------------------------------
-
-/// True when `ctx` opts cursors into memory-bounded execution.
-bool SpillEnabled(const ExecContext& ctx);
 
 /// Grace admission policy: the level-0 partition count a spilling breaker
 /// opens. With no estimate (`est_build_bytes` <= 0, or larger than what a
@@ -282,25 +289,28 @@ bool SpillEnabled(const ExecContext& ctx);
 size_t GracePartitionCount(uint64_t budget_limit_bytes,
                            double est_build_bytes);
 
-/// External-merge-sort Sort breaker.
+/// Sort: a stable in-RAM sort while the budget allows, an external merge
+/// sort once it binds.
 CursorPtr MakeSpillSortCursor(const AlgebraOp& op, ExecContext& ctx,
                               CursorPtr input);
 
-/// Grace-partitioned unary Γ with first-occurrence order restoration
-/// (θ-grouping spools its input and rescans it per key instead).
+/// Unary Γ: in-RAM first-occurrence bucketing while the budget allows,
+/// grace partitions with first-occurrence order restoration once it binds
+/// (θ-grouping buffers its input once and rescans it per key instead).
 CursorPtr MakeSpillGroupUnaryCursor(const AlgebraOp& op, ExecContext& ctx,
                                     CursorPtr input);
 
-/// Grace hash build for ⋈/⋉/▷/outer-join/binary-Γ (and ×): hybrid build
-/// side, recursive re-partitioning, (left, right) position order
-/// restoration; predicates without an equality conjunct fall back to a
-/// block nested loop over the spooled build side.
+/// ⋈/⋉/▷/outer-join/binary-Γ (and ×): an in-RAM hash build (or nested
+/// loop) while the budget allows; once it binds, a grace hash build with
+/// recursive re-partitioning and (left, right) position order restoration,
+/// or a block nested loop over the spooled build side for predicates
+/// without an equality conjunct.
 CursorPtr MakeSpillJoinCursor(const AlgebraOp& op, ExecContext& ctx,
                               CursorPtr left, CursorPtr right);
 
-/// Spool-backed replacement for the order-pinning BufferCursor: buffers in
-/// RAM under the budget, overflows to a spool file, replays in order. Like
-/// BufferCursor it re-emits already-counted tuples.
+/// Order-pinning buffer: drains its input on Open into RAM under the
+/// budget, overflowing to a spool file, and replays it in order. It
+/// re-emits already-counted tuples, so it counts nothing itself.
 CursorPtr MakeSpoolBufferCursor(ExecContext& ctx, CursorPtr input);
 
 }  // namespace nalq::nal

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "nal/env_knobs.h"
+#include "nal/spool.h"
 #include "obs/profile.h"
 
 namespace nalq::service {
@@ -40,9 +41,8 @@ double Seconds(Clock::time_point from, Clock::time_point to) {
 QueryService::QueryService(engine::Engine& engine, ServiceOptions options)
     : engine_(engine), options_(options) {
   using nal::EnvKnobU64;
-  if (options_.memory_budget_bytes == 0) {
-    options_.memory_budget_bytes = EnvKnobU64("NALQ_MEMORY_BUDGET_BYTES", 0);
-  }
+  options_.memory_budget_bytes =
+      nal::SpoolContext::ResolveBudgetBytes(options_.memory_budget_bytes);
   if (options_.max_concurrent == 0) {
     options_.max_concurrent = static_cast<unsigned>(
         EnvKnobU64("NALQ_MAX_CONCURRENT", 0));

@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "datagen/datagen.h"
 #include "engine/engine.h"
 #include "engine/error.h"
@@ -79,14 +81,17 @@ size_t FilesIn(const std::string& dir) {
   return n;
 }
 
-/// Auto-created spool directories ("nalq-spool-<pid>-...") currently in the
-/// system temp dir — the leak probe for runs whose SpoolContexts the test
-/// cannot reach (the parallel executor's consumer and worker spools).
+/// Auto-created spool directories of THIS process ("nalq-spool-<pid>-...")
+/// currently in the system temp dir — the leak probe for runs whose
+/// SpoolContexts the test cannot reach (the parallel executor's worker
+/// spools). Other processes' directories are not counted: a test binary
+/// running concurrently (ctest -j) must not shift the baseline.
 size_t SpoolDirsInTemp() {
+  const std::string prefix = "nalq-spool-" + std::to_string(getpid()) + "-";
   size_t n = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::filesystem::temp_directory_path())) {
-    if (entry.path().filename().string().rfind("nalq-spool-", 0) == 0) ++n;
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
   }
   return n;
 }
@@ -297,9 +302,9 @@ TEST(FaultSweepTest, ParallelSurfacesStructuredErrorAndLeaksNoSpoolDirs) {
         Evaluator ev(store);
         ParallelOptions options;
         options.threads = 2;
-        options.memory_budget_bytes = bp.budget;
+        SpoolContext spool(bp.budget);
         engine::Error e = RunExpectingError(
-            [&] { ExecuteParallel(ev, *bp.plan, options); },
+            [&] { ExecuteParallel(ev, *bp.plan, options, nullptr, &spool); },
             engine::ErrorCode::kSpoolIo);
         EXPECT_EQ(e.sys_errno(), ENOSPC) << e.what();
         EXPECT_EQ(e.context(), FaultSiteName(site)) << e.what();
@@ -395,8 +400,13 @@ TEST(SchedulerFaultTest, ParallelRunSurfacesWorkerStartFailure) {
   Evaluator ev(store);
   ParallelOptions options;
   options.threads = pool.thread_count() + 1;  // forces pool growth
-  RunExpectingError([&] { ExecuteParallel(ev, *plan, options); },
-                    engine::ErrorCode::kBudgetExhausted);
+  // Pin an unlimited budget: under NALQ_MEMORY_BUDGET_BYTES (CI's 1 MB pass)
+  // the budget clamps the worker count, the pool never grows and the
+  // injected fault never fires.
+  SpoolContext unlimited(0);
+  RunExpectingError(
+      [&] { ExecuteParallel(ev, *plan, options, nullptr, &unlimited); },
+      engine::ErrorCode::kBudgetExhausted);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,8 +551,9 @@ class LifecycleQueryTest : public ::testing::Test {
                     default: {
                       ParallelOptions options;
                       options.threads = 2;
-                      options.memory_budget_bytes = budget;
-                      ExecuteParallel(ev, *alt.plan, options);
+                      SpoolContext spool(budget);
+                      ExecuteParallel(ev, *alt.plan, options, nullptr,
+                                      &spool);
                       break;
                     }
                   }

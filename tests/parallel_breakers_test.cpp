@@ -338,13 +338,17 @@ class ParallelBreakersQueryTest : public ::testing::Test {
     engine_.RegisterDtd("bids.xml", datagen::kBidsDtd);
   }
 
-  /// Serial-streaming reference vs parallel run under `options`: identical
-  /// root tuples, byte-identical Ξ output, identical merged non-spill stats.
-  void ExpectAgrees(const AlgebraPtr& plan, const ParallelOptions& options) {
+  /// Serial-streaming reference vs parallel run under `options` and
+  /// `budget`: identical root tuples, byte-identical Ξ output, identical
+  /// merged non-spill stats.
+  void ExpectAgrees(const AlgebraPtr& plan, const ParallelOptions& options,
+                    uint64_t budget) {
     Evaluator streaming(engine_.store());
     Sequence expected = ExecuteStreaming(streaming, *plan);
     Evaluator parallel(engine_.store());
-    Sequence actual = ExecuteParallel(parallel, *plan, options);
+    SpoolContext spool(budget);
+    Sequence actual =
+        ExecuteParallel(parallel, *plan, options, nullptr, &spool);
     EXPECT_TRUE(SeqEq(expected, actual));
     EXPECT_EQ(streaming.output(), parallel.output());
     EXPECT_TRUE(StatsEq(streaming.stats(), parallel.stats()));
@@ -362,8 +366,7 @@ class ParallelBreakersQueryTest : public ::testing::Test {
           ParallelOptions options;
           options.threads = threads;
           options.chunk_tuples = 8;  // many tickets even at n=25
-          options.memory_budget_bytes = budget;
-          ExpectAgrees(alt.plan, options);
+          ExpectAgrees(alt.plan, options, budget);
         }
       }
     }
@@ -505,7 +508,11 @@ TEST(ParallelBreakersForcedTest, SharedProbeAndGammaCountersWitnessTheRun) {
   options.chunk_tuples = 8;
   Evaluator parallel(store);
   StreamStats stream;
-  Sequence actual = ExecuteParallel(parallel, *plan, options, &stream);
+  // The extended cuts run only under an unlimited budget; pin one so an
+  // NALQ_MEMORY_BUDGET_BYTES run (CI's 1 MB pass) still takes them.
+  SpoolContext unlimited(0);
+  Sequence actual =
+      ExecuteParallel(parallel, *plan, options, &stream, &unlimited);
 
   EXPECT_TRUE(SeqEq(expected, actual));
   EXPECT_EQ(streaming.output(), parallel.output());

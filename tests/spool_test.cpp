@@ -2,11 +2,13 @@
 //
 // The contract under test: for ANY memory budget, the streaming executor
 // produces the byte-identical Ξ output, the identical root tuple sequence
-// and the identical non-spill EvalStats of the unlimited-budget streaming
-// executor — while EvalStats::spill reports that spilling actually
-// happened. Covered: every spill-aware breaker (external sort, grace hash
-// joins with recursive re-partitioning and order restoration, spilled Γ,
-// spooled nested loops), budgets down to a few hundred bytes (1–2 tuple
+// and the identical non-spill EvalStats of the materializing evaluator
+// (Evaluator::Eval, the independent oracle) — while EvalStats::spill
+// reports that spilling actually happened. Covered: every hybrid breaker
+// (external sort, grace hash joins with recursive re-partitioning and
+// order restoration, spilled Γ, spooled nested loops), breakers whose
+// subscripts write Ξ output (never spill), budgets down to a few hundred
+// bytes (1–2 tuple
 // sort runs, forced merge passes and re-partitions), multi-valued join
 // keys whose duplicate matches cross partitions, the parallel executor's
 // shared budget, the Q1–Q6 plan alternatives, and temp-file cleanup on both
@@ -82,17 +84,35 @@ BudgetedRun RunStreaming(const xml::Store& store, const AlgebraPtr& plan,
   return run;
 }
 
-/// Asserts the budgeted run is indistinguishable (output + non-spill stats)
-/// from the unlimited streaming run; returns its SpillStats so callers can
+/// The independent oracle: the materializing evaluator, which shares no
+/// breaker code with the streaming cursors.
+BudgetedRun RunOracle(const xml::Store& store, const AlgebraPtr& plan) {
+  Evaluator ev(store);
+  BudgetedRun run;
+  run.result = ev.Eval(*plan);
+  run.output = ev.output();
+  run.stats = ev.stats();
+  return run;
+}
+
+void ExpectMatchesOracle(const BudgetedRun& oracle, const BudgetedRun& run) {
+  EXPECT_TRUE(SeqEq(oracle.result, run.result));
+  EXPECT_EQ(oracle.output, run.output);
+  EXPECT_TRUE(NonSpillStatsEq(oracle.stats, run.stats));
+}
+
+/// Asserts the unlimited and the budgeted streaming run — the same hybrid
+/// cursors — both match Evaluator::Eval (root sequence, output bytes,
+/// non-spill stats); returns the budgeted run's SpillStats so callers can
 /// additionally assert that spilling occurred.
 SpillStats ExpectBudgetedAgrees(const xml::Store& store,
                                 const AlgebraPtr& plan, uint64_t budget) {
-  BudgetedRun reference = RunStreaming(store, plan, 0);
-  EXPECT_FALSE(reference.stats.spill.any());
+  BudgetedRun oracle = RunOracle(store, plan);
+  BudgetedRun unlimited = RunStreaming(store, plan, 0);
+  EXPECT_FALSE(unlimited.stats.spill.any());
+  ExpectMatchesOracle(oracle, unlimited);
   BudgetedRun budgeted = RunStreaming(store, plan, budget);
-  EXPECT_TRUE(SeqEq(reference.result, budgeted.result));
-  EXPECT_EQ(reference.output, budgeted.output);
-  EXPECT_TRUE(NonSpillStatsEq(reference.stats, budgeted.stats));
+  ExpectMatchesOracle(oracle, budgeted);
   return budgeted.stats.spill;
 }
 
@@ -411,6 +431,45 @@ TEST_F(SpoolOperatorTest, GroupUnaryThetaRescansSpooledInput) {
   EXPECT_GT(spill.spill_runs, 0u);
 }
 
+// A breaker whose own subscripts nest Ξ-writing algebra keeps buffering in
+// RAM past the limit: spilling would defer that subscript evaluation and
+// reorder its writes. Each nested Ξ writes the outer tuple's B, so any
+// reordering would show in the output bytes.
+TEST_F(SpoolOperatorTest, XiInSubscriptsKeepsBuffering) {
+  auto writes_b = [] {
+    XiProgram s1;
+    s1.push_back(XiCommand::Literal("<"));
+    s1.push_back(XiCommand::Var(Symbol("B")));
+    s1.push_back(XiCommand::Literal(">"));
+    AlgebraPtr one = Map(Symbol("one"), MakeConst(I(1)), Singleton());
+    return MakeFnCall("exists",
+                      {MakeNestedAlg(XiSimple(std::move(s1), std::move(one)))});
+  };
+  AlgebraPtr join = Join(
+      MakeAnd(MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("A")),
+                      MakeAttrRef(Symbol("C"))),
+              writes_b()),
+      Table(rng_.Make({"A", "B"}, 80, 6)), Table(rng_.Make({"C", "D"}, 80, 6)));
+  AggSpec agg;
+  agg.kind = AggSpec::Kind::kCount;
+  agg.filter = writes_b();
+  AlgebraPtr gamma = GroupUnary(Symbol("G"), CmpOp::kEq, {Symbol("A")},
+                                std::move(agg),
+                                Table(rng_.Make({"A", "B"}, 120, 8)));
+  for (const AlgebraPtr& plan : {join, gamma}) {
+    SCOPED_TRACE(std::string(OpKindName(plan->kind)));
+    ASSERT_TRUE(SubscriptsContainXi(*plan));
+    BudgetedRun oracle = RunOracle(store_, plan);
+    EXPECT_FALSE(oracle.output.empty());
+    BudgetedRun run = RunStreaming(store_, plan, 512);
+    ExpectMatchesOracle(oracle, run);
+    EXPECT_EQ(run.stats.spill.spilled_bytes, 0u);
+    EXPECT_EQ(run.stats.spill.spill_runs, 0u);
+    EXPECT_EQ(run.stats.spill.repartitions, 0u);
+    EXPECT_EQ(run.stats.spill.merge_passes, 0u);
+  }
+}
+
 TEST_F(SpoolOperatorTest, GroupBinaryEqAndTheta) {
   for (auto theta : {CmpOp::kEq, CmpOp::kLt}) {
     Sequence lhs = rng_.Make({"A"}, 90, 4);
@@ -676,8 +735,8 @@ class SpoolQueryTest : public ::testing::Test {
 
   /// Runs every plan alternative of `query` under a tiny budget — serial
   /// streaming plus the parallel executor at 1 and 4 workers — and asserts
-  /// each run is indistinguishable from unlimited streaming. Returns true
-  /// if any alternative spilled.
+  /// each run is indistinguishable from Evaluator::Eval. Returns true if
+  /// any alternative spilled.
   bool CheckQuery(const std::string& query) {
     constexpr uint64_t kBudget = 2 * 1024;
     bool any_spill = false;
@@ -685,13 +744,11 @@ class SpoolQueryTest : public ::testing::Test {
     EXPECT_FALSE(q.alternatives.empty());
     for (const rewrite::Alternative& alt : q.alternatives) {
       SCOPED_TRACE("plan: " + alt.rule);
-      BudgetedRun reference = RunStreaming(engine_.store(), alt.plan, 0);
+      BudgetedRun reference = RunOracle(engine_.store(), alt.plan);
       {
         BudgetedRun budgeted =
             RunStreaming(engine_.store(), alt.plan, kBudget);
-        EXPECT_TRUE(SeqEq(reference.result, budgeted.result));
-        EXPECT_EQ(reference.output, budgeted.output);
-        EXPECT_TRUE(NonSpillStatsEq(reference.stats, budgeted.stats));
+        ExpectMatchesOracle(reference, budgeted);
         any_spill |= budgeted.stats.spill.any();
       }
       for (unsigned threads : {1u, 4u}) {
@@ -699,8 +756,9 @@ class SpoolQueryTest : public ::testing::Test {
         Evaluator ev(engine_.store());
         ParallelOptions options;
         options.threads = threads;
-        options.memory_budget_bytes = kBudget;
-        Sequence result = ExecuteParallel(ev, *alt.plan, options);
+        SpoolContext spool(kBudget);
+        Sequence result =
+            ExecuteParallel(ev, *alt.plan, options, nullptr, &spool);
         EXPECT_TRUE(SeqEq(reference.result, result));
         EXPECT_EQ(reference.output, ev.output());
         EXPECT_TRUE(NonSpillStatsEq(reference.stats, ev.stats()));
