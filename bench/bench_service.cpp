@@ -8,8 +8,8 @@
 // queue fills, the queue deadline sheds, and new admissions degrade —
 // exactly the ladder src/service/README.md documents. Each phase emits one
 // mode="service" BenchRecord with throughput (qps), end-to-end latency
-// percentiles (queue + run, p50/p99) and the admission counters, so
-// BENCH_results.json carries the overload behavior next to the
+// percentiles (queue + run, p50/p99) and the admission outcomes its clients
+// saw, so BENCH_results.json carries the overload behavior next to the
 // single-query timings.
 #include <algorithm>
 #include <atomic>
@@ -93,12 +93,36 @@ const char* kQueries[] = {
   )",
 };
 
+/// Outcomes tallied from the QueryResults the phase's clients received.
+struct Tally {
+  uint64_t completed = 0;
+  uint64_t rejected = 0;  ///< shed at submission: the queue was full
+  uint64_t shed = 0;      ///< every kAdmissionRejected (full or timed out)
+  uint64_t degraded = 0;
+
+  void Add(const nalq::service::QueryResult& r) {
+    completed += r.ok ? 1 : 0;
+    degraded += r.degraded ? 1 : 0;
+    if (!r.ok &&
+        r.error_code == nalq::engine::ErrorCode::kAdmissionRejected) {
+      ++shed;
+      rejected += r.queued ? 0 : 1;
+    }
+  }
+  void Add(const Tally& t) {
+    completed += t.completed;
+    rejected += t.rejected;
+    shed += t.shed;
+    degraded += t.degraded;
+  }
+};
+
 struct PhaseResult {
   double qps = 0;
   double p50_ms = 0;
   double p99_ms = 0;
-  nalq::service::ServiceStats stats;
-  uint64_t offered = 0;
+  Tally tally;
+  uint64_t offered = 0;  ///< every offered slot submits once
 };
 
 /// Runs one open-loop phase: `clients` threads drain a global arrival
@@ -115,16 +139,18 @@ PhaseResult RunPhase(nalq::service::QueryService& svc, unsigned clients,
   std::mutex mu;
   std::vector<double> latencies_ms;
   std::vector<std::thread> workers;
-  const auto before = svc.stats();
+  PhaseResult out;
   for (unsigned c = 0; c < clients; ++c) {
     workers.emplace_back([&] {
       std::vector<double> local;
+      Tally tally;
       while (true) {
         uint64_t slot = next.fetch_add(1);
         if (slot >= offered) break;
         std::this_thread::sleep_until(t0 + slot * interval);
         const auto submit = Clock::now();
         QueryResult r = svc.Execute(kQueries[slot % 6], QueryOptions{});
+        tally.Add(r);
         if (r.ok) {
           local.push_back(std::chrono::duration<double, std::milli>(
                               Clock::now() - submit)
@@ -133,21 +159,14 @@ PhaseResult RunPhase(nalq::service::QueryService& svc, unsigned clients,
       }
       std::lock_guard<std::mutex> lock(mu);
       latencies_ms.insert(latencies_ms.end(), local.begin(), local.end());
+      out.tally.Add(tally);
     });
   }
   for (auto& w : workers) w.join();
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - t0).count();
 
-  PhaseResult out;
   out.offered = offered;
-  const auto after = svc.stats();
-  out.stats = after;
-  out.stats.submitted -= before.submitted;
-  out.stats.completed -= before.completed;
-  out.stats.rejected_queue_full -= before.rejected_queue_full;
-  out.stats.rejected_queue_deadline -= before.rejected_queue_deadline;
-  out.stats.degraded -= before.degraded;
   out.qps = latencies_ms.size() / elapsed;
   if (!latencies_ms.empty()) {
     std::sort(latencies_ms.begin(), latencies_ms.end());
@@ -171,11 +190,11 @@ void Record(const char* phase, const PhaseResult& p, uint64_t budget,
   r.qps = p.qps;
   r.p50_ms = p.p50_ms;
   r.p99_ms = p.p99_ms;
-  r.svc_submitted = static_cast<int64_t>(p.stats.submitted);
-  r.svc_completed = static_cast<int64_t>(p.stats.completed);
-  r.svc_rejected = static_cast<int64_t>(p.stats.rejected_queue_full);
-  r.svc_shed = static_cast<int64_t>(p.stats.shed());
-  r.svc_degraded = static_cast<int64_t>(p.stats.degraded);
+  r.svc_submitted = static_cast<int64_t>(p.offered);
+  r.svc_completed = static_cast<int64_t>(p.tally.completed);
+  r.svc_rejected = static_cast<int64_t>(p.tally.rejected);
+  r.svc_shed = static_cast<int64_t>(p.tally.shed);
+  r.svc_degraded = static_cast<int64_t>(p.tally.degraded);
   nalq::bench::RecordBench(std::move(r));
 }
 
@@ -246,35 +265,37 @@ int main() {
         "%-12s offered %llu  qps %.1f  p50 %.2f ms  p99 %.2f ms  "
         "completed %llu  rejected %llu  shed %llu  degraded %llu\n",
         name, static_cast<unsigned long long>(p.offered), p.qps, p.p50_ms,
-        p.p99_ms, static_cast<unsigned long long>(p.stats.completed),
-        static_cast<unsigned long long>(p.stats.rejected_queue_full),
-        static_cast<unsigned long long>(p.stats.shed()),
-        static_cast<unsigned long long>(p.stats.degraded));
+        p.p99_ms, static_cast<unsigned long long>(p.tally.completed),
+        static_cast<unsigned long long>(p.tally.rejected),
+        static_cast<unsigned long long>(p.tally.shed),
+        static_cast<unsigned long long>(p.tally.degraded));
   };
   print_phase("at-capacity", at_capacity);
   print_phase("overload-4x", overload);
 
   // The smoke contract: both phases completed work, and the overload phase
   // saw real admission pressure (sheds) without losing correctness.
-  if (at_capacity.stats.completed == 0 || overload.stats.completed == 0) {
+  if (at_capacity.tally.completed == 0 || overload.tally.completed == 0) {
     std::fprintf(stderr, "a phase completed no queries\n");
     return 1;
   }
 
-  // Metrics round-trip: both expositions must agree with the legacy
-  // snapshot after the full workload (CI greps this file; see
-  // .github/workflows/ci.yml bench-smoke).
+  // Metrics round-trip: the exposition must count exactly the completions
+  // the clients saw (calibration included) after the full workload (CI
+  // greps this file; see .github/workflows/ci.yml bench-smoke).
   {
-    const service::ServiceStats final_stats = svc.stats();
     const std::string text = svc.MetricsText();
-    const std::string expect = "nalq_queries_completed_total " +
-                               std::to_string(final_stats.completed);
+    const std::string expect =
+        "nalq_queries_completed_total " +
+        std::to_string(kCalibration + at_capacity.tally.completed +
+                       overload.tally.completed);
     if (text.find(expect) == std::string::npos ||
         text.find("nalq_query_seconds_bucket{le=\"+Inf\"}") ==
             std::string::npos ||
         svc.MetricsJson().find("\"nalq_query_seconds\":{\"count\":") ==
             std::string::npos) {
-      std::fprintf(stderr, "metrics exposition disagrees with stats():\n%s\n",
+      std::fprintf(stderr,
+                   "metrics exposition disagrees with the clients:\n%s\n",
                    text.c_str());
       return 1;
     }

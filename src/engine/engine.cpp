@@ -84,26 +84,30 @@ CompiledQuery Engine::Compile(std::string_view query_text, PlanChoice choice,
   out.alternatives = unnester.AllAlternatives(out.nested_plan);
   opt::ChooseOptions copts;
   copts.memory_budget_bytes = memory_budget_bytes;
-  opt::Choice chosen;
-  {
-    // Estimation reads (and lazily builds) the store's index and
-    // statistics, so Compile participates in the single-writer contract
-    // exactly like an evaluation: loading documents concurrently with a
-    // compile is a misuse the lease makes detectable (xml/store.h).
-    xml::StoreReadLease lease(store_);
-    chosen = opt::ChoosePlan(store_, out.alternatives, copts);
-  }
+  // Estimation reads (and lazily builds) the store's index and statistics,
+  // so Compile participates in the single-writer contract exactly like an
+  // evaluation: loading documents concurrently with a compile is a misuse
+  // the lease makes detectable (xml/store.h).
+  xml::StoreReadLease lease(store_);
+  opt::Choice chosen = opt::ChoosePlan(store_, out.alternatives, copts);
   out.estimates = std::move(chosen.estimates);
   out.cost_choice = chosen.index;
   switch (choice) {
     case PlanChoice::kCost:
       out.best = out.alternatives[out.cost_choice];
+      out.best_estimate = out.estimates[out.cost_choice];
       break;
-    case PlanChoice::kRulePriority:
+    case PlanChoice::kRulePriority: {
+      // A fresh plan, not an element of `alternatives`: estimate it alone.
       out.best = unnester.Best(out.nested_plan);
+      opt::CostModel model(memory_budget_bytes);
+      out.best_estimate =
+          opt::CardinalityEstimator(store_, model).EstimatePlan(*out.best.plan);
       break;
+    }
     case PlanChoice::kManual:
       out.best = out.alternatives.front();
+      out.best_estimate = out.estimates.front();
       break;
   }
   return out;

@@ -55,6 +55,12 @@ struct CompiledQuery {
   /// Index into `alternatives` of the cost-based winner (even when `best`
   /// was selected by another policy — benchmarks compare the two).
   size_t cost_choice = 0;
+  /// The estimate of `best.plan` under the same statistics and budget:
+  /// estimates[cost_choice] under kCost, estimates[0] under kManual, and
+  /// its own estimate under kRulePriority (Unnester::Best builds a fresh
+  /// plan that is no element of `alternatives`). The query service sizes
+  /// admission grants from its peak_breaker_bytes.
+  opt::PlanEstimate best_estimate;
   /// The policy that selected `best`.
   PlanChoice choice = PlanChoice::kCost;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <map>
@@ -276,7 +275,6 @@ class MergeCursor final : public Cursor {
     total_dispatched_ = 0;
     current_.clear();
     cpos_ = 0;
-    if (options_.strategy == PartitionStrategy::kRange) MaterializeRanges();
   }
 
   bool Next(Tuple* out) override {
@@ -298,14 +296,8 @@ class MergeCursor final : public Cursor {
       for (const auto& [ticket, n] : chunk_input_sizes_) {
         ctx_.stream->OnRelease(n);
       }
-      // Range chunks never dispatched were charged by the materialization
-      // but have no per-ticket entry yet.
-      for (const std::vector<Tuple>& chunk : pending_) {
-        ctx_.stream->OnRelease(chunk.size());
-      }
     }
     chunk_input_sizes_.clear();
-    pending_.clear();
     if (state_ != nullptr) {
       // Fold every worker's counters into the main evaluator — the merged
       // stats are what makes a parallel run report exactly like a serial
@@ -337,58 +329,25 @@ class MergeCursor final : public Cursor {
     }
   }
 
-  /// Range strategy: materialize the producer and pre-split it into one
-  /// contiguous chunk per worker.
-  void MaterializeRanges() {
-    std::vector<Tuple> all;
-    Tuple t;
-    while (source_->Next(&t)) all.push_back(std::move(t));
-    CloseSource();
-    source_done_ = true;
-    if (ctx_.stream != nullptr && !all.empty()) {
-      ctx_.stream->OnBuffer(all.size());
-    }
-    if (all.empty()) return;
-    size_t per = (all.size() + dop_ - 1) / dop_;
-    for (size_t begin = 0; begin < all.size(); begin += per) {
-      size_t end = std::min(begin + per, all.size());
-      pending_.emplace_back(
-          std::make_move_iterator(all.begin() + static_cast<ptrdiff_t>(begin)),
-          std::make_move_iterator(all.begin() + static_cast<ptrdiff_t>(end)));
-    }
-  }
-
-  bool SourceExhausted() const {
-    return source_done_ && pending_.empty();
-  }
-
-  /// Pulls the next chunk (from the producer or the pre-split ranges) and
-  /// submits it to the scheduler. False if the source just ran dry.
+  /// Pulls the next chunk from the producer and submits it to the
+  /// scheduler. False if the source just ran dry.
   bool DispatchOne() {
     std::vector<Tuple> tuples;
-    if (options_.strategy == PartitionStrategy::kRange) {
-      if (pending_.empty()) return false;
-      tuples = std::move(pending_.front());
-      pending_.pop_front();
-      // Buffering was charged by the materialization; count the morsel.
-      if (ctx_.stream != nullptr) ++ctx_.stream->exchange_chunks;
-    } else {
-      Tuple t;
-      uint32_t chunk = options_.chunk_tuples == 0 ? 1 : options_.chunk_tuples;
-      bool more = true;
-      while (tuples.size() < chunk && (more = source_->Next(&t))) {
-        tuples.push_back(std::move(t));
-      }
-      if (!more) {
-        // Record exhaustion the moment Next returns false — cursors are
-        // single-use (cursor.h) and must not be pulled past their end on a
-        // later DispatchOne.
-        source_done_ = true;
-        CloseSource();
-      }
-      if (tuples.empty()) return false;
-      if (ctx_.stream != nullptr) ctx_.stream->OnChunkDispatch(tuples.size());
+    Tuple t;
+    uint32_t chunk = options_.chunk_tuples == 0 ? 1 : options_.chunk_tuples;
+    bool more = true;
+    while (tuples.size() < chunk && (more = source_->Next(&t))) {
+      tuples.push_back(std::move(t));
     }
+    if (!more) {
+      // Record exhaustion the moment Next returns false — cursors are
+      // single-use (cursor.h) and must not be pulled past their end on a
+      // later DispatchOne.
+      source_done_ = true;
+      CloseSource();
+    }
+    if (tuples.empty()) return false;
+    if (ctx_.stream != nullptr) ctx_.stream->OnChunkDispatch(tuples.size());
     uint64_t ticket = total_dispatched_++;
     chunk_input_sizes_[ticket] = tuples.size();
     {
@@ -437,7 +396,7 @@ class MergeCursor final : public Cursor {
       // A latched abort stops dispatch: the failing ticket is already in
       // flight and the consumer only needs to drain up to it.
       bool aborted = state_->abort.load(std::memory_order_acquire);
-      if (!aborted && !SourceExhausted()) {
+      if (!aborted && !source_done_) {
         bool room;
         {
           std::lock_guard<std::mutex> lock(state_->mu);
@@ -456,7 +415,7 @@ class MergeCursor final : public Cursor {
       state_->cv.wait(lock, [&] {
         return state_->completed.count(next_ticket_) != 0 ||
                (!state_->abort.load(std::memory_order_relaxed) &&
-                !SourceExhausted() &&
+                !source_done_ &&
                 state_->dispatched - state_->finished < dop_);
       });
     }
@@ -477,8 +436,6 @@ class MergeCursor final : public Cursor {
   bool source_open_ = false;
   bool source_done_ = false;
   bool closed_ = false;
-
-  std::deque<std::vector<Tuple>> pending_;  ///< range mode: pre-split chunks
 
   // Consumer-thread bookkeeping (never touched by tasks).
   uint64_t total_dispatched_ = 0;

@@ -36,17 +36,6 @@
 
 namespace nalq::nal {
 
-/// How source tuples are assigned to chunks.
-enum class PartitionStrategy : uint8_t {
-  /// Fixed-size chunks dispatched round-robin as the producer streams —
-  /// bounded memory, overlap of production and processing.
-  kRoundRobin,
-  /// The producer is materialized and split into `threads` contiguous
-  /// ranges, one chunk per worker — fewer, larger tasks; the classical
-  /// range-partitioned exchange.
-  kRange,
-};
-
 /// A chosen cut of the plan: `segment` (top-down, segment.front() == top)
 /// is the run of partitionable operators every worker clones; `source` is
 /// the producer subtree below it, evaluated serially. The segment may
@@ -71,8 +60,8 @@ struct ParallelOptions {
   /// Degree of parallelism (worker pipelines / concurrent chunk tasks).
   /// 0 = std::thread::hardware_concurrency().
   unsigned threads = 0;
-  PartitionStrategy strategy = PartitionStrategy::kRoundRobin;
-  /// Morsel size for round-robin partitioning.
+  /// Morsel size: the producer streams fixed-size chunks, dispatched
+  /// round-robin — bounded memory, overlap of production and processing.
   uint32_t chunk_tuples = 64;
   /// Caller-chosen partition point (the cost-driven chooser in
   /// opt/parallel.h). Honored only when `point_resolved` is true; a

@@ -32,14 +32,50 @@ constexpr uint64_t kMinGrantCeilingBytes = 64 * 1024;
 /// reserving the whole budget for one of them.
 constexpr uint64_t kFootprintHeadroom = 2;
 
+/// Plan-cache capacity in entries (least-recently-used eviction).
+constexpr size_t kPlanCacheCapacity = 64;
+
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
+/// Folds an exception escaping compile or run into the result: an
+/// engine::Error keeps its code; anything else (parse and translate errors
+/// surface as std::runtime_error) is a plan error — the service contract is
+/// structured results, never an exception thrown at a concurrent caller.
+void SetError(const std::exception& e, QueryResult* r) {
+  const auto* error = dynamic_cast<const engine::Error*>(&e);
+  r->error_code =
+      error != nullptr ? error->code() : engine::ErrorCode::kPlanError;
+  r->error_what = e.what();
+}
+
 }  // namespace
 
+// Every instrument the service publishes is registered here, once, so the
+// exposition is complete (all zeros) from the first scrape — a counter that
+// only appears once its event fires is indistinguishable from a counter
+// that doesn't exist.
 QueryService::QueryService(engine::Engine& engine, ServiceOptions options)
-    : engine_(engine), options_(options) {
+    : engine_(engine),
+      options_(options),
+      submitted_(metrics_.GetCounter("nalq_queries_submitted_total")),
+      admitted_(metrics_.GetCounter("nalq_queries_admitted_total")),
+      completed_(metrics_.GetCounter("nalq_queries_completed_total")),
+      failed_(metrics_.GetCounter("nalq_queries_failed_total")),
+      shed_(metrics_.GetCounter("nalq_queries_shed_total")),
+      degraded_(metrics_.GetCounter("nalq_queries_degraded_total")),
+      cancelled_(metrics_.GetCounter("nalq_queries_cancelled_total")),
+      deadline_expired_(
+          metrics_.GetCounter("nalq_queries_deadline_expired_total")),
+      cache_hits_(metrics_.GetCounter("nalq_plan_cache_hits_total")),
+      cache_misses_(metrics_.GetCounter("nalq_plan_cache_misses_total")),
+      spill_bytes_(metrics_.GetCounter("nalq_spill_bytes_total")),
+      cache_hit_ratio_(metrics_.GetGauge("nalq_plan_cache_hit_ratio")),
+      queue_seconds_(metrics_.GetHistogram("nalq_queue_seconds")),
+      run_seconds_(metrics_.GetHistogram("nalq_run_seconds")),
+      query_seconds_(metrics_.GetHistogram("nalq_query_seconds")),
+      grant_bytes_(metrics_.GetHistogram("nalq_grant_bytes")) {
   using nal::EnvKnobU64;
   options_.memory_budget_bytes =
       nal::SpoolContext::ResolveBudgetBytes(options_.memory_budget_bytes);
@@ -57,9 +93,7 @@ QueryService::QueryService(engine::Engine& engine, ServiceOptions options)
   if (options_.queue_deadline_ms == 0) {
     options_.queue_deadline_ms = EnvKnobU64("NALQ_QUEUE_DEADLINE_MS", 1000);
   }
-  if (options_.default_deadline_ms == 0) {
-    options_.default_deadline_ms = nal::QueryControl::EnvDeadlineMs();
-  }
+  env_deadline_ms_ = nal::QueryControl::EnvDeadlineMs();
   if (options_.slow_query_ms == 0) {
     options_.slow_query_ms = EnvKnobU64("NALQ_SLOW_QUERY_MS", 0);
   }
@@ -94,44 +128,9 @@ QueryService::QueryService(engine::Engine& engine, ServiceOptions options)
     slow_log_ =
         std::make_unique<obs::SlowQueryLog>(options_.slow_query_log_path);
   }
-  // Pre-register every metric family the service publishes so the
-  // exposition is complete (all zeros) from the first scrape — a counter
-  // that only appears once its event fires is indistinguishable from a
-  // counter that doesn't exist.
-  for (const char* name :
-       {"nalq_queries_submitted_total", "nalq_queries_admitted_total",
-        "nalq_queries_completed_total", "nalq_queries_failed_total",
-        "nalq_queries_shed_total", "nalq_queries_degraded_total",
-        "nalq_queries_cancelled_total", "nalq_queries_deadline_expired_total",
-        "nalq_plan_cache_hits_total", "nalq_plan_cache_misses_total",
-        "nalq_spill_bytes_total"}) {
-    metrics_.GetCounter(name);
-  }
-  metrics_.GetGauge("nalq_plan_cache_hit_ratio");
-  for (const char* name : {"nalq_queue_seconds", "nalq_run_seconds",
-                           "nalq_query_seconds", "nalq_grant_bytes"}) {
-    metrics_.GetHistogram(name);
-  }
 }
 
 QueryService::~QueryService() { Drain(); }
-
-uint64_t QueryService::Footprint(const engine::CompiledQuery& compiled) {
-  if (compiled.estimates.empty()) return 0;
-  // `best` is a copy of one alternative; the AlgebraPtr is shared, so
-  // pointer identity recovers its index (estimates are parallel to
-  // alternatives). Fall back to the cost winner.
-  for (size_t i = 0; i < compiled.alternatives.size(); ++i) {
-    if (compiled.alternatives[i].plan == compiled.best.plan &&
-        i < compiled.estimates.size()) {
-      return compiled.estimates[i].peak_breaker_bytes;
-    }
-  }
-  if (compiled.cost_choice < compiled.estimates.size()) {
-    return compiled.estimates[compiled.cost_choice].peak_breaker_bytes;
-  }
-  return 0;
-}
 
 std::shared_ptr<const engine::CompiledQuery> QueryService::CompileCached(
     const std::string& query_text, engine::PlanChoice choice,
@@ -142,34 +141,35 @@ std::shared_ptr<const engine::CompiledQuery> QueryService::CompileCached(
   // collision-free.
   const std::string key =
       std::to_string(static_cast<int>(choice)) + '\x1f' + query_text;
-  if (options_.plan_cache_capacity != 0) {
+  std::shared_ptr<const engine::CompiledQuery> compiled;
+  {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(key);
     if (it != cache_.end() && it->second.store_version == version) {
-      ++stats_.cache_hits;
       it->second.last_used = ++cache_tick_;
       *cache_hit = true;
-      return it->second.compiled;
+      compiled = it->second.compiled;
     }
-    ++stats_.cache_misses;
   }
+  (*cache_hit ? cache_hits_ : cache_misses_).Add();
+  const double hits = static_cast<double>(cache_hits_.value());
+  cache_hit_ratio_.Set(hits / (hits + cache_misses_.value()));
+  if (compiled != nullptr) return compiled;
   // Compile outside the lock: compilation reads the store (a reader under
   // the single-writer contract) and can be slow; concurrent misses on the
   // same text just compile twice and the second insert wins.
-  auto compiled = std::make_shared<const engine::CompiledQuery>(
+  compiled = std::make_shared<const engine::CompiledQuery>(
       engine_.Compile(query_text, choice, options_.memory_budget_bytes));
-  if (options_.plan_cache_capacity != 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cache_.size() >= options_.plan_cache_capacity &&
-        cache_.find(key) == cache_.end()) {
-      auto oldest = cache_.begin();
-      for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-        if (it->second.last_used < oldest->second.last_used) oldest = it;
-      }
-      cache_.erase(oldest);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (cache_.size() >= kPlanCacheCapacity &&
+      cache_.find(key) == cache_.end()) {
+    auto oldest = cache_.begin();
+    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
+      if (it->second.last_used < oldest->second.last_used) oldest = it;
     }
-    cache_[key] = CacheEntry{compiled, version, ++cache_tick_};
+    cache_.erase(oldest);
   }
+  cache_[key] = CacheEntry{compiled, version, ++cache_tick_};
   return compiled;
 }
 
@@ -207,24 +207,13 @@ QueryService::Admission QueryService::Admit(
     }
     return false;
   };
-  auto clamp_threads = [&](bool contended) -> unsigned {
-    if (adm.degraded || contended) return 1;
-    if (options_.max_threads_per_query == 0) return requested_threads;
-    return requested_threads == 0
-               ? options_.max_threads_per_query
-               : std::min(requested_threads, options_.max_threads_per_query);
-  };
   auto finish_admit = [&](std::unique_lock<std::mutex>& lock) {
     ++active_;
     reserved_ += adm.grant;
+    peak_reserved_ = std::max(peak_reserved_, reserved_);
     adm.admitted = true;
-    adm.threads = clamp_threads(!queue_.empty());
-    ++stats_.admitted;
-    if (adm.degraded) ++stats_.degraded;
-    if (adm.queued) ++stats_.queued;
-    stats_.peak_in_flight = std::max<uint64_t>(stats_.peak_in_flight, active_);
-    stats_.peak_reserved_bytes =
-        std::max(stats_.peak_reserved_bytes, reserved_);
+    // Degraded admissions, and those made while anyone queues, run serial.
+    adm.threads = (adm.degraded || !queue_.empty()) ? 1 : requested_threads;
     lock.unlock();
     cv_.notify_all();
   };
@@ -238,8 +227,6 @@ QueryService::Admission QueryService::Admit(
   // Bounded queue: past the depth we shed instead of building an unbounded
   // convoy of blocked callers.
   if (queue_.size() >= options_.queue_depth) {
-    ++stats_.rejected_queue_full;
-    adm.reject_code = engine::ErrorCode::kAdmissionRejected;
     adm.reject_what = "admission queue full (depth " +
                       std::to_string(options_.queue_depth) + ")";
     return adm;
@@ -262,7 +249,6 @@ QueryService::Admission QueryService::Admit(
     }
     const auto now = Clock::now();
     if (control != nullptr && control->cancel_requested()) {
-      ++stats_.cancelled;
       adm.reject_code = engine::ErrorCode::kCancelled;
       adm.reject_what = "cancelled while queued for admission";
       leave_queue();
@@ -270,15 +256,12 @@ QueryService::Admission QueryService::Admit(
     }
     if (control != nullptr && control->has_deadline() &&
         now >= control->deadline()) {
-      ++stats_.deadline_expired;
       adm.reject_code = engine::ErrorCode::kDeadlineExceeded;
       adm.reject_what = "deadline expired while queued for admission";
       leave_queue();
       return adm;
     }
     if (now >= queue_deadline) {
-      ++stats_.rejected_queue_deadline;
-      adm.reject_code = engine::ErrorCode::kAdmissionRejected;
       adm.reject_what = "admission queue deadline (" +
                         std::to_string(options_.queue_deadline_ms) +
                         " ms) expired";
@@ -298,15 +281,25 @@ void QueryService::Release(uint64_t grant) {
   cv_.notify_all();
 }
 
+obs::Counter& QueryService::Outcome(const QueryResult& r) {
+  if (r.ok) return completed_;
+  switch (r.error_code) {
+    case engine::ErrorCode::kCancelled:
+      return cancelled_;
+    case engine::ErrorCode::kDeadlineExceeded:
+      return deadline_expired_;
+    case engine::ErrorCode::kAdmissionRejected:
+      return shed_;
+    default:
+      return failed_;
+  }
+}
+
 QueryResult QueryService::Execute(const std::string& query_text,
                                   QueryOptions q) {
-  QueryResult r;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.submitted;
-  }
-  metrics_.GetCounter("nalq_queries_submitted_total").Add();
+  submitted_.Add();
   const auto submit_time = Clock::now();
+  QueryResult r;
   // One trace log per query when tracing is on: its spans cover the whole
   // lifecycle — compile, admission wait, the engine's execute span and the
   // exchange's per-worker spans — and it is written as one Chrome
@@ -315,52 +308,20 @@ QueryResult QueryService::Execute(const std::string& query_text,
   std::optional<obs::TraceLog> trace;
   if (!options_.trace_dir.empty()) trace.emplace();
   obs::TraceLog* trace_ptr = trace.has_value() ? &*trace : nullptr;
-  auto write_trace = [&] {
-    if (trace.has_value()) {
-      trace->WriteFile(options_.trace_dir, "nalq-query");
-    }
+  // Every exit: count the outcome through the one mapping, write the trace.
+  auto finish = [&] {
+    Outcome(r).Add();
+    if (trace.has_value()) trace->WriteFile(options_.trace_dir, "nalq-query");
+    return std::move(r);
   };
 
   std::shared_ptr<const engine::CompiledQuery> compiled;
   try {
     obs::TraceLog::Span span(trace_ptr, "compile");
     compiled = CompileCached(query_text, q.choice, &r.cache_hit);
-  } catch (const engine::Error& e) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.failed;
-    }
-    metrics_.GetCounter("nalq_queries_failed_total").Add();
-    r.error_code = e.code();
-    r.error_what = e.what();
-    write_trace();
-    return r;
   } catch (const std::exception& e) {
-    // Parse/translate errors surface as std::runtime_error; the service
-    // contract is structured results, so fold them into the plan-error
-    // bucket rather than throwing at a concurrent caller.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.failed;
-    }
-    metrics_.GetCounter("nalq_queries_failed_total").Add();
-    r.error_code = engine::ErrorCode::kPlanError;
-    r.error_what = e.what();
-    write_trace();
-    return r;
-  }
-  metrics_
-      .GetCounter(r.cache_hit ? "nalq_plan_cache_hits_total"
-                              : "nalq_plan_cache_misses_total")
-      .Add();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const double lookups =
-        static_cast<double>(stats_.cache_hits + stats_.cache_misses);
-    if (lookups > 0) {
-      metrics_.GetGauge("nalq_plan_cache_hit_ratio")
-          .Set(static_cast<double>(stats_.cache_hits) / lookups);
-    }
+    SetError(e, &r);
+    return finish();
   }
 
   // One deadline spans queue wait + run: arm the token now, before
@@ -370,7 +331,7 @@ QueryResult QueryService::Execute(const std::string& query_text,
   nal::QueryControl* control = q.control != nullptr ? q.control
                                                     : &local_control;
   const uint64_t deadline_ms =
-      q.deadline_ms != 0 ? q.deadline_ms : options_.default_deadline_ms;
+      q.deadline_ms != 0 ? q.deadline_ms : env_deadline_ms_;
   if (deadline_ms != 0) control->SetDeadlineMs(deadline_ms);
 
   const auto queue_deadline =
@@ -378,36 +339,25 @@ QueryResult QueryService::Execute(const std::string& query_text,
   Admission adm;
   {
     obs::TraceLog::Span span(trace_ptr, "admit");
-    adm = Admit(Footprint(*compiled), q.threads, control, queue_deadline);
+    const auto footprint =
+        static_cast<uint64_t>(compiled->best_estimate.peak_breaker_bytes);
+    adm = Admit(footprint, q.threads, control, queue_deadline);
   }
   const auto admit_time = Clock::now();
   r.queued = adm.queued;
   r.degraded = adm.degraded;
   r.queue_seconds = Seconds(submit_time, admit_time);
-  metrics_.GetHistogram("nalq_queue_seconds").Observe(r.queue_seconds);
+  queue_seconds_.Observe(r.queue_seconds);
   if (!adm.admitted) {
-    switch (adm.reject_code) {
-      case engine::ErrorCode::kCancelled:
-        metrics_.GetCounter("nalq_queries_cancelled_total").Add();
-        break;
-      case engine::ErrorCode::kDeadlineExceeded:
-        metrics_.GetCounter("nalq_queries_deadline_expired_total").Add();
-        break;
-      default:
-        metrics_.GetCounter("nalq_queries_shed_total").Add();
-        break;
-    }
     r.error_code = adm.reject_code;
     r.error_what = std::move(adm.reject_what);
-    write_trace();
-    return r;
+    return finish();
   }
   r.threads_granted = adm.threads;
   r.budget_granted = adm.grant;
-  metrics_.GetCounter("nalq_queries_admitted_total").Add();
-  if (adm.degraded) metrics_.GetCounter("nalq_queries_degraded_total").Add();
-  metrics_.GetHistogram("nalq_grant_bytes")
-      .Observe(static_cast<double>(adm.grant));
+  admitted_.Add();
+  if (adm.degraded) degraded_.Add();
+  grant_bytes_.Observe(static_cast<double>(adm.grant));
 
   // Profiling is on when the caller asked, when NALQ_PROFILE=1 (the engine
   // ORs that in), or when a slow-query threshold is armed — the profile
@@ -423,50 +373,16 @@ QueryResult QueryService::Execute(const std::string& query_text,
     r.output = std::move(run.output);
     r.stats = run.stats;
     r.profile_json = run.profile.ToJson();
-    metrics_.GetCounter("nalq_queries_completed_total").Add();
-    metrics_.GetCounter("nalq_spill_bytes_total")
-        .Add(run.stats.spill.spilled_bytes);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.completed;
-  } catch (const engine::Error& e) {
-    r.error_code = e.code();
-    r.error_what = e.what();
-    switch (e.code()) {
-      case engine::ErrorCode::kCancelled:
-        metrics_.GetCounter("nalq_queries_cancelled_total").Add();
-        break;
-      case engine::ErrorCode::kDeadlineExceeded:
-        metrics_.GetCounter("nalq_queries_deadline_expired_total").Add();
-        break;
-      default:
-        metrics_.GetCounter("nalq_queries_failed_total").Add();
-        break;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    switch (e.code()) {
-      case engine::ErrorCode::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case engine::ErrorCode::kDeadlineExceeded:
-        ++stats_.deadline_expired;
-        break;
-      default:
-        ++stats_.failed;
-        break;
-    }
+    spill_bytes_.Add(run.stats.spill.spilled_bytes);
   } catch (const std::exception& e) {
-    r.error_code = engine::ErrorCode::kPlanError;
-    r.error_what = e.what();
-    metrics_.GetCounter("nalq_queries_failed_total").Add();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.failed;
+    SetError(e, &r);
   }
   Release(adm.grant);
   const auto end_time = Clock::now();
   r.run_seconds = Seconds(admit_time, end_time);
   const double total_seconds = Seconds(submit_time, end_time);
-  metrics_.GetHistogram("nalq_run_seconds").Observe(r.run_seconds);
-  metrics_.GetHistogram("nalq_query_seconds").Observe(total_seconds);
+  run_seconds_.Observe(r.run_seconds);
+  query_seconds_.Observe(total_seconds);
   if (slow_log_ != nullptr &&
       total_seconds * 1000.0 >= static_cast<double>(options_.slow_query_ms)) {
     // One JSON line per slow query, profile embedded verbatim (it is
@@ -481,8 +397,7 @@ QueryResult QueryService::Execute(const std::string& query_text,
                        (r.profile_json.empty() ? "null" : r.profile_json) + "}";
     slow_log_->Append(line);
   }
-  write_trace();
-  return r;
+  return finish();
 }
 
 void QueryService::Drain() {
@@ -495,11 +410,6 @@ void QueryService::InvalidateCache() {
   cache_.clear();
 }
 
-ServiceStats QueryService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
 unsigned QueryService::in_flight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return active_;
@@ -508,6 +418,11 @@ unsigned QueryService::in_flight() const {
 uint64_t QueryService::reserved_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return reserved_;
+}
+
+uint64_t QueryService::peak_reserved_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return peak_reserved_;
 }
 
 }  // namespace nalq::service

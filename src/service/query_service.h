@@ -23,8 +23,9 @@
 // expiry promptly.
 //
 // Admission. Each submission is compiled first (a cache hit makes this
-// free) and its cost-model footprint — the best plan's
-// PlanEstimate::peak_breaker_bytes — asks the ledger for a budget grant:
+// free) and its cost-model footprint — CompiledQuery::best_estimate.
+// peak_breaker_bytes, the estimate of the plan that will run — asks the
+// ledger for a budget grant:
 //
 //   min_grant = min(64 KiB, max(B / max_concurrent, 1))      B = budget
 //   desired   = clamp(2 × footprint, min_grant, max(B/2, min_grant))
@@ -47,7 +48,7 @@
 // thread, as do admissions made while anyone queues behind them.
 //
 // Deadlines compose with queue time: the effective deadline (per-query
-// option, else the service default, else NALQ_DEADLINE_MS) is armed on the
+// option, else NALQ_DEADLINE_MS, read once at construction) is armed on the
 // run's QueryControl token at submission, so one budget of milliseconds
 // covers wait + run. A caller deadline that expires while queued returns
 // kDeadlineExceeded; the queue deadline (a service policy, default 1 s)
@@ -60,7 +61,7 @@
 // through the single-writer contract, so a hit is provably compiled
 // against the current documents and statistics. Entries hold the full
 // CompiledQuery by shared_ptr (concurrent hits share it; Engine::Run only
-// reads the plan). Capacity-bounded, least-recently-used eviction.
+// reads the plan). 64 entries, least-recently-used eviction.
 // Compilation uses the service-wide budget (not the per-query grant) so
 // cost-based plan choice is deterministic across admissions and the cache
 // key stays budget-free.
@@ -69,6 +70,12 @@
 // store's single-writer contract stands. Load through engine().AddDocument
 // before serving, or Drain() first; Debug builds assert on violation
 // exactly as before.
+//
+// Accounting. The metrics registry is the service's only account of query
+// outcomes: every instrument is looked up once at construction, and every
+// way Execute() can end is counted through one error-code -> counter
+// mapping. Ledger state (in_flight, reserved and peak reserved bytes) is
+// read through accessors.
 #ifndef NALQ_SERVICE_QUERY_SERVICE_H_
 #define NALQ_SERVICE_QUERY_SERVICE_H_
 
@@ -106,15 +113,6 @@ struct ServiceOptions {
   /// How long a submission may wait in the queue before it is shed with
   /// kAdmissionRejected. 0 -> NALQ_QUEUE_DEADLINE_MS -> 1000.
   uint64_t queue_deadline_ms = 0;
-  /// Worker-thread cap per query under ExecMode::kParallel (degraded and
-  /// contended admissions are further forced to 1). 0 = the engine's own
-  /// default (one per hardware core, budget-clamped by the exchange).
-  unsigned max_threads_per_query = 0;
-  /// Deadline applied to queries that don't carry their own.
-  /// 0 -> NALQ_DEADLINE_MS -> none.
-  uint64_t default_deadline_ms = 0;
-  /// Plan-cache capacity in entries; 0 disables caching.
-  size_t plan_cache_capacity = 64;
   /// Persisted store directory to warm-attach at construction
   /// (Engine::AttachStore: documents page in lazily instead of being
   /// re-parsed from text; see src/storage/README.md). Only applied when
@@ -147,9 +145,11 @@ struct QueryOptions {
   engine::ExecMode mode = engine::ExecMode::kStreaming;
   engine::PathMode path_mode = engine::PathMode::kIndexed;
   engine::PlanChoice choice = engine::PlanChoice::kCost;
-  /// Requested worker threads (parallel mode); clamped by the service.
+  /// Requested worker threads (parallel mode); degraded and contended
+  /// admissions run with one.
   unsigned threads = 0;
-  /// Deadline covering queue wait + run; 0 = the service default.
+  /// Deadline covering queue wait + run; 0 = NALQ_DEADLINE_MS (read once
+  /// when the service is constructed) -> none.
   uint64_t deadline_ms = 0;
   /// Caller-owned cancellation token, honored while queued and while
   /// running; must outlive Execute(). Null = the service uses its own.
@@ -187,28 +187,6 @@ struct QueryResult {
   std::string profile_json;
 };
 
-/// Monotonic service counters (snapshot; see QueryService::stats()).
-struct ServiceStats {
-  uint64_t submitted = 0;
-  uint64_t admitted = 0;        ///< actually started running
-  uint64_t completed = 0;       ///< ran to success
-  uint64_t failed = 0;          ///< ran and raised (spool fault, ...)
-  uint64_t rejected_queue_full = 0;      ///< shed at submission
-  uint64_t rejected_queue_deadline = 0;  ///< shed while waiting
-  uint64_t cancelled = 0;       ///< kCancelled (queued or running)
-  uint64_t deadline_expired = 0;///< kDeadlineExceeded (queued or running)
-  uint64_t degraded = 0;        ///< admitted with a shrunken grant
-  uint64_t queued = 0;          ///< admissions that waited at all
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t peak_in_flight = 0;
-  uint64_t peak_reserved_bytes = 0;
-  /// rejected_queue_full + rejected_queue_deadline.
-  uint64_t shed() const {
-    return rejected_queue_full + rejected_queue_deadline;
-  }
-};
-
 class QueryService {
  public:
   /// `engine` must outlive the service. Resolves every 0-valued option
@@ -234,9 +212,9 @@ class QueryService {
 
   engine::Engine& engine() { return engine_; }
   const ServiceOptions& options() const { return options_; }
-  ServiceStats stats() const;
 
-  /// The service's metrics registry (live; updated by every Execute).
+  /// The service's metrics registry, its only account of query outcomes
+  /// (live; updated by every Execute).
   /// Families: nalq_queue_seconds / nalq_run_seconds / nalq_query_seconds /
   /// nalq_grant_bytes histograms, nalq_queries_*_total outcome counters,
   /// nalq_plan_cache_{hits,misses}_total + nalq_plan_cache_hit_ratio, and
@@ -250,6 +228,8 @@ class QueryService {
   unsigned in_flight() const;
   /// Sum of outstanding budget grants (≤ options().memory_budget_bytes).
   uint64_t reserved_bytes() const;
+  /// High-water mark of reserved_bytes() since construction.
+  uint64_t peak_reserved_bytes() const;
 
  private:
   struct CacheEntry {
@@ -270,31 +250,50 @@ class QueryService {
   std::shared_ptr<const engine::CompiledQuery> CompileCached(
       const std::string& query_text, engine::PlanChoice choice,
       bool* cache_hit);
-  /// Footprint of `compiled.best` per the cost model (0 when estimates are
-  /// unavailable — the plan is then admitted at min_grant).
-  static uint64_t Footprint(const engine::CompiledQuery& compiled);
   Admission Admit(uint64_t footprint, unsigned requested_threads,
                   nal::QueryControl* control,
                   nal::QueryControl::Clock::time_point queue_deadline);
   void Release(uint64_t grant);
 
+  /// The outcome counter of a finished query: completed, or its error code
+  /// mapped to cancelled / deadline_expired / shed / failed.
+  obs::Counter& Outcome(const QueryResult& r);
+
   engine::Engine& engine_;
   ServiceOptions options_;  ///< fully resolved (no zeros with env defaults)
+  uint64_t env_deadline_ms_ = 0;  ///< NALQ_DEADLINE_MS; 0 = none
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   unsigned active_ = 0;
   uint64_t reserved_ = 0;
+  uint64_t peak_reserved_ = 0;
   uint64_t next_ticket_ = 0;
   std::deque<uint64_t> queue_;  ///< FIFO of waiting tickets
 
   std::unordered_map<std::string, CacheEntry> cache_;
   uint64_t cache_tick_ = 0;
 
-  ServiceStats stats_;  ///< guarded by mu_
-
   /// Internally thread-safe (atomic instruments); not guarded by mu_.
   mutable obs::MetricsRegistry metrics_;
+  // Its instruments, looked up once at construction (declared after
+  // metrics_, which initializes them).
+  obs::Counter& submitted_;
+  obs::Counter& admitted_;
+  obs::Counter& completed_;
+  obs::Counter& failed_;
+  obs::Counter& shed_;
+  obs::Counter& degraded_;
+  obs::Counter& cancelled_;
+  obs::Counter& deadline_expired_;
+  obs::Counter& cache_hits_;
+  obs::Counter& cache_misses_;
+  obs::Counter& spill_bytes_;
+  obs::Gauge& cache_hit_ratio_;
+  obs::Histogram& queue_seconds_;
+  obs::Histogram& run_seconds_;
+  obs::Histogram& query_seconds_;
+  obs::Histogram& grant_bytes_;
   /// Non-null iff slow_query_ms is armed; internally mutex-guarded.
   std::unique_ptr<obs::SlowQueryLog> slow_log_;
 };

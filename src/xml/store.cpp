@@ -111,9 +111,13 @@ void Store::EvictOverLimit() const {
   // dereferencing a document this loop is about to destroy. Under the
   // lock, a racing lease either registered first (the re-check sees it and
   // skips eviction) or blocks in BeginRead until eviction finishes and
-  // faults evicted documents back in. Lock order: reader_reg_mu_ then
-  // fault_mu_ (FaultIn takes fault_mu_ alone, BeginRead reader_reg_mu_
-  // alone — no cycle).
+  // faults evicted documents back in. A concurrent PrepareForRead reads
+  // resident documents in its stale-repair loops BEFORE its lease
+  // registers, so the reader count cannot protect it; those loops run
+  // under index_build_mu_, taken here first. Lock order: index_build_mu_,
+  // reader_reg_mu_, fault_mu_ (FaultIn takes fault_mu_ alone, BeginRead
+  // reader_reg_mu_ alone, index() index_build_mu_ alone — no cycle).
+  std::lock_guard<std::mutex> build_lock(index_build_mu_);
   std::lock_guard<std::mutex> reg_lock(reader_reg_mu_);
   if (open_readers() != 0) return;
   std::lock_guard<std::mutex> lock(fault_mu_);

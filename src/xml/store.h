@@ -235,7 +235,9 @@ class Store {
   /// (eviction skipped) or blocks until eviction finishes (and then faults
   /// evicted documents back in) — never observes a mid-free document. The
   /// same lock in EndRead orders a finished reader's accesses before the
-  /// frees here (see BeginRead/EndRead).
+  /// frees here (see BeginRead/EndRead). It also holds index_build_mu_,
+  /// which excludes the stale-repair loops of concurrent PrepareForRead
+  /// calls: those read resident documents before their lease registers.
   void EvictOverLimit() const;
 
   // Slot pointers are stable; the vectors themselves only grow inside
@@ -252,7 +254,8 @@ class Store {
   mutable std::mutex stats_build_mu_;
   /// Serializes reader registration (BeginRead) with eviction
   /// (EvictOverLimit); see BeginRead. Lock order where nested:
-  /// reader_reg_mu_ before fault_mu_; never held with the build mutexes.
+  /// index_build_mu_, then reader_reg_mu_, then fault_mu_ (only
+  /// EvictOverLimit nests them).
   mutable std::mutex reader_reg_mu_;
   mutable uint64_t fault_clock_ = 0;
   mutable std::atomic<int> open_readers_{0};

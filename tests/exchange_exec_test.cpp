@@ -1,6 +1,6 @@
 // Differential suite for the parallel partitioned executor
-// (src/nal/exchange.h): at every worker count, chunk size and partition
-// strategy, a parallel run must produce the byte-identical Ξ output, the
+// (src/nal/exchange.h): at every worker count and chunk size, a parallel
+// run must produce the byte-identical Ξ output, the
 // identical root tuple sequence and the identical merged EvalStats of the
 // serial streaming executor — on operator pipelines over random relations,
 // on randomized plan × document × thread-count sweeps, and on every plan
@@ -88,19 +88,13 @@ void ExpectParallelAgrees(const xml::Store& store, const AlgebraPtr& plan,
 void ExpectParallelAgreesAllConfigs(const xml::Store& store,
                                     const AlgebraPtr& plan) {
   for (unsigned threads : ThreadSweep()) {
-    for (PartitionStrategy strategy :
-         {PartitionStrategy::kRoundRobin, PartitionStrategy::kRange}) {
-      for (uint32_t chunk : {1u, 3u, 64u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) + " strategy=" +
-                     (strategy == PartitionStrategy::kRange ? "range"
-                                                            : "round-robin") +
-                     " chunk=" + std::to_string(chunk));
-        ParallelOptions options;
-        options.threads = threads;
-        options.strategy = strategy;
-        options.chunk_tuples = chunk;
-        ExpectParallelAgrees(store, plan, options);
-      }
+    for (uint32_t chunk : {1u, 3u, 64u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " chunk=" + std::to_string(chunk));
+      ParallelOptions options;
+      options.threads = threads;
+      options.chunk_tuples = chunk;
+      ExpectParallelAgrees(store, plan, options);
     }
   }
 }
@@ -290,8 +284,6 @@ TEST_F(ExchangeOperatorTest, MoreWorkersThanTuples) {
   options.threads = 16;
   options.chunk_tuples = 1;
   ExpectParallelAgrees(store_, plan, options);
-  options.strategy = PartitionStrategy::kRange;
-  ExpectParallelAgrees(store_, plan, options);
 }
 
 TEST_F(ExchangeOperatorTest, SingleTupleProducer) {
@@ -394,8 +386,6 @@ TEST(ExchangeRandomizedTest, PlansByRelationsByThreads) {
       ParallelOptions options;
       options.threads = threads;
       options.chunk_tuples = 1 + static_cast<uint32_t>(round % 5);
-      options.strategy = round % 2 == 0 ? PartitionStrategy::kRoundRobin
-                                        : PartitionStrategy::kRange;
       ExpectParallelAgrees(store, plan, options);
     }
   }
@@ -438,11 +428,6 @@ class ExchangeQueryTest : public ::testing::Test {
         options.chunk_tuples = 8;  // small chunks: many tickets even at n=25
         ExpectParallelAgrees(engine_.store(), alt.plan, options);
       }
-      // Range partitioning once per alternative (at the widest sweep point).
-      ParallelOptions range;
-      range.threads = ThreadSweep().back();
-      range.strategy = PartitionStrategy::kRange;
-      ExpectParallelAgrees(engine_.store(), alt.plan, range);
     }
   }
 

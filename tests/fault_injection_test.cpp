@@ -250,8 +250,11 @@ constexpr FaultSite kSpoolSites[] = {
     FaultSite::kSpoolClose, FaultSite::kSpoolOpenRead, FaultSite::kSpoolRead};
 
 TEST(FaultSweepTest, StreamingSurfacesStructuredErrorAndLeaksNothing) {
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "nalq-fault-test").string();
+  // Per-process: concurrent test runs on one host must not delete each
+  // other's files.
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("nalq-fault-test-" + std::to_string(getpid())))
+                        .string();
   std::vector<BreakerPlan> plans = SpillingBreakerPlans();
   for (const BreakerPlan& bp : plans) {
     for (FaultSite site : kSpoolSites) {

@@ -18,6 +18,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -109,6 +110,21 @@ const char* kQ6 = R"(
 
 const char* kAllQueries[] = {kQ1, kQ2, kQ3, kQ4, kQ5, kQ6};
 
+// E1b (paper Sec. 5.1): Q1's grouping query over a DBLP-like document.
+const char* kE1b = R"(
+    let $d1 := doc("dblp.xml")
+    for $a1 in distinct-values($d1//author)
+    return
+      <author>
+        <name>{ $a1 }</name>
+        {
+          let $d2 := doc("dblp.xml")
+          for $b2 in $d2//book[$a1 = author]
+          return $b2/title
+        }
+      </author>
+  )";
+
 void LoadDocuments(engine::Engine* engine, size_t n) {
   datagen::BibOptions bib;
   bib.books = n;
@@ -140,6 +156,20 @@ std::set<std::string> SpoolDirsInTemp() {
     }
   }
   return dirs;
+}
+
+/// A counter of the service's metrics registry, its one account.
+uint64_t Count(QueryService& svc, const char* name) {
+  return svc.metrics().GetCounter(name).value();
+}
+
+/// Every outcome a submission can end in; their sum is the submissions.
+uint64_t Outcomes(QueryService& svc) {
+  return Count(svc, "nalq_queries_completed_total") +
+         Count(svc, "nalq_queries_failed_total") +
+         Count(svc, "nalq_queries_cancelled_total") +
+         Count(svc, "nalq_queries_deadline_expired_total") +
+         Count(svc, "nalq_queries_shed_total");
 }
 
 class ServiceTest : public ::testing::Test {
@@ -190,10 +220,11 @@ TEST_F(ServiceTest, ConcurrentQueriesMatchSerialOutput) {
   svc.Drain();
   EXPECT_EQ(svc.reserved_bytes(), 0u);
   EXPECT_EQ(svc.in_flight(), 0u);
-  service::ServiceStats s = svc.stats();
-  EXPECT_EQ(s.submitted, static_cast<uint64_t>(kThreads * kItersPerThread));
-  EXPECT_EQ(s.completed, s.submitted);
-  EXPECT_GT(s.cache_hits, 0u);  // six texts, forty-eight submissions
+  const uint64_t submitted = Count(svc, "nalq_queries_submitted_total");
+  EXPECT_EQ(submitted, static_cast<uint64_t>(kThreads * kItersPerThread));
+  EXPECT_EQ(Count(svc, "nalq_queries_completed_total"), submitted);
+  // Six texts, forty-eight submissions.
+  EXPECT_GT(Count(svc, "nalq_plan_cache_hits_total"), 0u);
 }
 
 // Acceptance criterion: at 4x capacity the service sheds the excess with
@@ -245,10 +276,7 @@ TEST_F(ServiceTest, OverloadShedsWithStructuredErrors) {
   EXPECT_GE(rejected, 1);
   svc.Drain();
   EXPECT_EQ(svc.reserved_bytes(), 0u);
-  service::ServiceStats s = svc.stats();
-  EXPECT_EQ(s.completed + s.failed + s.cancelled + s.deadline_expired +
-                s.shed(),
-            s.submitted);
+  EXPECT_EQ(Outcomes(svc), Count(svc, "nalq_queries_submitted_total"));
 }
 
 // The aggregate of outstanding grants never exceeds the global budget, and
@@ -295,7 +323,7 @@ TEST_F(ServiceTest, AggregateReservationNeverExceedsBudget) {
   }
   svc.Drain();
   EXPECT_EQ(svc.reserved_bytes(), 0u);
-  EXPECT_LE(svc.stats().peak_reserved_bytes, kBudget);
+  EXPECT_LE(svc.peak_reserved_bytes(), kBudget);
 }
 
 // Shrink before shed: when the ledger can't fund a full grant but can fund
@@ -306,10 +334,7 @@ TEST_F(ServiceTest, DegradedAdmissionStillCorrect) {
   // Adaptive sizing: pick the budget from the cost model's own footprint
   // so the third concurrent admission lands in [min_grant, desired).
   engine::CompiledQuery probe = engine_.Compile(kQ1);
-  uint64_t fp = 0;
-  if (probe.cost_choice < probe.estimates.size()) {
-    fp = probe.estimates[probe.cost_choice].peak_breaker_bytes;
-  }
+  auto fp = static_cast<uint64_t>(probe.best_estimate.peak_breaker_bytes);
   if (fp < (128 << 10)) fp = 128 << 10;  // keep grants comfortably > min
   const uint64_t desired = 2 * fp;       // what a full grant would be
   ServiceOptions opt;
@@ -339,9 +364,49 @@ TEST_F(ServiceTest, DegradedAdmissionStillCorrect) {
       EXPECT_LT(r.budget_granted, desired);
     }
   }
-  EXPECT_EQ(svc.stats().degraded, static_cast<uint64_t>(degraded));
+  EXPECT_EQ(Count(svc, "nalq_queries_degraded_total"),
+            static_cast<uint64_t>(degraded));
   svc.Drain();
   EXPECT_EQ(svc.reserved_bytes(), 0u);
+}
+
+// Admission sizes the grant from the estimate of the plan that runs. On
+// DBLP, rule priority (Eqv. 4's outer join) and the cost model (the
+// nest-join) pick different plans with different breaker footprints; a
+// kRulePriority submission must be granted from its own plan's estimate,
+// not the cost winner's.
+TEST_F(ServiceTest, RulePriorityGrantUsesItsOwnPlanEstimate) {
+  datagen::DblpOptions dblp;
+  dblp.publications = 2000;
+  engine_.AddDocument("dblp.xml", datagen::GenerateDblp(dblp));
+  engine_.RegisterDtd("dblp.xml", datagen::kDblpDtd);
+  const uint64_t kBudget = 4 << 20;
+  const engine::CompiledQuery prio =
+      engine_.Compile(kE1b, engine::PlanChoice::kRulePriority, kBudget);
+  const engine::CompiledQuery cost =
+      engine_.Compile(kE1b, engine::PlanChoice::kCost, kBudget);
+  // The premise: the two policies disagree on the plan and its footprint.
+  ASSERT_NE(prio.best.rule, cost.best.rule);
+  ASSERT_NE(prio.best_estimate.peak_breaker_bytes,
+            cost.best_estimate.peak_breaker_bytes);
+
+  ServiceOptions opt;
+  opt.memory_budget_bytes = kBudget;
+  opt.max_concurrent = 4;
+  QueryService svc(engine_, opt);
+  QueryOptions qo;
+  qo.choice = engine::PlanChoice::kRulePriority;
+  QueryResult r = svc.Execute(kE1b, qo);
+  ASSERT_TRUE(r.ok) << r.error_what;
+  EXPECT_EQ(r.output, engine_.RunQuery(kE1b).output);
+  EXPECT_FALSE(r.degraded);  // an idle ledger grants in full
+  const uint64_t min_grant =
+      std::min<uint64_t>(64 << 10, kBudget / opt.max_concurrent);
+  const uint64_t footprint =
+      static_cast<uint64_t>(prio.best_estimate.peak_breaker_bytes);
+  EXPECT_EQ(r.budget_granted,
+            std::clamp<uint64_t>(2 * footprint, min_grant,
+                                 std::max(kBudget / 2, min_grant)));
 }
 
 // One deadline budget covers queue wait plus run: a query whose deadline
@@ -590,12 +655,10 @@ TEST_F(ServiceTest, MixedWorkloadSoak) {
   EXPECT_EQ(svc.reserved_bytes(), 0u);
   EXPECT_EQ(svc.in_flight(), 0u);
   EXPECT_EQ(SpoolDirsInTemp(), dirs_before);
-  service::ServiceStats s = svc.stats();
-  EXPECT_EQ(s.submitted, static_cast<uint64_t>(kThreads * kItersPerThread));
-  EXPECT_EQ(s.completed + s.failed + s.cancelled + s.deadline_expired +
-                s.shed(),
-            s.submitted);
-  EXPECT_GT(s.completed, 0u);
+  const uint64_t submitted = Count(svc, "nalq_queries_submitted_total");
+  EXPECT_EQ(submitted, static_cast<uint64_t>(kThreads * kItersPerThread));
+  EXPECT_EQ(Outcomes(svc), submitted);
+  EXPECT_GT(Count(svc, "nalq_queries_completed_total"), 0u);
 }
 
 // Satellite: malformed NALQ_* knob text raises kPlanError naming the

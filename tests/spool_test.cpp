@@ -15,6 +15,8 @@
 // the success and the thrown-error path.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <filesystem>
 #include <random>
@@ -596,6 +598,15 @@ TEST_F(SpoolOperatorTest, RandomizedPlansTimesBudgets) {
 // Temp-file cleanup
 // ---------------------------------------------------------------------------
 
+/// A spool directory under the shared temp root that no other process
+/// uses: concurrent test runs on one host must not delete each other's
+/// files.
+std::string OwnTempDir(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          (tag + "-" + std::to_string(getpid())))
+      .string();
+}
+
 size_t FilesIn(const std::string& dir) {
   if (!std::filesystem::exists(dir)) return 0;
   size_t n = 0;
@@ -607,9 +618,7 @@ size_t FilesIn(const std::string& dir) {
 }
 
 TEST(SpoolCleanupTest, SuccessPathRemovesEveryTempFile) {
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "nalq-spool-test-ok")
-          .string();
+  std::string dir = OwnTempDir("nalq-spool-test-ok");
   std::filesystem::remove_all(dir);
   {
     xml::Store store;
@@ -630,9 +639,7 @@ TEST(SpoolCleanupTest, SuccessPathRemovesEveryTempFile) {
 }
 
 TEST(SpoolCleanupTest, ThrownErrorPathRemovesEveryTempFile) {
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "nalq-spool-test-err")
-          .string();
+  std::string dir = OwnTempDir("nalq-spool-test-err");
   std::filesystem::remove_all(dir);
   {
     xml::Store store;
