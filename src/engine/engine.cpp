@@ -38,11 +38,11 @@ void Engine::AddDocument(const std::string& name, std::string_view xml_text) {
 void Engine::RegisterDtd(const std::string& name, std::string_view dtd_text) {
   dtds_.Register(name, xml::Dtd::Parse(dtd_text));
   // A persisted store carries each document's DTD as internal-subset text
-  // (storage::ManifestDoc::dtd) — an out-of-band registration must land on
-  // the stored document too, or Persist would silently drop it and a warm
-  // attach would translate without it.
+  // (storage::ManifestDoc::dtd) — an out-of-band registration must land in
+  // the store too, or Persist would silently drop it and a warm attach
+  // would translate without it.
   if (std::optional<xml::DocId> id = store_.Find(name)) {
-    store_.document(*id).set_dtd_text(std::string(dtd_text));
+    store_.SetDtdText(*id, std::string(dtd_text));
   }
   // DTDs feed translation (attribute typing), so compiled plans keyed on
   // the store version (the service's plan cache) must go stale too.

@@ -170,7 +170,7 @@ class Engine {
   ///
   /// Estimation reads the store's index and statistics, so Compile counts
   /// as a reader under the single-writer contract (xml/store.h): do not
-  /// load or mutate documents concurrently with a compile.
+  /// load documents concurrently with a compile.
   ///
   /// `choice` selects how CompiledQuery::best is picked (see PlanChoice);
   /// `memory_budget_bytes` feeds the cost model so plan choice is

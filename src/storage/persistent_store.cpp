@@ -481,7 +481,6 @@ xml::Document StoreCodec::DecodeDocument(const ManifestDoc& meta,
   }
   // Reconstruct by replay (see the file comment in persistent_store.h).
   xml::Document doc(meta.name);
-  doc.set_dtd_text(meta.dtd);
   if (!names[0].empty()) {
     corrupt("persistent-store name table does not start with the empty id");
   }
@@ -656,7 +655,7 @@ void Persist(const xml::Store& store, const std::string& dir) {
     const xml::DocumentStats& stats = store.stats(id);
     ManifestDoc entry;
     entry.name = store.document_name(id);
-    entry.dtd = doc.dtd_text();
+    entry.dtd = store.dtd_text(id);
     entry.node_count = doc.node_count();
     entry.approx_bytes = StoreCodec::ApproxResidentBytes(doc);
     const std::string tag = "e" + std::to_string(epoch) + "_";

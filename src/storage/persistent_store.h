@@ -109,7 +109,7 @@ class StoreCodec {
 /// Serializes every document of `store` (faulting lazily attached ones in
 /// as needed), its structural index and its statistics into `dir`,
 /// creating the directory if needed. Reads `store` under a StoreReadLease;
-/// the caller must not mutate the store concurrently. Throws engine::Error
+/// the caller must not load documents concurrently. Throws engine::Error
 /// on any I/O failure, leaving the directory's previous contents openable.
 /// When `dir` is the directory the store's own attached source was opened
 /// from, the superseded epoch's files are kept (not deleted) so the live

@@ -6,7 +6,7 @@
 // but materializes nothing: the first access to a document faults it in
 // through LoadDocument, and the Store may evict resident documents again
 // at reader-free lease boundaries when the source reports residency above
-// its cache limit (see Store::PrepareForRead). The contract that makes
+// its cache limit (see Store::BeginRead). The contract that makes
 // eviction safe is reconstruction determinism: LoadDocument(i) must
 // rebuild a Document that is field-for-field identical to every earlier
 // load — same node records, same interned name ids — so structural
@@ -15,10 +15,13 @@
 // node records through the depth-first construction API and validating
 // the result; see src/storage/README.md).
 //
-// Thread-safety: the Store serializes all calls on one source behind its
-// fault-in mutex, so implementations need no internal locking for the
-// Load/Unload paths; the residency accessors must tolerate concurrent
-// readers (an atomic counter suffices).
+// Thread-safety: the Store calls LoadDocument and UnloadDocument only under
+// its fault mutex, so they never overlap each other. LoadIndex runs under
+// the Store's index-build mutex and LoadStats under its stats-build mutex,
+// so either may overlap a LoadDocument/UnloadDocument; implementations
+// must read only const state there (the persisted store reads its
+// immutable manifest and files). The residency accessors must tolerate
+// concurrent readers (an atomic counter suffices).
 #ifndef NALQ_XML_DOCUMENT_SOURCE_H_
 #define NALQ_XML_DOCUMENT_SOURCE_H_
 

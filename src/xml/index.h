@@ -43,8 +43,9 @@ class DocumentIndex {
   /// Preorder-sorted ids of every text node.
   std::span<const NodeId> TextNodes() const { return text_nodes_; }
 
-  /// The document's node count at build time. The Store rebuilds the index
-  /// when this no longer matches (a document mutated after indexing).
+  /// The document's node count at build time. The persistent store
+  /// (src/storage/) rejects a loaded index whose count does not match its
+  /// document.
   size_t built_node_count() const { return built_node_count_; }
 
  private:

@@ -124,9 +124,9 @@ std::shared_ptr<const std::string> Document::SharedStringValue(
   StringValueCache& cache = *string_value_cache_;
   if (cache.slots.size() <= id) {
     // Lazy growth for documents used outside a Store (single-threaded by
-    // the xml/store.h contract; store-held documents are pre-sized at load
-    // time and at every StoreReadLease boundary, so they never take this
-    // relocating branch while concurrent readers exist).
+    // the xml/store.h contract; the store sizes a document's memo once,
+    // before publication, so store-held documents never take this
+    // relocating branch).
     PrepareSharedReads();
   }
   StringValueCache::Slot& slot = cache.slots[id];

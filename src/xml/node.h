@@ -115,12 +115,12 @@ class Document {
   /// is per-document and lives until the document is dropped.
   std::shared_ptr<const std::string> SharedStringValue(NodeId id) const;
 
-  /// Pre-sizes the string-value memo to node_count() so concurrent readers
-  /// never race a lazy grow. Called by Store::AddDocument and at every
-  /// StoreReadLease boundary (both reader-free points by the single-writer
-  /// contract in xml/store.h, so the relocating resize cannot run under a
-  /// concurrent lock-free hit); documents used outside a Store grow the
-  /// memo lazily, which is safe single-threaded.
+  /// Sizes the string-value memo to node_count() so concurrent readers
+  /// never race a lazy grow. The Store calls it once per document, before
+  /// publication (AddDocument, fault-in); a stored document never grows
+  /// afterwards, so the relocating resize never runs under a concurrent
+  /// lock-free hit. Documents used outside a Store grow the memo lazily,
+  /// which is safe single-threaded.
   void PrepareSharedReads() const;
 
   /// Number of element nodes named `tag` in the whole document.

@@ -7,12 +7,10 @@
 // occurrence-list index (index.h) — the structural numbering makes the
 // ancestor walk a stack of [pre, pre+size) extents. Statistics are owned,
 // cached and invalidated by the Store exactly like the index (store.h):
-// built lazily on first use, dropped when the document is replaced or
-// mutated.
+// built lazily on first use, dropped when the document is replaced.
 //
-// The counts are exact for the document state at build time; the optimizer
-// treats them as estimates anyway (a plan choice survives slightly stale
-// statistics, it just gets a little worse).
+// The counts are exact (a stored document never changes after the build);
+// the optimizer treats them as estimates anyway.
 #ifndef NALQ_XML_STATS_H_
 #define NALQ_XML_STATS_H_
 
@@ -71,8 +69,8 @@ class DocumentStats {
   /// Distinct values of the attributes named `name_id`.
   uint64_t DistinctAttrValues(uint32_t name_id) const;
 
-  /// The document's node count at build time; the Store rebuilds stale
-  /// statistics the same way it rebuilds a stale index.
+  /// The document's node count at build time; the persistent store checks
+  /// loaded statistics against their document with it, as for the index.
   size_t built_node_count() const { return built_node_count_; }
 
  private:

@@ -28,7 +28,6 @@ DocId Store::UpsertSlot(const std::string& name) {
   }
   indexes_[id]->ready.store(nullptr, std::memory_order_release);
   indexes_[id]->index.reset();
-  indexes_[id]->retired.clear();  // writer-exclusive: no reader holds them
   // Statistics (xml/stats.h) share the index's lifecycle.
   if (stats_.size() <= id) {
     stats_.reserve(docs_.size());
@@ -38,7 +37,6 @@ DocId Store::UpsertSlot(const std::string& name) {
   }
   stats_[id]->ready.store(nullptr, std::memory_order_release);
   stats_[id]->stats.reset();
-  stats_[id]->retired.clear();
   return id;
 }
 
@@ -52,13 +50,19 @@ DocId Store::AddDocument(Document doc) {
   DocId id = UpsertSlot(doc.name());
   DocSlot& slot = *docs_[id];
   // An eagerly added document detaches the slot from any lazy source: the
-  // in-memory content wins and must never be evicted back to disk state.
+  // in-memory content wins and must never be evicted back to disk state. A
+  // replaced resident attached document gives its residency charge back;
+  // its fault_order_ entry stays and is skipped once the slot is eager.
   slot.ready.store(nullptr, std::memory_order_release);
+  if (slot.lazy && slot.doc != nullptr) {
+    std::lock_guard<std::mutex> lock(fault_mu_);
+    source_->UnloadDocument(slot.source_index);
+  }
+  slot.dtd_text = doc.dtd_text();
   slot.doc = std::make_unique<Document>(std::move(doc));
   slot.lazy = false;
-  slot.pinned = true;
-  // Pre-size the string-value memo while we are still writer-exclusive, so
-  // parallel readers never race a lazy grow (xml/node.h).
+  // Size the string-value memo before publication, so parallel readers
+  // never race a lazy grow (xml/node.h).
   slot.doc->PrepareSharedReads();
   slot.ready.store(slot.doc.get(), std::memory_order_release);
   BumpVersion();
@@ -76,11 +80,18 @@ void Store::AttachSource(std::unique_ptr<DocumentSource> source) {
     DocSlot& slot = *docs_[id];
     slot.ready.store(nullptr, std::memory_order_release);
     slot.doc.reset();
+    slot.dtd_text = source_->document_dtd(i);
     slot.lazy = true;
-    slot.pinned = false;
     slot.source_index = i;
   }
   BumpVersion();
+}
+
+void Store::SetDtdText(DocId id, std::string dtd_text) {
+  assert(open_readers() == 0 &&
+         "Store::SetDtdText while cursors are open: loading and evaluation "
+         "must not overlap (see single-writer contract in xml/store.h)");
+  docs_[id]->dtd_text = std::move(dtd_text);
 }
 
 const Document& Store::FaultIn(DocId id) const {
@@ -92,132 +103,55 @@ const Document& Store::FaultIn(DocId id) const {
          "non-resident document without a source to fault it in from");
   auto loaded =
       std::make_unique<Document>(source_->LoadDocument(slot.source_index));
-  // Pre-size the string-value memo before publication so concurrent
-  // readers of the freshly faulted document never race a lazy grow.
+  // Size the string-value memo before publication so concurrent readers of
+  // the freshly faulted document never race a lazy grow.
   loaded->PrepareSharedReads();
   slot.doc = std::move(loaded);
-  slot.last_fault = ++fault_clock_;
+  fault_order_.push_back(id);
   slot.ready.store(slot.doc.get(), std::memory_order_release);
   return *slot.doc;
+}
+
+void Store::BeginRead() const {
+  std::lock_guard<std::mutex> lock(reader_reg_mu_);
+  if (source_ != nullptr && open_readers() == 0) EvictOverLimit();
+  open_readers_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Store::EvictOverLimit() const {
   const uint64_t limit = source_->cache_limit_bytes();
   if (limit == 0) return;
-  // Excluding reader registration for the duration makes the reader-free
-  // check authoritative: the caller's unlocked open_readers() probe is only
-  // a fast path, because a concurrent StoreReadLease could complete
-  // BeginRead between that probe and the frees below and start
-  // dereferencing a document this loop is about to destroy. Under the
-  // lock, a racing lease either registered first (the re-check sees it and
-  // skips eviction) or blocks in BeginRead until eviction finishes and
-  // faults evicted documents back in. A concurrent PrepareForRead reads
-  // resident documents in its stale-repair loops BEFORE its lease
-  // registers, so the reader count cannot protect it; those loops run
-  // under index_build_mu_, taken here first. Lock order: index_build_mu_,
-  // reader_reg_mu_, fault_mu_ (FaultIn takes fault_mu_ alone, BeginRead
-  // reader_reg_mu_ alone, index() index_build_mu_ alone — no cycle).
-  std::lock_guard<std::mutex> build_lock(index_build_mu_);
-  std::lock_guard<std::mutex> reg_lock(reader_reg_mu_);
-  if (open_readers() != 0) return;
   std::lock_guard<std::mutex> lock(fault_mu_);
-  while (source_->resident_bytes() > limit) {
-    DocSlot* victim = nullptr;
-    for (const auto& slot : docs_) {
-      if (!slot->lazy || slot->pinned) continue;
-      if (slot->ready.load(std::memory_order_acquire) == nullptr) continue;
-      if (victim == nullptr || slot->last_fault < victim->last_fault) {
-        victim = slot.get();
-      }
-    }
-    if (victim == nullptr) break;  // everything left is pinned or gone
-    // Reader-free (re-verified under reader_reg_mu_ above, which BeginRead
-    // also takes), so the document can be freed outright — no retirement
-    // needed. The index and statistics
-    // slots stay published: reconstruction determinism (document_source.h)
-    // keeps them valid for the refaulted incarnation, and version() is
-    // deliberately not bumped (content unchanged, cached plans stay good).
-    victim->ready.store(nullptr, std::memory_order_release);
-    victim->doc.reset();
-    source_->UnloadDocument(victim->source_index);
+  while (source_->resident_bytes() > limit && !fault_order_.empty()) {
+    DocSlot& victim = *docs_[fault_order_.front()];
+    fault_order_.pop_front();
+    if (!victim.lazy) continue;  // made eager by AddDocument since its fault
+    // Reader-free (BeginRead holds reader_reg_mu_), so the document can be
+    // freed outright. The index and statistics slots stay published:
+    // reconstruction determinism (document_source.h) keeps them valid for
+    // the refaulted incarnation, and version() is deliberately not bumped
+    // (content unchanged, cached plans stay good).
+    victim.ready.store(nullptr, std::memory_order_release);
+    victim.doc.reset();
+    source_->UnloadDocument(victim.source_index);
   }
-}
-
-void Store::PrepareForRead() const {
-  // Lease-boundary stale repair (see the file comment in store.h). Other
-  // evaluations may already be running; for them every document is
-  // unchanged since their own lease (mutation asserts reader-free), so
-  // everything below is a no-op for their state — sizes already match,
-  // no slot tests stale, nothing to reclaim — and never disturbs their
-  // lock-free read paths. Non-resident documents are skipped throughout:
-  // they cannot be stale (eviction requires an unmutated, unpinned slot)
-  // and faulting them in just to check would defeat lazy residency.
-  {
-    std::lock_guard<std::mutex> lock(index_build_mu_);
-    for (DocId id = 0; id < docs_.size(); ++id) {
-      const Document* doc = docs_[id]->ready.load(std::memory_order_acquire);
-      if (doc != nullptr) doc->PrepareSharedReads();
-      if (id >= indexes_.size()) continue;
-      IndexSlot& slot = *indexes_[id];
-      const DocumentIndex* ready = slot.ready.load(std::memory_order_acquire);
-      if (doc != nullptr && ready != nullptr &&
-          ready->built_node_count() != doc->node_count()) {
-        // Mutated since the build: drop the stale index now, while no new
-        // reader has started, so index() below only ever performs
-        // null → build-once transitions during evaluation.
-        slot.ready.store(nullptr, std::memory_order_release);
-        slot.retired.push_back(std::move(slot.index));
-      }
-      if (open_readers() == 0) slot.retired.clear();
-    }
-    std::lock_guard<std::mutex> stats_lock(stats_build_mu_);
-    for (DocId id = 0; id < docs_.size() && id < stats_.size(); ++id) {
-      const Document* doc = docs_[id]->ready.load(std::memory_order_acquire);
-      StatsSlot& slot = *stats_[id];
-      const DocumentStats* ready = slot.ready.load(std::memory_order_acquire);
-      if (doc != nullptr && ready != nullptr &&
-          ready->built_node_count() != doc->node_count()) {
-        slot.ready.store(nullptr, std::memory_order_release);
-        slot.retired.push_back(std::move(slot.stats));
-      }
-      if (open_readers() == 0) slot.retired.clear();
-    }
-  }
-  // The open_readers() probe is only a fast path — EvictOverLimit
-  // re-verifies it under reader_reg_mu_, which BeginRead also takes, so a
-  // lease completing registration concurrently can never lose a resident
-  // document it is about to read.
-  if (source_ != nullptr && open_readers() == 0) EvictOverLimit();
 }
 
 const DocumentIndex& Store::index(DocId id) const {
   assert(id < indexes_.size());
   IndexSlot& slot = *indexes_[id];
-  const Document& doc = document(id);  // faults in if lazily attached
-  // Hot path: one acquire-load. The node-count check catches a document
-  // mutated in place after the build (grown via the non-const accessor);
-  // under the single-writer contract every reader of the mutated document
-  // sees the mismatch and funnels into the rebuild below.
+  // Hot path: one acquire-load. Stored documents never change, so a
+  // published index stays valid until AddDocument resets the slot.
   const DocumentIndex* ready = slot.ready.load(std::memory_order_acquire);
-  if (ready != nullptr && ready->built_node_count() == doc.node_count()) {
-    return *ready;
-  }
+  if (ready != nullptr) return *ready;
+  const Document& doc = document(id);  // faults in if lazily attached
   std::lock_guard<std::mutex> lock(index_build_mu_);
   ready = slot.ready.load(std::memory_order_acquire);
-  if (ready == nullptr || ready->built_node_count() != doc.node_count()) {
-    // Retire (don't free) a stale index: a concurrent reader may have
-    // loaded the old pointer just before we got here. Under the lease
-    // discipline this branch only sees `ready == nullptr` during an
-    // evaluation (PrepareForRead dropped stale slots at the boundary), so
-    // retirement is a safety net for leaseless single-threaded use.
-    if (slot.index != nullptr) slot.retired.push_back(std::move(slot.index));
-    // A persisted index beats an O(n) build. Only unpinned lazy slots
-    // qualify — a pinned slot may have been mutated since persist.
-    std::unique_ptr<DocumentIndex> loaded;
+  if (ready == nullptr) {
+    // A persisted index beats an O(n) build.
     const DocSlot& dslot = *docs_[id];
-    if (source_ != nullptr && dslot.lazy && !dslot.pinned) {
-      loaded = source_->LoadIndex(dslot.source_index, doc);
-    }
+    std::unique_ptr<DocumentIndex> loaded =
+        dslot.lazy ? source_->LoadIndex(dslot.source_index, doc) : nullptr;
     slot.index = loaded != nullptr ? std::move(loaded)
                                    : std::make_unique<DocumentIndex>(doc);
     ready = slot.index.get();
@@ -229,24 +163,19 @@ const DocumentIndex& Store::index(DocId id) const {
 const DocumentStats& Store::stats(DocId id) const {
   assert(id < stats_.size());
   StatsSlot& slot = *stats_[id];
-  const Document& doc = document(id);  // faults in if lazily attached
   const DocumentStats* ready = slot.ready.load(std::memory_order_acquire);
-  if (ready != nullptr && ready->built_node_count() == doc.node_count()) {
-    return *ready;
-  }
+  if (ready != nullptr) return *ready;
+  const Document& doc = document(id);  // faults in if lazily attached
   // Force the index build before taking the stats mutex (index() takes its
   // own build mutex; nesting the two would order them arbitrarily across
   // call sites).
   const DocumentIndex& idx = index(id);
   std::lock_guard<std::mutex> lock(stats_build_mu_);
   ready = slot.ready.load(std::memory_order_acquire);
-  if (ready == nullptr || ready->built_node_count() != doc.node_count()) {
-    if (slot.stats != nullptr) slot.retired.push_back(std::move(slot.stats));
-    std::unique_ptr<DocumentStats> loaded;
+  if (ready == nullptr) {
     const DocSlot& dslot = *docs_[id];
-    if (source_ != nullptr && dslot.lazy && !dslot.pinned) {
-      loaded = source_->LoadStats(dslot.source_index, doc);
-    }
+    std::unique_ptr<DocumentStats> loaded =
+        dslot.lazy ? source_->LoadStats(dslot.source_index, doc) : nullptr;
     slot.stats = loaded != nullptr ? std::move(loaded)
                                    : std::make_unique<DocumentStats>(doc, idx);
     ready = slot.stats.get();

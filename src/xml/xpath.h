@@ -71,7 +71,7 @@ enum class PathEvalMode : uint8_t {
   /// name is rare under the context.
   kIndexed,
   /// Chain-walk of the subtree per step — the pre-index behavior; kept as
-  /// the differential-testing reference and for freshly mutated documents.
+  /// the differential-testing reference.
   kScan,
 };
 

@@ -15,6 +15,8 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -656,6 +658,82 @@ TEST(StorageResidencyTest, CacheLimitEvictsAtLeaseBoundariesOnly) {
   EXPECT_EQ(warm.store().source()->resident_bytes(), 0u);
   EXPECT_EQ(warm.RunQuery(kQueries[0]).output, reference);
 }
+
+// Replacing a resident attached document detaches its slot from the source,
+// so the source must give back the replaced document's residency charge —
+// otherwise every later lease boundary evicts against an inflated count.
+// The eager replacement itself stays resident, and its stale fault-order
+// entry must not stop eviction of the documents behind it.
+TEST(StorageResidencyTest, ReplacingResidentAttachedDocumentReleasesItsCharge) {
+  engine::Engine text_engine;
+  text_engine.AddDocument("d0.xml", "<r><a>1</a><a>2</a></r>");
+  text_engine.AddDocument("d1.xml", "<r><b>3</b></r>");
+  TempDir dir;
+  text_engine.PersistStore(dir.str());
+
+  ASSERT_EQ(::setenv("NALQ_STORE_CACHE_BYTES", "1", 1), 0);
+  engine::Engine warm;
+  warm.AttachStore(dir.str());
+  ASSERT_EQ(::unsetenv("NALQ_STORE_CACHE_BYTES"), 0);
+  const xml::Store& store = warm.store();
+  const xml::DocId d0 = *store.Find("d0.xml");
+  const xml::DocId d1 = *store.Find("d1.xml");
+  store.document(d0);
+  store.document(d1);
+  ASSERT_TRUE(store.resident(d0));
+  ASSERT_TRUE(store.resident(d1));
+
+  warm.AddDocument("d0.xml", "<r><a>9</a></r>");
+  { xml::StoreReadLease lease(store); }
+  EXPECT_EQ(store.source()->resident_bytes(), 0u);
+  EXPECT_FALSE(store.resident(d1));
+  ASSERT_TRUE(store.resident(d0));
+  EXPECT_EQ(store.document(d0).node_count(), 4u);  // the replacement's
+}
+
+// An out-of-band DTD registration on an attached store is a store-slot
+// stamp: it must neither fault the document in nor keep it resident, and a
+// re-persist must carry the stamped text to the next attach.
+TEST(StorageResidencyTest, DtdStampLeavesAttachedDocumentEvictableAndPersists) {
+  engine::Engine text_engine;
+  text_engine.AddDocument("prices.xml", datagen::GeneratePrices(5));
+  TempDir dir;
+  text_engine.PersistStore(dir.str());
+
+  ASSERT_EQ(::setenv("NALQ_STORE_CACHE_BYTES", "1", 1), 0);
+  engine::Engine warm;
+  warm.AttachStore(dir.str());
+  ASSERT_EQ(::unsetenv("NALQ_STORE_CACHE_BYTES"), 0);
+  const xml::Store& store = warm.store();
+  const xml::DocId prices = *store.Find("prices.xml");
+  ASSERT_FALSE(store.resident(prices));
+
+  warm.RegisterDtd("prices.xml", datagen::kPricesDtd);
+  EXPECT_FALSE(store.resident(prices)) << "the DTD stamp faulted it in";
+  store.document(prices);
+  ASSERT_TRUE(store.resident(prices));
+  { xml::StoreReadLease lease(store); }
+  EXPECT_FALSE(store.resident(prices)) << "the DTD stamp pinned it resident";
+
+  TempDir second;
+  warm.PersistStore(second.str());
+  auto reopened = storage::PersistentStore::Open(second.str());
+  bool found = false;
+  for (size_t i = 0; i < reopened->document_count(); ++i) {
+    if (reopened->document_name(i) != "prices.xml") continue;
+    found = true;
+    EXPECT_EQ(reopened->document_dtd(i), datagen::kPricesDtd);
+  }
+  EXPECT_TRUE(found);
+  engine::Engine rewarm;
+  rewarm.AttachStore(second.str());
+  EXPECT_NE(rewarm.dtds().Find("prices.xml"), nullptr);
+}
+
+// Stored documents are immutable: even a mutable Store hands out only
+// const documents.
+static_assert(std::is_same_v<decltype(std::declval<xml::Store&>().document(0)),
+                             const xml::Document&>);
 
 // ---------------------------------------------------------------------------
 // Concurrent readers over one attached store: first access races the

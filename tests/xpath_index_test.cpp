@@ -341,25 +341,6 @@ TEST(StoreIndexTest, ReplacingDocumentInvalidatesIndex) {
   EXPECT_EQ(after.size(), 3u);
 }
 
-TEST(StoreIndexTest, DocumentMutatedAfterIndexingIsReindexed) {
-  Store store;
-  DocId doc_id = store.AddDocumentText("d.xml", "<r><a>1</a></r>");
-  NodeRef root{doc_id, 0};
-  ASSERT_EQ(EvalPath(store, Path::Parse("//a"), root, nullptr,
-                     PathEvalMode::kIndexed)
-                .size(),
-            1u);
-  // Append depth-first onto the stored document; the stale index (node
-  // count changed) must be rebuilt on the next indexed evaluation.
-  Document& doc = store.document(doc_id);
-  NodeId r = doc.first_child(doc.root());
-  doc.AddElement(r, "a");
-  EXPECT_EQ(EvalPath(store, Path::Parse("//a"), root, nullptr,
-                     PathEvalMode::kIndexed)
-                .size(),
-            2u);
-}
-
 // ---------------------------------------------------------------------------
 // Path::Concat overloads (satellite)
 // ---------------------------------------------------------------------------
