@@ -146,19 +146,20 @@ class Engine {
   /// Warm-attach: opens the persisted store at `dir`
   /// (storage::PersistentStore) and attaches it to this engine's store as
   /// a lazy document source — documents page in on first access instead of
-  /// being re-parsed from text, and persisted DTDs are registered up front
-  /// so translation works before any document is resident. The residency
-  /// cache limit comes from NALQ_STORE_CACHE_BYTES (0/unset = keep
-  /// everything resident once faulted). Throws engine::Error with a
-  /// structured store code (kStoreIo / kStoreCorrupt /
-  /// kStoreVersionMismatch) on a missing, corrupt or foreign-version
-  /// store.
+  /// being re-parsed from text, each index is built from its paged-in
+  /// document, statistics come from the manifest without a page-in, and
+  /// persisted DTDs are registered up front so translation works before
+  /// any document is resident. The residency cache limit comes from
+  /// NALQ_STORE_CACHE_BYTES (0/unset = keep everything resident once
+  /// faulted). Throws engine::Error with a structured store code
+  /// (kStoreIo / kStoreCorrupt / kStoreVersionMismatch) on a missing,
+  /// corrupt or foreign-version store.
   void AttachStore(const std::string& dir);
 
-  /// Serializes the store's documents, indexes and statistics into `dir`
-  /// with an atomic manifest commit (storage::Persist): a crash or I/O
-  /// failure mid-persist leaves the directory's previous contents
-  /// openable.
+  /// Serializes the store's documents into `dir`, one page file each, and
+  /// their statistics into the manifest, with an atomic manifest commit
+  /// (storage::Persist): a crash or I/O failure mid-persist leaves the
+  /// directory's previous contents openable. Indexes are not persisted.
   void PersistStore(const std::string& dir) const;
 
   /// The NALQ_STORE_DIR environment knob (validated via nal/env_knobs.h),

@@ -84,8 +84,7 @@ uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
   return ~crc;
 }
 
-PageFileWriter::PageFileWriter(std::string path, FileKind kind)
-    : path_(std::move(path)) {
+PageFileWriter::PageFileWriter(std::string path) : path_(std::move(path)) {
   if (int err = FaultInjector::Current().MaybeFail(FaultSite::kStoreOpenWrite);
       err != 0) {
     ThrowIo("persistent-store file open failed", path_, err,
@@ -98,7 +97,7 @@ PageFileWriter::PageFileWriter(std::string path, FileKind kind)
   }
   std::string header(kFileMagic, sizeof(kFileMagic));
   PutU32(&header, kFormatVersion);
-  PutU32(&header, static_cast<uint32_t>(kind));
+  PutU32(&header, kFileKind);
   PutU32(&header, Crc32(header.data(), header.size()));
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     int err = errno;
@@ -164,8 +163,7 @@ void PageFileWriter::Close() {
   }
 }
 
-PageFileReader::PageFileReader(std::string path, FileKind expected_kind)
-    : path_(std::move(path)) {
+PageFileReader::PageFileReader(std::string path) : path_(std::move(path)) {
   if (int err = FaultInjector::Current().MaybeFail(FaultSite::kStoreOpenRead);
       err != 0) {
     ThrowIo("persistent-store file open failed", path_, err,
@@ -221,7 +219,7 @@ PageFileReader::PageFileReader(std::string path, FileKind expected_kind)
   if (Crc32(buffer_.data(), 16) != header_crc) {
     ThrowCorrupt("persistent-store file header checksum mismatch", path_);
   }
-  if (kind != static_cast<uint32_t>(expected_kind)) {
+  if (kind != kFileKind) {
     ThrowCorrupt("persistent-store file kind mismatch", path_);
   }
   reader_ = r;
@@ -264,7 +262,7 @@ bool PageFileReader::Next(PageInfo* out) {
   return true;
 }
 
-void ValidateFileHeader(const std::string& path, FileKind expected_kind) {
+void ValidateFileHeader(const std::string& path) {
   if (int err = FaultInjector::Current().MaybeFail(FaultSite::kStoreOpenRead);
       err != 0) {
     ThrowIo("persistent-store file open failed", path, err,
@@ -300,7 +298,7 @@ void ValidateFileHeader(const std::string& path, FileKind expected_kind) {
   if (Crc32(header, 16) != header_crc) {
     ThrowCorrupt("persistent-store file header checksum mismatch", path);
   }
-  if (kind != static_cast<uint32_t>(expected_kind)) {
+  if (kind != kFileKind) {
     ThrowCorrupt("persistent-store file kind mismatch", path);
   }
 }

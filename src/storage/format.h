@@ -7,18 +7,18 @@
 //   page   := PageHeader payload
 //
 // FileHeader (20 bytes): 8-byte magic "NALQSTR1", format version (u32),
-// file kind (u32, FileKind), and a CRC32 over the preceding 16 bytes. The
-// version is validated BEFORE the header checksum so a store written by a
-// different format generation reports kStoreVersionMismatch — the
-// actionable error — rather than a generic corruption.
+// file kind (u32, always kFileKind), and a CRC32 over the preceding 16
+// bytes. The version is validated BEFORE the header checksum so a store
+// written by a different format generation reports kStoreVersionMismatch —
+// the actionable error — rather than a generic corruption.
 //
 // PageHeader (28 bytes): page magic "NPAG" (u32), page type (u32,
 // PageType), payload byte count (u32), item count (u32), first item id
-// (u32 — the first node id / string id / blob chunk index the page
-// carries, making the format seekable for an mmap-based pager), CRC32 of
-// the payload (u32), CRC32 of the preceding 24 header bytes (u32). A file
-// ends exactly at a page boundary; anything else — a short header, a
-// payload cut off by truncation, a checksum mismatch — fails closed with
+// (u32 — the first node id / string id the page carries, making the
+// format seekable for an mmap-based pager), CRC32 of the payload (u32),
+// CRC32 of the preceding 24 header bytes (u32). A file ends exactly at a
+// page boundary; anything else — a short header, a payload cut off by
+// truncation, a checksum mismatch — fails closed with
 // engine::Error(kStoreCorrupt) naming the file.
 //
 // Integers use the host's native byte order via the shared spool framing
@@ -46,7 +46,7 @@ namespace nalq::storage {
 /// Bumped whenever the page or manifest layout changes incompatibly. A
 /// store written under any other version fails to open with
 /// kStoreVersionMismatch.
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
 inline constexpr char kFileMagic[8] = {'N', 'A', 'L', 'Q', 'S', 'T', 'R', '1'};
 inline constexpr char kManifestMagic[8] = {'N', 'A', 'L', 'Q', 'M', 'A',
@@ -61,16 +61,14 @@ inline constexpr uint32_t kEndianTag = 0x01020304u;
 /// header declares (bounded by the file itself).
 inline constexpr size_t kPagePayloadTarget = 64 * 1024;
 
-enum class FileKind : uint32_t {
-  kNodes = 1,  ///< name table + preorder node record pages
-  kIndex = 2,  ///< serialized DocumentIndex blob pages
-  kStats = 3,  ///< serialized DocumentStats blob pages
-};
+/// The file-kind word of every file header. A store has one kind of data
+/// file (a document's name-table and node-record pages); the word stays in
+/// the header and is checked against this value.
+inline constexpr uint32_t kFileKind = 1;
 
 enum class PageType : uint32_t {
   kNameTable = 1,    ///< length-prefixed interner strings, id order
   kNodeRecords = 2,  ///< fixed-shape preorder node records
-  kBlob = 3,         ///< opaque chunk of a larger encoded value
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib one) — self-contained so the
@@ -79,7 +77,7 @@ uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
 
 /// One decoded page; `payload` aliases the reader's buffer.
 struct PageInfo {
-  PageType type = PageType::kBlob;
+  PageType type = PageType::kNameTable;
   uint32_t item_count = 0;
   uint32_t first_item = 0;
   std::string_view payload;
@@ -89,7 +87,7 @@ struct PageInfo {
 /// fault) throws engine::Error(kStoreIo) carrying errno and the path.
 class PageFileWriter {
  public:
-  PageFileWriter(std::string path, FileKind kind);
+  explicit PageFileWriter(std::string path);
   ~PageFileWriter();
   PageFileWriter(const PageFileWriter&) = delete;
   PageFileWriter& operator=(const PageFileWriter&) = delete;
@@ -113,7 +111,7 @@ class PageFileWriter {
 /// (unreadable); Next throws kStoreCorrupt on any malformed page.
 class PageFileReader {
  public:
-  PageFileReader(std::string path, FileKind expected_kind);
+  explicit PageFileReader(std::string path);
 
   /// Fills `out` with the next page; false at a clean end-of-file.
   bool Next(PageInfo* out);
@@ -129,7 +127,7 @@ class PageFileReader {
 /// Validates just the 20-byte file header of `path` (cheap warm-attach
 /// check: catches a missing, truncated, foreign-version or wrong-kind file
 /// without slurping its pages). Throws like the PageFileReader constructor.
-void ValidateFileHeader(const std::string& path, FileKind expected_kind);
+void ValidateFileHeader(const std::string& path);
 
 /// fflush + fsync of `f`, so the stream's bytes are on stable storage
 /// before the caller fcloses it. Returns 0 on success, the errno

@@ -1,6 +1,5 @@
 #include "storage/persistent_store.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +36,14 @@ std::string JoinPath(const std::string& dir, const std::string& file) {
   return (std::filesystem::path(dir) / file).string();
 }
 
+/// Path of the page file of the document at manifest position `i`:
+/// e<epoch>_doc_<i>.nalq. Derived, never read from the manifest, so no
+/// stored name can point outside `dir`.
+std::string DocPath(const std::string& dir, uint64_t epoch, size_t i) {
+  return JoinPath(dir, "e" + std::to_string(epoch) + "_doc_" +
+                           std::to_string(i) + ".nalq");
+}
+
 // ---------------------------------------------------------------------------
 // Manifest
 // ---------------------------------------------------------------------------
@@ -49,9 +56,7 @@ std::string EncodeManifest(const Manifest& m) {
     PutBytes(&payload, d.dtd);
     PutU64(&payload, d.node_count);
     PutU64(&payload, d.approx_bytes);
-    PutBytes(&payload, d.doc_file);
-    PutBytes(&payload, d.idx_file);
-    PutBytes(&payload, d.sts_file);
+    PutBytes(&payload, d.stats);
   }
   std::string out(kManifestMagic, sizeof(kManifestMagic));
   PutU32(&out, kFormatVersion);
@@ -177,18 +182,15 @@ Manifest ReadManifest(const std::string& dir) {
   }
   for (uint32_t i = 0; i < doc_count; ++i) {
     ManifestDoc d;
-    std::string_view name, dtd, doc_file, idx_file, sts_file;
+    std::string_view name, dtd, stats;
     if (!pr.LengthPrefixed(&name) || !pr.LengthPrefixed(&dtd) ||
         !pr.U64(&d.node_count) || !pr.U64(&d.approx_bytes) ||
-        !pr.LengthPrefixed(&doc_file) || !pr.LengthPrefixed(&idx_file) ||
-        !pr.LengthPrefixed(&sts_file)) {
+        !pr.LengthPrefixed(&stats)) {
       ThrowCorrupt("persistent-store manifest payload malformed", path);
     }
     d.name = std::string(name);
     d.dtd = std::string(dtd);
-    d.doc_file = std::string(doc_file);
-    d.idx_file = std::string(idx_file);
-    d.sts_file = std::string(sts_file);
+    d.stats = std::string(stats);
     m.docs.push_back(std::move(d));
   }
   if (pr.remaining() != 0) {
@@ -218,7 +220,7 @@ uint64_t NextEpoch(const std::string& dir) {
 /// Deletes data files of epochs other than `live_epoch` (and a stray temp
 /// manifest). Runs only after the new manifest committed; failures are
 /// ignored — stale files waste space but never affect correctness, since
-/// only the manifest names live files.
+/// only the files of the manifest's epoch are ever read.
 void RemoveStaleEpochs(const std::string& dir, uint64_t live_epoch) {
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
@@ -237,61 +239,8 @@ void RemoveStaleEpochs(const std::string& dir, uint64_t live_epoch) {
 }
 
 // ---------------------------------------------------------------------------
-// Map codec helpers (sorted for deterministic bytes)
+// Count-map codec (sorted for deterministic bytes)
 // ---------------------------------------------------------------------------
-
-void PutIdVector(std::string* out, const std::vector<xml::NodeId>& ids) {
-  PutU32(out, static_cast<uint32_t>(ids.size()));
-  for (xml::NodeId id : ids) PutU32(out, id);
-}
-
-bool ReadIdVector(ByteReader* r, std::vector<xml::NodeId>* out) {
-  uint32_t n = 0;
-  if (!r->U32(&n)) return false;
-  // The count is untrusted input: a crafted file (CRCs recomputed to
-  // match) could otherwise drive a multi-GB reserve and surface as
-  // bad_alloc/OOM instead of the structured kStoreCorrupt contract. Every
-  // encoded id is at least 4 bytes, so a count that cannot fit in the
-  // remaining buffer is corrupt by construction.
-  if (n > r->remaining() / 4) return false;
-  out->clear();
-  out->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t id = 0;
-    if (!r->U32(&id)) return false;
-    out->push_back(id);
-  }
-  return true;
-}
-
-void PutIdListMap(
-    std::string* out,
-    const std::unordered_map<uint32_t, std::vector<xml::NodeId>>& m) {
-  std::map<uint32_t, const std::vector<xml::NodeId>*> sorted;
-  for (const auto& [key, ids] : m) sorted.emplace(key, &ids);
-  PutU32(out, static_cast<uint32_t>(sorted.size()));
-  for (const auto& [key, ids] : sorted) {
-    PutU32(out, key);
-    PutIdVector(out, *ids);
-  }
-}
-
-bool ReadIdListMap(ByteReader* r,
-                   std::unordered_map<uint32_t, std::vector<xml::NodeId>>* m) {
-  uint32_t n = 0;
-  if (!r->U32(&n)) return false;
-  // Untrusted count (see ReadIdVector): each entry is at least a 4-byte
-  // key plus a 4-byte list count.
-  if (n > r->remaining() / 8) return false;
-  m->clear();
-  m->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key = 0;
-    if (!r->U32(&key)) return false;
-    if (!ReadIdVector(r, &(*m)[key])) return false;
-  }
-  return true;
-}
 
 template <typename Key>
 void PutCountMap(std::string* out,
@@ -312,8 +261,11 @@ template <typename Key>
 bool ReadCountMap(ByteReader* r, std::unordered_map<Key, uint64_t>* m) {
   uint32_t n = 0;
   if (!r->U32(&n)) return false;
-  // Untrusted count (see ReadIdVector): each entry is a key (4 or 8
-  // bytes) plus an 8-byte value.
+  // The count is untrusted input: a crafted manifest (CRC recomputed to
+  // match) could otherwise drive a multi-GB reserve and surface as
+  // bad_alloc/OOM instead of the structured kStoreCorrupt contract. Each
+  // entry is a key (4 or 8 bytes) plus an 8-byte value, so a count that
+  // cannot fit in the remaining buffer is corrupt by construction.
   constexpr size_t kMinEntry = (sizeof(Key) == 4 ? 4 : 8) + 8;
   if (n > r->remaining() / kMinEntry) return false;
   m->clear();
@@ -335,19 +287,6 @@ bool ReadCountMap(ByteReader* r, std::unordered_map<Key, uint64_t>* m) {
     (*m)[key] = v;
   }
   return true;
-}
-
-/// Splits one encoded value into kBlob pages of the target payload size.
-void WriteBlobPages(PageFileWriter* out, const std::string& blob) {
-  uint32_t chunk_index = 0;
-  size_t off = 0;
-  do {
-    size_t len = std::min(kPagePayloadTarget, blob.size() - off);
-    out->WritePage(PageType::kBlob, static_cast<uint32_t>(len), chunk_index,
-                   std::string_view(blob).substr(off, len));
-    off += len;
-    ++chunk_index;
-  } while (off < blob.size());
 }
 
 }  // namespace
@@ -424,15 +363,17 @@ void StoreCodec::EncodeDocument(const xml::Document& doc,
 
 xml::Document StoreCodec::DecodeDocument(const ManifestDoc& meta,
                                          const std::string& path) {
-  PageFileReader reader(path, FileKind::kNodes);
+  // Names and texts are views into the reader's whole-file buffer, which
+  // outlives the replay, so each string is copied once: into the document.
+  PageFileReader reader(path);
   struct Rec {
     uint8_t kind;
     uint32_t parent;
     uint32_t name;
     uint32_t subtree_end;
-    std::string text;
+    std::string_view text;
   };
-  std::vector<std::string> names;
+  std::vector<std::string_view> names;
   std::vector<Rec> recs;
   PageInfo page;
   auto corrupt = [&path](const std::string& what) -> void {
@@ -450,7 +391,7 @@ xml::Document StoreCodec::DecodeDocument(const ManifestDoc& meta,
         if (!r.LengthPrefixed(&s)) {
           corrupt("persistent-store name-table page malformed");
         }
-        names.emplace_back(s);
+        names.push_back(s);
       }
     } else if (page.type == PageType::kNodeRecords) {
       if (page.first_item != recs.size()) {
@@ -458,13 +399,11 @@ xml::Document StoreCodec::DecodeDocument(const ManifestDoc& meta,
       }
       for (uint32_t i = 0; i < page.item_count; ++i) {
         Rec rec;
-        std::string_view text;
         if (!r.U8(&rec.kind) || !r.U32(&rec.parent) || !r.U32(&rec.name) ||
-            !r.U32(&rec.subtree_end) || !r.LengthPrefixed(&text)) {
+            !r.U32(&rec.subtree_end) || !r.LengthPrefixed(&rec.text)) {
           corrupt("persistent-store node-record page malformed");
         }
-        rec.text = std::string(text);
-        recs.push_back(std::move(rec));
+        recs.push_back(rec);
       }
     } else {
       corrupt("persistent-store document file has an unexpected page type");
@@ -546,32 +485,6 @@ xml::Document StoreCodec::DecodeDocument(const ManifestDoc& meta,
   return doc;
 }
 
-std::string StoreCodec::EncodeIndex(const xml::DocumentIndex& index) {
-  std::string out;
-  PutU64(&out, index.built_node_count_);
-  PutIdVector(&out, index.all_elements_);
-  PutIdVector(&out, index.text_nodes_);
-  PutIdListMap(&out, index.elements_);
-  PutIdListMap(&out, index.attributes_);
-  return out;
-}
-
-std::unique_ptr<xml::DocumentIndex> StoreCodec::DecodeIndex(
-    std::string_view blob) {
-  const auto* base = reinterpret_cast<const uint8_t*>(blob.data());
-  ByteReader r{base, base + blob.size()};
-  std::unique_ptr<xml::DocumentIndex> index(new xml::DocumentIndex());
-  uint64_t built = 0;
-  if (!r.U64(&built) || !ReadIdVector(&r, &index->all_elements_) ||
-      !ReadIdVector(&r, &index->text_nodes_) ||
-      !ReadIdListMap(&r, &index->elements_) ||
-      !ReadIdListMap(&r, &index->attributes_) || r.remaining() != 0) {
-    return nullptr;
-  }
-  index->built_node_count_ = built;
-  return index;
-}
-
 std::string StoreCodec::EncodeStats(const xml::DocumentStats& stats) {
   std::string out;
   PutU64(&out, stats.built_node_count_);
@@ -646,37 +559,20 @@ void Persist(const xml::Store& store, const std::string& dir) {
   const uint64_t epoch = NextEpoch(dir);
   Manifest manifest;
   manifest.epoch = epoch;
-  // Reading documents (and building their indexes and statistics) makes
-  // Persist a reader under the single-writer contract.
+  // Reading documents (and building their statistics) makes Persist a
+  // reader under the single-writer contract.
   xml::StoreReadLease lease(store);
   for (xml::DocId id = 0; id < store.size(); ++id) {
     const xml::Document& doc = store.document(id);
-    const xml::DocumentIndex& index = store.index(id);
-    const xml::DocumentStats& stats = store.stats(id);
     ManifestDoc entry;
     entry.name = store.document_name(id);
     entry.dtd = store.dtd_text(id);
     entry.node_count = doc.node_count();
     entry.approx_bytes = StoreCodec::ApproxResidentBytes(doc);
-    const std::string tag = "e" + std::to_string(epoch) + "_";
-    entry.doc_file = tag + "doc_" + std::to_string(id) + ".nalq";
-    entry.idx_file = tag + "idx_" + std::to_string(id) + ".nalq";
-    entry.sts_file = tag + "sts_" + std::to_string(id) + ".nalq";
-    {
-      PageFileWriter w(JoinPath(dir, entry.doc_file), FileKind::kNodes);
-      StoreCodec::EncodeDocument(doc, &w);
-      w.Close();
-    }
-    {
-      PageFileWriter w(JoinPath(dir, entry.idx_file), FileKind::kIndex);
-      WriteBlobPages(&w, StoreCodec::EncodeIndex(index));
-      w.Close();
-    }
-    {
-      PageFileWriter w(JoinPath(dir, entry.sts_file), FileKind::kStats);
-      WriteBlobPages(&w, StoreCodec::EncodeStats(stats));
-      w.Close();
-    }
+    entry.stats = StoreCodec::EncodeStats(store.stats(id));
+    PageFileWriter w(DocPath(dir, epoch, id));
+    StoreCodec::EncodeDocument(doc, &w);
+    w.Close();
     manifest.docs.push_back(std::move(entry));
   }
   CommitManifest(dir, manifest);
@@ -695,27 +591,22 @@ PersistentStore::PersistentStore(std::string dir, Manifest manifest,
                                  const Options& opts)
     : dir_(std::move(dir)),
       manifest_(std::move(manifest)),
-      budget_(opts.cache_limit_bytes),
+      cache_limit_bytes_(opts.cache_limit_bytes),
       charged_(manifest_.docs.size(), 0) {}
 
 std::unique_ptr<PersistentStore> PersistentStore::Open(const std::string& dir,
                                                        const Options& opts) {
   Manifest manifest = ReadManifest(dir);
-  uint64_t persisted = 0;
-  for (const ManifestDoc& d : manifest.docs) {
-    // Cold-start fail-closed: every referenced file must exist with a
-    // valid header before any query can touch the store. Page payloads
-    // are validated lazily at fault-in.
-    ValidateFileHeader(JoinPath(dir, d.doc_file), FileKind::kNodes);
-    ValidateFileHeader(JoinPath(dir, d.idx_file), FileKind::kIndex);
-    ValidateFileHeader(JoinPath(dir, d.sts_file), FileKind::kStats);
-    std::error_code ec;
-    persisted += std::filesystem::file_size(
-        std::filesystem::path(dir) / d.doc_file, ec);
-    persisted += std::filesystem::file_size(
-        std::filesystem::path(dir) / d.idx_file, ec);
-    persisted += std::filesystem::file_size(
-        std::filesystem::path(dir) / d.sts_file, ec);
+  std::error_code ec;
+  uint64_t persisted =
+      std::filesystem::file_size(JoinPath(dir, kManifestName), ec);
+  for (size_t i = 0; i < manifest.docs.size(); ++i) {
+    // Cold-start fail-closed: every document file must exist with a valid
+    // header before any query can touch the store. Page payloads are
+    // validated lazily at fault-in.
+    const std::string path = DocPath(dir, manifest.epoch, i);
+    ValidateFileHeader(path);
+    persisted += std::filesystem::file_size(path, ec);
   }
   auto store = std::unique_ptr<PersistentStore>(
       new PersistentStore(dir, std::move(manifest), opts));
@@ -726,65 +617,26 @@ std::unique_ptr<PersistentStore> PersistentStore::Open(const std::string& dir,
 xml::Document PersistentStore::LoadDocument(size_t i) {
   const ManifestDoc& meta = manifest_.docs[i];
   xml::Document doc =
-      StoreCodec::DecodeDocument(meta, JoinPath(dir_, meta.doc_file));
-  // Residency accounting: TryCharge, then the progress guarantee — the
-  // faulting evaluation must proceed even when the cache is full; the
-  // owning Store evicts back under the limit at the next lease boundary.
-  if (!budget_.TryCharge(meta.approx_bytes)) {
-    budget_.ChargeUnchecked(meta.approx_bytes);
-  }
+      StoreCodec::DecodeDocument(meta, DocPath(dir_, manifest_.epoch, i));
   resident_bytes_.fetch_add(meta.approx_bytes, std::memory_order_relaxed);
   charged_[i] = meta.approx_bytes;
   return doc;
 }
 
 void PersistentStore::UnloadDocument(size_t i) {
-  budget_.Release(charged_[i]);
   resident_bytes_.fetch_sub(charged_[i], std::memory_order_relaxed);
   charged_[i] = 0;
 }
 
-std::string PersistentStore::ReadBlobFile(const std::string& file,
-                                          FileKind kind) const {
-  const std::string path = JoinPath(dir_, file);
-  PageFileReader reader(path, kind);
-  std::string blob;
-  PageInfo page;
-  uint32_t next_chunk = 0;
-  while (reader.Next(&page)) {
-    if (page.type != PageType::kBlob || page.first_item != next_chunk) {
-      throw Error(ErrorCode::kStoreCorrupt,
-                  "persistent-store blob pages out of order", 0, path,
-                  "storage.page");
-    }
-    blob.append(page.payload);
-    ++next_chunk;
-  }
-  return blob;
-}
-
-std::unique_ptr<xml::DocumentIndex> PersistentStore::LoadIndex(
-    size_t i, const xml::Document& doc) {
-  const ManifestDoc& meta = manifest_.docs[i];
-  std::unique_ptr<xml::DocumentIndex> index =
-      StoreCodec::DecodeIndex(ReadBlobFile(meta.idx_file, FileKind::kIndex));
-  if (index == nullptr || index->built_node_count() != doc.node_count()) {
-    throw Error(ErrorCode::kStoreCorrupt,
-                "persistent-store index does not match its document", 0,
-                JoinPath(dir_, meta.idx_file), "storage.index");
-  }
-  return index;
-}
-
-std::unique_ptr<xml::DocumentStats> PersistentStore::LoadStats(
-    size_t i, const xml::Document& doc) {
+std::unique_ptr<xml::DocumentStats> PersistentStore::LoadStats(size_t i) {
   const ManifestDoc& meta = manifest_.docs[i];
   std::unique_ptr<xml::DocumentStats> stats =
-      StoreCodec::DecodeStats(ReadBlobFile(meta.sts_file, FileKind::kStats));
-  if (stats == nullptr || stats->built_node_count() != doc.node_count()) {
+      StoreCodec::DecodeStats(meta.stats);
+  if (stats == nullptr || stats->built_node_count() != meta.node_count) {
     throw Error(ErrorCode::kStoreCorrupt,
-                "persistent-store statistics do not match their document", 0,
-                JoinPath(dir_, meta.sts_file), "storage.stats");
+                "persistent-store statistics of '" + meta.name +
+                    "' are malformed or do not match its node count",
+                0, JoinPath(dir_, kManifestName), "storage.stats");
   }
   return stats;
 }

@@ -1,15 +1,19 @@
 // Persistent on-disk document store: Persist() serializes a Store's
-// documents, structural indexes and cardinality statistics into a
-// directory; PersistentStore::Open attaches that directory back to a Store
-// as a lazy DocumentSource (xml/document_source.h) so documents page in on
-// first access instead of being re-parsed from text.
+// documents, with each document's cardinality statistics in the manifest,
+// into a directory; PersistentStore::Open attaches that directory back to a
+// Store as a lazy DocumentSource (xml/document_source.h) so documents page
+// in on first access instead of being re-parsed from text. Structural
+// indexes are not persisted: the Store builds one from the faulted-in
+// document, which is faster than reading it back.
 //
 // Directory layout (all files in the page format of storage/format.h):
 //
-//   MANIFEST.nalq        commit point — names every live file
+//   MANIFEST.nalq        commit point — per document: name, DTD text, node
+//                        count, resident footprint, encoded statistics
 //   e<E>_doc_<i>.nalq    document i: name-table + preorder node pages
-//   e<E>_idx_<i>.nalq    document i: serialized DocumentIndex (blob pages)
-//   e<E>_sts_<i>.nalq    document i: serialized DocumentStats (blob pages)
+//
+// Data file names are derived from the manifest's epoch E and the
+// document's position i; the manifest stores no file names.
 //
 // Atomicity (single-writer contract — one Persist at a time, never
 // concurrent with readers of the same directory): every Persist writes a
@@ -29,10 +33,10 @@
 // from (warm attach → re-persist, e.g. Engine::AttachStore then
 // Engine::PersistStore with one NALQ_STORE_DIR) is supported: Persist
 // detects it via DocumentSource::location() and skips stale-epoch removal
-// so the files the live attachment's manifest still references survive —
-// eviction and refault keep working, and the next open picks up the new
-// epoch. The superseded epoch's files are reclaimed by the next Persist
-// into that directory from a store not attached to it.
+// so the files of the epoch the live attachment reads survive — eviction
+// and refault keep working, and the next open picks up the new epoch. The
+// superseded epoch's files are reclaimed by the next Persist into that
+// directory from a store not attached to it.
 //
 // Reconstruction determinism (what makes lazy eviction safe, see
 // document_source.h): a document is persisted as its interner's string
@@ -52,10 +56,8 @@
 #include <string>
 #include <vector>
 
-#include "nal/spool.h"
 #include "storage/format.h"
 #include "xml/document_source.h"
-#include "xml/index.h"
 #include "xml/node.h"
 #include "xml/stats.h"
 #include "xml/store.h"
@@ -68,9 +70,7 @@ struct ManifestDoc {
   std::string dtd;           ///< DOCTYPE internal subset, may be empty
   uint64_t node_count = 0;   ///< validates the decoded document
   uint64_t approx_bytes = 0; ///< in-memory footprint charged when resident
-  std::string doc_file;
-  std::string idx_file;
-  std::string sts_file;
+  std::string stats;         ///< StoreCodec::EncodeStats bytes
 };
 
 struct Manifest {
@@ -78,9 +78,9 @@ struct Manifest {
   std::vector<ManifestDoc> docs;
 };
 
-/// Codec between the xml layer's in-memory structures and store pages.
-/// Befriended by DocumentIndex and DocumentStats so their count maps
-/// serialize directly instead of being rebuilt from the document.
+/// Codec between the xml layer's in-memory structures and store bytes.
+/// Befriended by DocumentStats so its count maps serialize directly instead
+/// of being rebuilt from the document.
 class StoreCodec {
  public:
   /// Writes `doc` as name-table + node-record pages into `out`.
@@ -91,23 +91,19 @@ class StoreCodec {
   static xml::Document DecodeDocument(const ManifestDoc& meta,
                                       const std::string& path);
 
-  static std::string EncodeIndex(const xml::DocumentIndex& index);
-  /// Null on malformed input (the caller attaches path context).
-  static std::unique_ptr<xml::DocumentIndex> DecodeIndex(
-      std::string_view blob);
-
   static std::string EncodeStats(const xml::DocumentStats& stats);
+  /// Null on malformed input (the caller attaches path context).
   static std::unique_ptr<xml::DocumentStats> DecodeStats(
       std::string_view blob);
 
-  /// Footprint estimate charged against the residency budget while the
+  /// Footprint estimate charged to the residency account while the
   /// document is materialized: node vector + texts + interner strings +
   /// string-value memo slots.
   static uint64_t ApproxResidentBytes(const xml::Document& doc);
 };
 
 /// Serializes every document of `store` (faulting lazily attached ones in
-/// as needed), its structural index and its statistics into `dir`,
+/// as needed) and its statistics into `dir`, one page file per document,
 /// creating the directory if needed. Reads `store` under a StoreReadLease;
 /// the caller must not load documents concurrently. Throws engine::Error
 /// on any I/O failure, leaving the directory's previous contents openable.
@@ -117,8 +113,8 @@ class StoreCodec {
 void Persist(const xml::Store& store, const std::string& dir);
 
 /// An opened persisted store directory: validates the manifest and every
-/// referenced file header up front (cold-start fail-closed), then serves
-/// documents, indexes and statistics on demand as a DocumentSource.
+/// document file header up front (cold-start fail-closed), then serves
+/// documents and statistics on demand as a DocumentSource.
 class PersistentStore : public xml::DocumentSource {
  public:
   struct Options {
@@ -139,7 +135,7 @@ class PersistentStore : public xml::DocumentSource {
   const std::string& dir() const { return dir_; }
   uint64_t epoch() const { return manifest_.epoch; }
 
-  /// Total persisted payload bytes across all store files (bench metric).
+  /// On-disk bytes of the document files plus the manifest (bench metric).
   uint64_t persisted_bytes() const { return persisted_bytes_; }
 
   // -- DocumentSource -------------------------------------------------------
@@ -152,37 +148,24 @@ class PersistentStore : public xml::DocumentSource {
   }
   xml::Document LoadDocument(size_t i) override;
   void UnloadDocument(size_t i) override;
-  std::unique_ptr<xml::DocumentIndex> LoadIndex(
-      size_t i, const xml::Document& doc) override;
-  std::unique_ptr<xml::DocumentStats> LoadStats(
-      size_t i, const xml::Document& doc) override;
+  std::unique_ptr<xml::DocumentStats> LoadStats(size_t i) override;
   uint64_t resident_bytes() const override {
     return resident_bytes_.load(std::memory_order_relaxed);
   }
-  uint64_t cache_limit_bytes() const override {
-    return budget_.limit_bytes();
-  }
+  uint64_t cache_limit_bytes() const override { return cache_limit_bytes_; }
   std::string location() const override { return dir_; }
 
  private:
   PersistentStore(std::string dir, Manifest manifest, const Options& opts);
 
-  /// Concatenated blob-page payload of `file` (kIndex/kStats files).
-  std::string ReadBlobFile(const std::string& file, FileKind kind) const;
-
   std::string dir_;
   Manifest manifest_;
   uint64_t persisted_bytes_ = 0;
-  /// Residency accountant (nal/spool.h): LoadDocument charges each
-  /// document's approx_bytes — TryCharge first, ChargeUnchecked as the
-  /// progress guarantee when the cache is already full (the faulting
-  /// evaluation must be able to proceed; the owning Store evicts back
-  /// under the limit at the next reader-free lease boundary).
-  nal::MemoryBudget budget_;
-  /// Residency bytes tracked independently of the budget: an unlimited
-  /// MemoryBudget (limit 0) deliberately skips its accounting, but
-  /// resident_bytes() must still report what lazy page-in materialized
-  /// (eviction decisions and the bench's page-in metric both read it).
+  const uint64_t cache_limit_bytes_;
+  /// The one residency account: LoadDocument adds each document's
+  /// approx_bytes, even past the cache limit (the faulting evaluation must
+  /// proceed; the owning Store evicts back under the limit at the next
+  /// reader-free lease boundary), and UnloadDocument takes them back.
   std::atomic<uint64_t> resident_bytes_{0};
   std::vector<uint64_t> charged_;
 };

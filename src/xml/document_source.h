@@ -9,19 +9,18 @@
 // its cache limit (see Store::BeginRead). The contract that makes
 // eviction safe is reconstruction determinism: LoadDocument(i) must
 // rebuild a Document that is field-for-field identical to every earlier
-// load — same node records, same interned name ids — so structural
-// indexes and statistics built against one incarnation stay valid for the
-// next (the storage layer guarantees this by replaying persisted preorder
-// node records through the depth-first construction API and validating
-// the result; see src/storage/README.md).
+// load — same node records, same interned name ids — so a structural
+// index built against one incarnation, and the source's statistics, stay
+// valid for the next (the storage layer guarantees this by replaying
+// persisted preorder node records through the depth-first construction API
+// and validating the result; see src/storage/README.md).
 //
 // Thread-safety: the Store calls LoadDocument and UnloadDocument only under
-// its fault mutex, so they never overlap each other. LoadIndex runs under
-// the Store's index-build mutex and LoadStats under its stats-build mutex,
-// so either may overlap a LoadDocument/UnloadDocument; implementations
-// must read only const state there (the persisted store reads its
-// immutable manifest and files). The residency accessors must tolerate
-// concurrent readers (an atomic counter suffices).
+// its fault mutex, so they never overlap each other. LoadStats runs under
+// the Store's stats-build mutex, so it may overlap a LoadDocument or
+// UnloadDocument; implementations must read only const state there (the
+// persisted store decodes its immutable manifest). The residency accessors
+// must tolerate concurrent readers (an atomic counter suffices).
 #ifndef NALQ_XML_DOCUMENT_SOURCE_H_
 #define NALQ_XML_DOCUMENT_SOURCE_H_
 
@@ -29,7 +28,6 @@
 #include <memory>
 #include <string>
 
-#include "xml/index.h"
 #include "xml/node.h"
 #include "xml/stats.h"
 
@@ -60,16 +58,12 @@ class DocumentSource {
   /// Releases the residency accounting of an evicted document `i`.
   virtual void UnloadDocument(size_t i) = 0;
 
-  /// Prebuilt structural index for document `i`, or null when the source
-  /// has none persisted (the Store then builds one from `doc`). A
-  /// persisted index whose built_node_count does not match `doc` fails
-  /// closed (kStoreCorrupt) instead of returning.
-  virtual std::unique_ptr<DocumentIndex> LoadIndex(size_t i,
-                                                   const Document& doc) = 0;
-
-  /// Prebuilt cardinality statistics, same contract as LoadIndex.
-  virtual std::unique_ptr<DocumentStats> LoadStats(size_t i,
-                                                   const Document& doc) = 0;
+  /// Cardinality statistics of document `i`, never null, produced without
+  /// materializing the document or charging residency (the persisted store
+  /// decodes them from its manifest). Statistics that are malformed or
+  /// whose built_node_count differs from the document's node count fail
+  /// closed with engine::Error(kStoreCorrupt) instead of returning.
+  virtual std::unique_ptr<DocumentStats> LoadStats(size_t i) = 0;
 
   /// Bytes currently charged for resident documents.
   virtual uint64_t resident_bytes() const = 0;

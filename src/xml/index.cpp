@@ -4,10 +4,9 @@
 
 namespace nalq::xml {
 
-DocumentIndex::DocumentIndex(const Document& doc)
-    : built_node_count_(doc.node_count()) {
+DocumentIndex::DocumentIndex(const Document& doc) {
   elements_.reserve(doc.names().size());
-  for (NodeId id = 0; id < built_node_count_; ++id) {
+  for (NodeId id = 0; id < doc.node_count(); ++id) {
     // Validate the structural numbering while we are touching every node
     // anyway: a sibling starting inside the previous sibling's extent means
     // the document was not built depth-first (Document::NewNode asserts

@@ -21,10 +21,6 @@
 
 #include "xml/node.h"
 
-namespace nalq::storage {
-class StoreCodec;
-}
-
 namespace nalq::xml {
 
 class DocumentIndex {
@@ -43,23 +39,11 @@ class DocumentIndex {
   /// Preorder-sorted ids of every text node.
   std::span<const NodeId> TextNodes() const { return text_nodes_; }
 
-  /// The document's node count at build time. The persistent store
-  /// (src/storage/) rejects a loaded index whose count does not match its
-  /// document.
-  size_t built_node_count() const { return built_node_count_; }
-
  private:
-  /// Persistence codec (src/storage/): serializes and reconstructs the
-  /// occurrence lists directly, bypassing the build pass. The deserializing
-  /// path is the only user of the default constructor.
-  friend class nalq::storage::StoreCodec;
-  DocumentIndex() = default;
-
   std::unordered_map<uint32_t, std::vector<NodeId>> elements_;
   std::unordered_map<uint32_t, std::vector<NodeId>> attributes_;
   std::vector<NodeId> all_elements_;
   std::vector<NodeId> text_nodes_;
-  size_t built_node_count_ = 0;
 };
 
 }  // namespace nalq::xml

@@ -7,7 +7,9 @@
 // occurrence-list index (index.h) — the structural numbering makes the
 // ancestor walk a stack of [pre, pre+size) extents. Statistics are owned,
 // cached and invalidated by the Store exactly like the index (store.h):
-// built lazily on first use, dropped when the document is replaced.
+// built lazily on first use, dropped when the document is replaced. A
+// persisted document's statistics are not rebuilt: they are decoded from
+// the store's manifest (src/storage/), without paging the document in.
 //
 // The counts are exact (a stored document never changes after the build);
 // the optimizer treats them as estimates anyway.
@@ -70,7 +72,7 @@ class DocumentStats {
   uint64_t DistinctAttrValues(uint32_t name_id) const;
 
   /// The document's node count at build time; the persistent store checks
-  /// loaded statistics against their document with it, as for the index.
+  /// decoded statistics against their manifest entry's node count with it.
   size_t built_node_count() const { return built_node_count_; }
 
  private:

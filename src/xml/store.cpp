@@ -148,12 +148,7 @@ const DocumentIndex& Store::index(DocId id) const {
   std::lock_guard<std::mutex> lock(index_build_mu_);
   ready = slot.ready.load(std::memory_order_acquire);
   if (ready == nullptr) {
-    // A persisted index beats an O(n) build.
-    const DocSlot& dslot = *docs_[id];
-    std::unique_ptr<DocumentIndex> loaded =
-        dslot.lazy ? source_->LoadIndex(dslot.source_index, doc) : nullptr;
-    slot.index = loaded != nullptr ? std::move(loaded)
-                                   : std::make_unique<DocumentIndex>(doc);
+    slot.index = std::make_unique<DocumentIndex>(doc);
     ready = slot.index.get();
     slot.ready.store(ready, std::memory_order_release);
   }
@@ -165,19 +160,22 @@ const DocumentStats& Store::stats(DocId id) const {
   StatsSlot& slot = *stats_[id];
   const DocumentStats* ready = slot.ready.load(std::memory_order_acquire);
   if (ready != nullptr) return *ready;
-  const Document& doc = document(id);  // faults in if lazily attached
-  // Force the index build before taking the stats mutex (index() takes its
-  // own build mutex; nesting the two would order them arbitrarily across
-  // call sites).
-  const DocumentIndex& idx = index(id);
+  // An attached document's statistics come from its source without paging
+  // the document in. An eager document's are built, which needs the index:
+  // build it before taking the stats mutex (index() takes its own build
+  // mutex; nesting the two would order them arbitrarily across call sites).
+  const DocSlot& dslot = *docs_[id];
+  const Document* doc = nullptr;
+  const DocumentIndex* idx = nullptr;
+  if (!dslot.lazy) {
+    doc = &document(id);
+    idx = &index(id);
+  }
   std::lock_guard<std::mutex> lock(stats_build_mu_);
   ready = slot.ready.load(std::memory_order_acquire);
   if (ready == nullptr) {
-    const DocSlot& dslot = *docs_[id];
-    std::unique_ptr<DocumentStats> loaded =
-        dslot.lazy ? source_->LoadStats(dslot.source_index, doc) : nullptr;
-    slot.stats = loaded != nullptr ? std::move(loaded)
-                                   : std::make_unique<DocumentStats>(doc, idx);
+    slot.stats = dslot.lazy ? source_->LoadStats(dslot.source_index)
+                            : std::make_unique<DocumentStats>(*doc, *idx);
     ready = slot.stats.get();
     slot.ready.store(ready, std::memory_order_release);
   }

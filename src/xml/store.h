@@ -22,11 +22,12 @@
 //
 // Lazy residency (persistent stores, src/storage/): a Store may be backed
 // by a DocumentSource (xml/document_source.h). Attached documents start
-// non-resident and fault in on first access — node reads, indexed XPath
-// and the stats-backed optimizer all work without materializing the whole
-// corpus. BeginRead is the lease boundary: when no reader is open it evicts
-// resident attached documents, oldest fault first, while the source's
-// residency exceeds its cache limit. Eviction never bumps version(): the
+// non-resident and fault in on first access — node reads and indexed XPath
+// work without materializing the whole corpus, and the statistics the
+// optimizer reads come from the source without any fault-in. BeginRead is
+// the lease boundary: when no reader is open it evicts resident attached
+// documents, oldest fault first, while the source's residency exceeds its
+// cache limit. Eviction never bumps version(): the
 // source's reconstruction-determinism contract means a refault rebuilds a
 // field-for-field identical document, so indexes, statistics and compiled
 // plans stay valid across it.
@@ -124,18 +125,20 @@ class Store {
   /// Safe under concurrent readers: the built index is published through an
   /// atomic pointer (one acquire-load on the hot path, which does not touch
   /// the document) and cold builds are serialized by a build mutex — a
-  /// build-once latch per document. For lazily attached documents the cold
-  /// path first asks the source for a persisted index and only falls back
-  /// to building one.
+  /// build-once latch per document. A lazily attached document's index is
+  /// built the same way, from the document the cold path faults in; it
+  /// stays published across eviction and refault.
   const DocumentIndex& index(DocId id) const;
 
-  /// The document's cardinality statistics (xml/stats.h), built lazily on
-  /// first use by the cost-based optimizer (src/opt/) and cached alongside
-  /// the index with the same lifecycle: AddDocument invalidates the slot,
-  /// the built statistics are published through an atomic pointer and cold
-  /// builds are serialized by a build mutex. Building statistics forces the
-  /// index build first (the value scans walk the occurrence lists). Lazily
-  /// attached documents load persisted statistics when the source has them.
+  /// The document's cardinality statistics (xml/stats.h), made on first
+  /// use by the cost-based optimizer (src/opt/) and cached alongside the
+  /// index with the same lifecycle: AddDocument invalidates the slot, the
+  /// statistics are published through an atomic pointer and cold paths are
+  /// serialized by a build mutex. A lazily attached document's statistics
+  /// come from the source (DocumentSource::LoadStats) without faulting the
+  /// document in or building its index; an eager document's are built,
+  /// which forces the index build first (the value scans walk the
+  /// occurrence lists).
   const DocumentStats& stats(DocId id) const;
 
   /// Reader registration for the single-writer contract (see file comment).

@@ -3,16 +3,20 @@
 // identical to the text-built store it came from — byte-identical Q1–Q6
 // output and identical EvalStats across all three executors — and every
 // injected corruption mode (truncation, flipped checksum bytes, stale
-// format version, missing manifest, torn writes) must fail closed with a
-// structured engine::Error carrying the offending path.
+// format version, missing manifest, statistics that disagree with their
+// document, torn writes) must fail closed with a structured engine::Error
+// carrying the offending path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -309,10 +313,60 @@ TEST(StorageDifferentialTest, RepersistedAttachedStoreStaysIdentical) {
   EXPECT_EQ(rewarm.RunQuery(kQueries[0]).output, reference);
 }
 
+// One page file per document: the manifest holds the statistics, and
+// nothing else is written.
+TEST(StorageDifferentialTest, PersistWritesOneFilePerDocument) {
+  engine::Engine text_engine;
+  LoadCorpus(&text_engine, 25);
+  TempDir dir;
+  text_engine.PersistStore(dir.str());
+
+  auto store = storage::PersistentStore::Open(dir.str());
+  std::set<std::string> expected = {"MANIFEST.nalq"};
+  for (size_t i = 0; i < text_engine.store().size(); ++i) {
+    expected.insert("e" + std::to_string(store->epoch()) + "_doc_" +
+                    std::to_string(i) + ".nalq");
+  }
+  std::set<std::string> found;
+  uint64_t bytes = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    found.insert(entry.path().filename().string());
+    bytes += entry.file_size();
+  }
+  EXPECT_EQ(found, expected);
+  EXPECT_EQ(store->persisted_bytes(), bytes);
+}
+
 // ---------------------------------------------------------------------------
-// Index / stats cache equivalence: the persisted occurrence lists and
-// cardinality statistics must answer every probe exactly like structures
-// built from the document.
+// Index / stats equivalence: the index rebuilt from a decoded document and
+// the statistics decoded from the manifest must answer every probe exactly
+// like structures built from the text-built document.
+
+/// Compares every statistics accessor over every pair of the document's
+/// name ids.
+void ExpectSameStats(const xml::DocumentStats& built,
+                     const xml::DocumentStats& loaded, uint32_t names) {
+  EXPECT_EQ(built.element_count(), loaded.element_count());
+  EXPECT_EQ(built.attribute_count(), loaded.attribute_count());
+  EXPECT_EQ(built.text_node_count(), loaded.text_node_count());
+  for (uint32_t a = 0; a < names; ++a) {
+    EXPECT_EQ(built.ElementCount(a), loaded.ElementCount(a)) << a;
+    EXPECT_EQ(built.AttributeCount(a), loaded.AttributeCount(a)) << a;
+    EXPECT_EQ(built.DistinctElementValues(a), loaded.DistinctElementValues(a))
+        << a;
+    EXPECT_EQ(built.DistinctAttrValues(a), loaded.DistinctAttrValues(a)) << a;
+    for (uint32_t b = 0; b < names; ++b) {
+      ASSERT_EQ(built.ChildEdges(a, b), loaded.ChildEdges(a, b))
+          << a << "/" << b;
+      ASSERT_EQ(built.ParentsWithChild(a, b), loaded.ParentsWithChild(a, b))
+          << a << "/" << b;
+      ASSERT_EQ(built.DescendantEdges(a, b), loaded.DescendantEdges(a, b))
+          << a << "//" << b;
+      ASSERT_EQ(built.AttrEdges(a, b), loaded.AttrEdges(a, b))
+          << a << "/@" << b;
+    }
+  }
+}
 
 TEST(StorageDifferentialTest, LoadedIndexMatchesFreshlyBuiltIndex) {
   engine::Engine text_engine;
@@ -327,7 +381,6 @@ TEST(StorageDifferentialTest, LoadedIndexMatchesFreshlyBuiltIndex) {
   for (xml::DocId id = 0; id < warm.store().size(); ++id) {
     const xml::DocumentIndex& built = text_engine.store().index(id);
     const xml::DocumentIndex& loaded = warm.store().index(id);
-    EXPECT_EQ(built.built_node_count(), loaded.built_node_count());
     ASSERT_EQ(std::vector<xml::NodeId>(built.AllElements().begin(),
                                        built.AllElements().end()),
               std::vector<xml::NodeId>(loaded.AllElements().begin(),
@@ -365,28 +418,9 @@ TEST(StorageDifferentialTest, LoadedStatsMatchFreshlyBuiltStats) {
   for (xml::DocId id = 0; id < warm.store().size(); ++id) {
     const xml::DocumentStats& built = text_engine.store().stats(id);
     const xml::DocumentStats& loaded = warm.store().stats(id);
-    EXPECT_EQ(built.element_count(), loaded.element_count());
-    EXPECT_EQ(built.attribute_count(), loaded.attribute_count());
-    EXPECT_EQ(built.text_node_count(), loaded.text_node_count());
-    const uint32_t names = static_cast<uint32_t>(
-        text_engine.store().document(id).names().size());
-    for (uint32_t a = 0; a < names; ++a) {
-      EXPECT_EQ(built.ElementCount(a), loaded.ElementCount(a)) << a;
-      EXPECT_EQ(built.AttributeCount(a), loaded.AttributeCount(a)) << a;
-      EXPECT_EQ(built.DistinctElementValues(a), loaded.DistinctElementValues(a))
-          << a;
-      EXPECT_EQ(built.DistinctAttrValues(a), loaded.DistinctAttrValues(a)) << a;
-      for (uint32_t b = 0; b < names; ++b) {
-        ASSERT_EQ(built.ChildEdges(a, b), loaded.ChildEdges(a, b))
-            << a << "/" << b;
-        ASSERT_EQ(built.ParentsWithChild(a, b), loaded.ParentsWithChild(a, b))
-            << a << "/" << b;
-        ASSERT_EQ(built.DescendantEdges(a, b), loaded.DescendantEdges(a, b))
-            << a << "//" << b;
-        ASSERT_EQ(built.AttrEdges(a, b), loaded.AttrEdges(a, b))
-            << a << "/@" << b;
-      }
-    }
+    ExpectSameStats(built, loaded,
+                    static_cast<uint32_t>(
+                        text_engine.store().document(id).names().size()));
   }
 }
 
@@ -437,27 +471,16 @@ TEST_F(StorageCorruptionTest, FlippedPayloadByteFailsChecksum) {
   EXPECT_EQ(e.path(), doc.string());
 }
 
-TEST_F(StorageCorruptionTest, FlippedIndexByteFailsChecksumOnLoad) {
-  fs::path idx = FindStoreFile(dir_.path, "_idx_0");
-  FlipByteAt(idx, fs::file_size(idx) - 1);
-  engine::Engine warm;
-  warm.AttachStore(dir_.str());
-  xml::StoreReadLease lease(warm.store());
-  engine::Error e = CaptureError([&] { warm.store().index(0); });
-  EXPECT_EQ(e.code(), engine::ErrorCode::kStoreCorrupt) << e.what();
-  EXPECT_EQ(e.path(), idx.string());
-}
-
 TEST_F(StorageCorruptionTest, StaleFormatVersionInDataFileFailsAtOpen) {
-  fs::path sts = FindStoreFile(dir_.path, "_sts_0");
+  fs::path doc = FindStoreFile(dir_.path, "_doc_0");
   // Bytes [8,12) of every store file hold the format version, checked
   // before the header checksum so a foreign generation is reported as a
   // version mismatch, not as corruption.
-  FlipByteAt(sts, 8);
+  FlipByteAt(doc, 8);
   engine::Engine warm;
   engine::Error e = CaptureError([&] { warm.AttachStore(dir_.str()); });
   EXPECT_EQ(e.code(), engine::ErrorCode::kStoreVersionMismatch) << e.what();
-  EXPECT_EQ(e.path(), sts.string());
+  EXPECT_EQ(e.path(), doc.string());
 }
 
 TEST_F(StorageCorruptionTest, StaleFormatVersionInManifestFailsAtOpen) {
@@ -477,6 +500,49 @@ TEST_F(StorageCorruptionTest, FlippedManifestChecksumByteFailsAtOpen) {
   engine::Error e = CaptureError([&] { warm.AttachStore(dir_.str()); });
   EXPECT_EQ(e.code(), engine::ErrorCode::kStoreCorrupt) << e.what();
   EXPECT_EQ(e.path(), manifest.string());
+}
+
+// Statistics ride in the manifest under its one checksum. A manifest
+// rewritten with a recomputed checksum whose statistics disagree with their
+// document's node count opens, then fails closed on first use of those
+// statistics, naming the manifest.
+TEST_F(StorageCorruptionTest, MismatchedManifestStatisticsFailClosed) {
+  const fs::path manifest = dir_.path / "MANIFEST.nalq";
+  std::string bytes;
+  {
+    std::ifstream in(manifest, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Header: magic (8), version and endian tag (4 each), epoch (8), payload
+  // size (4); the payload's CRC-32 closes the file.
+  constexpr size_t kHeader = 28;
+  ASSERT_GT(bytes.size(), kHeader + 4);
+  const auto* base = reinterpret_cast<const uint8_t*>(bytes.data());
+  nal::codec::ByteReader r{base + kHeader, base + bytes.size() - 4};
+  uint32_t docs = 0;
+  uint64_t node_count = 0;
+  uint64_t approx_bytes = 0;
+  std::string_view name, dtd, stats;
+  ASSERT_TRUE(r.U32(&docs) && r.LengthPrefixed(&name) &&
+              r.LengthPrefixed(&dtd) && r.U64(&node_count) &&
+              r.U64(&approx_bytes) && r.LengthPrefixed(&stats));
+  // The encoded statistics open with their built_node_count.
+  bytes[stats.data() - bytes.data()] ^= 1;
+  const uint32_t crc =
+      storage::Crc32(bytes.data() + kHeader, bytes.size() - kHeader - 4);
+  std::memcpy(&bytes[bytes.size() - 4], &crc, sizeof(crc));
+  {
+    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  engine::Engine warm;
+  warm.AttachStore(dir_.str());
+  xml::StoreReadLease lease(warm.store());
+  engine::Error e = CaptureError([&] { warm.store().stats(0); });
+  EXPECT_EQ(e.code(), engine::ErrorCode::kStoreCorrupt) << e.what();
+  EXPECT_EQ(e.path(), manifest.string());
+  EXPECT_FALSE(warm.store().resident(0));
 }
 
 TEST_F(StorageCorruptionTest, MissingManifestFailsAtOpenWithErrno) {
@@ -730,6 +796,30 @@ TEST(StorageResidencyTest, DtdStampLeavesAttachedDocumentEvictableAndPersists) {
   EXPECT_NE(rewarm.dtds().Find("prices.xml"), nullptr);
 }
 
+// Statistics of an attached document come from the manifest: reading them
+// neither pages the document in nor builds its index, and they answer every
+// probe like the text-built store's.
+TEST(StorageResidencyTest, AttachedStatisticsLoadWithoutPageIn) {
+  engine::Engine text_engine;
+  LoadCorpus(&text_engine, 25);
+  TempDir dir;
+  text_engine.PersistStore(dir.str());
+
+  engine::Engine warm;
+  warm.AttachStore(dir.str());
+  const xml::Store& store = warm.store();
+  xml::StoreReadLease text_lease(text_engine.store());
+  xml::StoreReadLease warm_lease(store);
+  for (xml::DocId id = 0; id < store.size(); ++id) {
+    const xml::DocumentStats& loaded = store.stats(id);
+    EXPECT_FALSE(store.resident(id)) << store.document_name(id);
+    ExpectSameStats(text_engine.store().stats(id), loaded,
+                    static_cast<uint32_t>(
+                        text_engine.store().document(id).names().size()));
+  }
+  EXPECT_EQ(store.source()->resident_bytes(), 0u);
+}
+
 // Stored documents are immutable: even a mutable Store hands out only
 // const documents.
 static_assert(std::is_same_v<decltype(std::declval<xml::Store&>().document(0)),
@@ -875,18 +965,13 @@ TEST(StorageDifferentialTest, PersistIntoOwnAttachedDirKeepsLiveEpoch) {
 }
 
 // ---------------------------------------------------------------------------
-// Untrusted counts: a blob whose declared entry count cannot fit in the
+// Untrusted counts: statistics whose declared entry count cannot fit in the
 // bytes that follow must decode to null (→ structured kStoreCorrupt at the
 // call site), never reserve gigabytes and die with bad_alloc.
 
 TEST(StorageCodecTest, HugeDeclaredCountFailsClosedWithoutAllocating) {
   using nal::codec::PutU32;
   using nal::codec::PutU64;
-  std::string blob;
-  PutU64(&blob, 42);          // built_node_count
-  PutU32(&blob, 0xFFFFFFFFu); // all_elements_ count: 16 GB of ids declared
-  EXPECT_EQ(storage::StoreCodec::DecodeIndex(blob), nullptr);
-
   std::string stats_blob;
   PutU64(&stats_blob, 42);  // built_node_count
   PutU64(&stats_blob, 1);   // element_count
