@@ -143,8 +143,6 @@ std::string RecordLine(const BenchRecord& r) {
       << ",\"spill_runs\":" << r.stats.spill.spill_runs
       << ",\"repartitions\":" << r.stats.spill.repartitions
       << ",\"merge_passes\":" << r.stats.spill.merge_passes
-      << ",\"shared_probe_breakers\":" << r.exec.shared_probe_breakers
-      << ",\"gamma_partitions\":" << r.exec.gamma_partitions
       << ",\"exchange_dop\":" << r.exec.exchange_dop;
   char est[64];
   std::snprintf(est, sizeof(est), "%.3f", r.est_cost);

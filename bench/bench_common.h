@@ -42,10 +42,9 @@ struct BenchRecord {
   uint64_t budget = 0;    ///< memory_budget_bytes (0 = unlimited)
   double seconds = 0;
   nal::EvalStats stats;   ///< stats.spill reports the budgeted runs' spilling
-  /// Executor-private streaming counters from one run (nal/cursor.h). The
-  /// parallel-breaker fields — shared_probe_breakers, gamma_partitions,
-  /// exchange_dop — land in BENCH_results.json so CI can assert the
-  /// parallel runs actually took the parallel-breaker paths.
+  /// Executor-private streaming counters from one run (nal/cursor.h).
+  /// exchange_dop lands in BENCH_results.json so CI can assert that some
+  /// parallel run actually went wide.
   nal::StreamStats exec;
 
   // Optimizer fields, set on mode == "estimate" records (-1 otherwise):

@@ -190,13 +190,13 @@ RunResult Engine::Run(const nal::AlgebraPtr& plan, ExecMode mode,
       // One spool context carries the run's budget for either executor.
       nal::SpoolContext spool(
           nal::SpoolContext::ResolveBudgetBytes(memory_budget_bytes));
-      // Cost-driven placement (opt/parallel.h) picks the partition point
-      // and dop by price; its placement points into `plan`, which outlives
-      // the run. The same estimation walk yields the per-breaker grace
-      // admission row hints, which size partition counts from expected
-      // build volume instead of the static budget/32KB rule — all a
-      // budgeted streaming run needs (max_threads=1 skips the placement
-      // search). An unlimited streaming run needs neither.
+      // Cost-driven placement (opt/parallel.h) prices the exchange's width;
+      // dop 1 runs serial streaming in either mode. The same estimation
+      // walk yields the per-breaker grace admission row hints, which size
+      // partition counts from expected build volume instead of the static
+      // budget/32KB rule — all a budgeted streaming run needs
+      // (max_threads=1 skips the width search). An unlimited streaming run
+      // needs neither.
       std::optional<xml::StoreReadLease> lease;
       opt::ParallelPlacement place;
       if (mode == ExecMode::kParallel || spool.enabled()) {
@@ -206,14 +206,12 @@ RunResult Engine::Run(const nal::AlgebraPtr& plan, ExecMode mode,
             spool.budget().limit_bytes());
         spool.set_row_hints(&place.breaker_build_rows);
       }
-      if (mode == ExecMode::kStreaming) {
+      if (place.dop == 1) {
         result.root_tuples =
             nal::DrainStreaming(evaluator, *plan, &result.exec, &spool);
       } else {
         nal::ParallelOptions options;
-        options.threads = place.point.has_value() ? place.dop : threads;
-        options.point = place.point;
-        options.point_resolved = true;
+        options.threads = place.dop;
         result.root_tuples = nal::DrainParallel(evaluator, *plan, options,
                                                 &result.exec, &spool);
       }

@@ -88,9 +88,9 @@ struct RunResult {
   std::string output;
   nal::EvalStats stats;
   /// Executor-private streaming bookkeeping (nal/cursor.h): breaker
-  /// buffering plus the parallel-breaker counters (shared-probe builds, Γ
-  /// partitions, widest exchange dop). Unlike `stats`, NOT part of the
-  /// byte-identical cross-executor contract; all zero under kMaterializing.
+  /// buffering plus the exchange's chunk count and widest dop. Unlike
+  /// `stats`, NOT part of the byte-identical cross-executor contract; all
+  /// zero under kMaterializing.
   nal::StreamStats exec;
   /// Root tuples the run produced — the "actual rows" the benchmark
   /// harness compares against the optimizer's row estimate.

@@ -27,8 +27,8 @@ CursorPtr MakeOpCursor(const AlgebraOp& op, ExecContext& ctx);
 /// hybrid breakers (nal/probe_loops.h).
 using probe::CountProducedTuple;
 
-/// Fully drains `c` into a Sequence (the CSE cache and the exchange's shared
-/// build; charged to StreamStats by the caller).
+/// Fully drains `c` into a Sequence (the CSE cache; charged to StreamStats
+/// by the caller).
 Sequence Materialize(Cursor& c) {
   Sequence out;
   Tuple t;
@@ -654,110 +654,6 @@ CursorPtr MakeCursor(const AlgebraOp& op, ExecContext& ctx) {
                               std::make_unique<CseCursor>(op, ctx));
   }
   return MaybeProfileCursor(op, ctx, MakeOpCursor(op, ctx));
-}
-
-// ---------------------------------------------------------------------------
-// Shared-build parallel probe (cursor.h): consumer-built read-only right
-// sides + the per-worker probe cursor over them.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-bool IsProbeKind(OpKind kind) {
-  switch (kind) {
-    case OpKind::kCross:
-    case OpKind::kJoin:
-    case OpKind::kSemiJoin:
-    case OpKind::kAntiJoin:
-    case OpKind::kOuterJoin:
-    case OpKind::kGroupBinary:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// One worker's probe cursor: the JoinProbeLoops access policy backed by a
-/// shared, immutable build instead of a privately materialized one. The
-/// loops' per-left-tuple state lives in the cursor (worker-private); the
-/// build is only ever read.
-class SharedProbeCursor final : public Cursor {
- public:
-  SharedProbeCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr input,
-                    const SharedJoinBuild& build)
-      : op_(op), ctx_(ctx), input_(std::move(input)), build_(build) {}
-  void Open() override {
-    input_->Open();
-    loops_.Reset();
-    scan_pos_ = 0;
-  }
-  bool Next(Tuple* out) override { return loops_.Next(*this, out); }
-  void Close() override { input_->Close(); }
-
-  // probe::JoinProbeLoops access policy (nal/probe_loops.h).
-  ExecContext& ctx() { return ctx_; }
-  const AlgebraOp& op() const { return op_; }
-  bool LeftNext(Tuple* out) { return input_->Next(out); }
-  bool use_index() const { return build_.equi.has_value(); }
-  const SharedJoinBuild& build() const { return build_; }
-  void ScanRestart() { scan_pos_ = 0; }
-  bool ScanNext(const Tuple** r) {
-    if (scan_pos_ >= build_.right.size()) return false;
-    *r = &build_.right[scan_pos_++];
-    return true;
-  }
-
- private:
-  const AlgebraOp& op_;
-  ExecContext& ctx_;
-  CursorPtr input_;
-  const SharedJoinBuild& build_;
-  probe::JoinProbeLoops<SharedProbeCursor> loops_;
-  size_t scan_pos_ = 0;
-};
-
-}  // namespace
-
-bool IsProbePartitionableOp(const AlgebraOp& op) {
-  if (!IsProbeKind(op.kind)) return false;
-  // Same worker-safety conditions as IsPartitionableOp — workers evaluate
-  // the residual/θ predicates — plus a Ξ-free build subtree: the build runs
-  // once on the consumer during exchange Open, which matches the serial
-  // cursor's Open cascade only when that evaluation writes no output.
-  return op.cse_id < 0 && !SubscriptsContainXi(op) &&
-         !SubscriptsContainCse(op) && !ContainsXi(*op.child(1));
-}
-
-bool IsGammaPartitionableOp(const AlgebraOp& op) {
-  if (op.kind != OpKind::kGroupUnary) return false;
-  // θ-grouping rescans the whole input per key — no partitioning. Under
-  // '=', hash-partitioning by the full group key puts every group entirely
-  // in one partition, so any aggregate (min/max/sum/count/id...) works
-  // without partial-state merging.
-  if (op.theta != CmpOp::kEq) return false;
-  return op.cse_id < 0 && !SubscriptsContainXi(op) &&
-         !SubscriptsContainCse(op);
-}
-
-SharedJoinBuildPtr BuildSharedJoin(const AlgebraOp& op, ExecContext& ctx) {
-  auto b = std::make_shared<SharedJoinBuild>(op);
-  CursorPtr right = MakeCursor(*op.child(1), ctx);
-  b->right = Materialize(*right);
-  if (ctx.stream != nullptr) ctx.stream->OnBuffer(b->right.size());
-  b->IndexRight(ctx.ev->store());
-  b->Finish(op, ctx);
-  return b;
-}
-
-void ReleaseSharedJoin(SharedJoinBuild& build, ExecContext& ctx) {
-  if (ctx.stream != nullptr) ctx.stream->OnRelease(build.right.size());
-}
-
-CursorPtr MakeProbeCursorOver(const AlgebraOp& op, ExecContext& ctx,
-                              CursorPtr input, const SharedJoinBuild& build) {
-  return MaybeProfileCursor(
-      op, ctx,
-      std::make_unique<SharedProbeCursor>(op, ctx, std::move(input), build));
 }
 
 bool IsPartitionableOp(const AlgebraOp& op) {

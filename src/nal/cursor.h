@@ -54,13 +54,14 @@ struct StreamStats {
   uint64_t peak_buffered = 0;     ///< high-water mark of the above
   uint64_t materialized_nodes = 0;  ///< breaker nodes that actually buffered
   uint64_t exchange_chunks = 0;   ///< morsels dispatched by an exchange
-
-  // Parallel-breaker bookkeeping (exchange.h): which breakers the run
-  // managed to parallelize and at what width. Executor-private like the
-  // rest of StreamStats — EvalStats stays byte-identical across executors.
-  uint64_t shared_probe_breakers = 0;  ///< joins probed through a shared build
-  uint64_t gamma_partitions = 0;  ///< Γ partitions aggregated by workers
   uint64_t exchange_dop = 0;      ///< widest exchange degree of parallelism
+
+  // Never incremented: no breaker runs on an exchange worker. Kept only
+  // because perfbench reads them (perfbench/src/workloads.cpp); they go
+  // when the benchmark drops its nal.shared_probe_breakers and
+  // nal.gamma_partitions metrics.
+  uint64_t shared_probe_breakers = 0;
+  uint64_t gamma_partitions = 0;
 
   void OnBuffer(uint64_t n) {
     buffered_tuples += n;
@@ -142,60 +143,6 @@ bool IsPartitionableOp(const AlgebraOp& op);
 /// path of the exchange. Precondition: IsPartitionableOp(op).
 CursorPtr MakeCursorOver(const AlgebraOp& op, ExecContext& ctx,
                          CursorPtr input);
-
-// ---------------------------------------------------------------------------
-// Shared-build parallel probe (exchange.h tentpole): the build side of a
-// join-family breaker is materialized ONCE on the consumer thread and
-// published read-only; each exchange worker then probes it through its own
-// JoinProbeLoops over its partition of the probe stream. Safe because the
-// probe loops keep no state across left tuples, the HashIndex/Sequence are
-// immutable after Build, and the atomize/string-value memo paths they read
-// are already thread-safe (the guarantees exchange.h lists).
-// ---------------------------------------------------------------------------
-
-namespace probe {
-struct JoinBuild;  // nal/probe_loops.h
-}  // namespace probe
-
-/// The consumer-built, read-only right side of one probe-partitionable
-/// breaker: the materialized build sequence, its hash index (when the
-/// predicate has equality conjuncts), and the outer join's ⊥-padding
-/// attributes and default value — the same setup as the hybrid join's
-/// in-RAM mode. shared_ptr keeps the type opaque to exchange.cpp.
-using SharedJoinBuild = probe::JoinBuild;
-using SharedJoinBuildPtr = std::shared_ptr<SharedJoinBuild>;
-
-/// True if `op` is a join-family breaker (⋈/×/⋉/▷/outer-join/binary-Γ)
-/// whose PROBE side may be partitioned across workers against a shared
-/// build: the node is not CSE-shared, its subscripts neither write Ξ output
-/// nor evaluate CSE-carrying algebra (workers evaluate them), and the build
-/// subtree (child(1)) is Ξ-free — it runs once on the consumer, but out of
-/// serial write order relative to nothing, so any Ξ inside would still be
-/// consumer-serial; the restriction keeps the build's evaluation point
-/// unobservable.
-bool IsProbePartitionableOp(const AlgebraOp& op);
-
-/// True if `op` is a unary Γ over '=' whose group construction may be
-/// hash-partitioned across workers (exchange.h pre-aggregation): every
-/// group lives entirely in one partition, so any aggregate works without a
-/// partial-state merge. Same subscript restrictions as the probe case.
-bool IsGammaPartitionableOp(const AlgebraOp& op);
-
-/// Materializes `op`'s build side through `ctx` (consumer thread): the
-/// work the serial cursor's Open does in RAM, including the StreamStats
-/// buffer charge and the outer join's default-value evaluation.
-/// Precondition: IsProbePartitionableOp(op).
-SharedJoinBuildPtr BuildSharedJoin(const AlgebraOp& op, ExecContext& ctx);
-
-/// Releases the build's StreamStats buffer charge (call once, from the
-/// exchange's Close).
-void ReleaseSharedJoin(SharedJoinBuild& build, ExecContext& ctx);
-
-/// Builds the probe-side cursor of `op` for one worker: reads the worker's
-/// partition from `input` and probes `build` read-only. Precondition:
-/// `build` was built for this same `op` and outlives the cursor.
-CursorPtr MakeProbeCursorOver(const AlgebraOp& op, ExecContext& ctx,
-                              CursorPtr input, const SharedJoinBuild& build);
 
 /// Pull-runs `op` to exhaustion, discarding root tuples (Ξ side effects
 /// accumulate on the evaluator's output stream). Clears the CSE cache first,

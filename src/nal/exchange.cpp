@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "nal/env_knobs.h"
-#include "nal/physical.h"
-#include "nal/probe_loops.h"
 #include "nal/scheduler.h"
 #include "nal/spool.h"
 
@@ -208,27 +206,12 @@ class MergeCursor final : public Cursor {
                                   ctx_.spool->budget().limit_bytes());
     Scheduler::Global().EnsureThreads(dop_);
     state_ = std::make_shared<ExchangeState>();
-    // The source subtree opens BEFORE any shared build, and the builds run
-    // deepest-first — exactly the serial Open cascade (recursion reaches
-    // the deepest child, then unwinds building each breaker on the way
-    // up), so Ξ writes and CSE materializations inside the source subtree
-    // keep their serial positions relative to the builds.
     source_ = MakeCursor(*point_.source, ctx_);
     source_->Open();
     source_open_ = true;
     source_done_ = false;
-    shared_builds_.assign(point_.segment.size(), nullptr);
-    for (size_t i = point_.segment.size(); i-- > 0;) {
-      const AlgebraOp& seg_op = *point_.segment[i];
-      if (!IsPartitionableOp(seg_op)) {
-        shared_builds_[i] = BuildSharedJoin(seg_op, ctx_);
-      }
-    }
-    if (ctx_.stream != nullptr) {
-      if (dop_ > ctx_.stream->exchange_dop) ctx_.stream->exchange_dop = dop_;
-      for (const SharedJoinBuildPtr& b : shared_builds_) {
-        if (b != nullptr) ++ctx_.stream->shared_probe_breakers;
-      }
+    if (ctx_.stream != nullptr && dop_ > ctx_.stream->exchange_dop) {
+      ctx_.stream->exchange_dop = dop_;
     }
     for (unsigned w = 0; w < dop_; ++w) {
       auto wp = std::make_unique<WorkerPipeline>();
@@ -250,22 +233,16 @@ class MergeCursor final : public Cursor {
       // Workers reserve against the SAME accountant as the consumer (the
       // MemoryBudget is thread-safe), so one limit bounds the whole run —
       // the consumer pipeline, which runs every breaker, is not throttled
-      // to a fraction of it. (Today a worker segment holds only per-tuple
-      // operators and shared-build probes, so worker charges are
-      // theoretical until segments ever gain buffering operators.)
+      // to a fraction of it. (A worker segment holds only per-tuple
+      // operators, so worker charges are theoretical until segments ever
+      // gain buffering operators.)
       wp->spool = MakeWorkerSpool(ctx_);
       wp->ctx = ExecContext{wp->ev.get(), &wp->env, nullptr, wp->spool.get()};
       auto leaf = std::make_unique<PartitionCursor>();
       wp->leaf = leaf.get();
       CursorPtr chain = std::move(leaf);
       for (size_t i = point_.segment.size(); i-- > 0;) {
-        const AlgebraOp& seg_op = *point_.segment[i];
-        if (shared_builds_[i] != nullptr) {
-          chain = MakeProbeCursorOver(seg_op, wp->ctx, std::move(chain),
-                                      *shared_builds_[i]);
-        } else {
-          chain = MakeCursorOver(seg_op, wp->ctx, std::move(chain));
-        }
+        chain = MakeCursorOver(*point_.segment[i], wp->ctx, std::move(chain));
       }
       wp->pipeline = std::move(chain);
       state_->idle.push_back(wp.get());
@@ -308,9 +285,6 @@ class MergeCursor final : public Cursor {
           ctx_.ev->profile()->MergeFrom(*wp->profile);
         }
       }
-    }
-    for (const SharedJoinBuildPtr& b : shared_builds_) {
-      if (b != nullptr) ReleaseSharedJoin(*b, ctx_);
     }
   }
 
@@ -426,11 +400,6 @@ class MergeCursor final : public Cursor {
   const ParallelOptions options_;
   unsigned dop_ = 1;
 
-  /// Consumer-built read-only build sides, aligned with point_.segment
-  /// (null for per-tuple segment operators). Declared before state_ so the
-  /// worker pipelines (in state_) are destroyed first.
-  std::vector<SharedJoinBuildPtr> shared_builds_;
-
   std::shared_ptr<ExchangeState> state_;
   CursorPtr source_;
   bool source_open_ = false;
@@ -445,311 +414,37 @@ class MergeCursor final : public Cursor {
   size_t cpos_ = 0;
 };
 
-/// One partition's aggregation worker: a private Evaluator and
-/// SpoolContext (stats folded at Close) producing (first_seq,
-/// first_ordinal, result) triples.
-struct GammaWorker {
-  std::unique_ptr<Evaluator> ev;
-  std::unique_ptr<SpoolContext> spool;
-  Tuple env;
-  std::vector<probe::GammaRecord> part;  ///< input records, global order
-  struct Result {
-    uint64_t first_seq;
-    uint32_t first_ordinal;
-    Tuple tuple;
-  };
-  std::vector<Result> results;
-  std::exception_ptr error;
-  /// Worker-private profile clone (folded at Close); null when off.
-  std::unique_ptr<obs::ProfileCollector> profile;
-};
-
-struct GammaState {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t dispatched = 0;
-  size_t finished = 0;
-  std::atomic<bool> abort{false};
-};
-
-void RunGammaTask(const std::shared_ptr<GammaState>& state, GammaWorker* w,
-                  const AlgebraOp* g) {
-  if (!state->abort.load(std::memory_order_acquire)) {
-    obs::TraceLog::Span span(w->ev->trace(), "exchange.gamma");
-    try {
-      ExecContext wctx{w->ev.get(), &w->env, nullptr, w->spool.get()};
-      // Group emissions belong to the Γ node; the worker has no cursor
-      // chain (so no ProfileCursor scope), set the scope by hand.
-      if (w->profile != nullptr) w->profile->set_current(w->profile->Find(g));
-      // Records are partition-private copies, so members always move
-      // (value-equal to the serial cursor's move-unless-multi-key policy).
-      probe::AggregateGammaPartition(
-          w->part, *g, wctx,
-          [&](uint64_t first_seq, uint32_t first_ordinal, Tuple result) {
-            probe::CountProducedTuple(wctx);
-            w->results.push_back(GammaWorker::Result{first_seq, first_ordinal,
-                                                     std::move(result)});
-          });
-      w->part.clear();
-    } catch (...) {
-      w->error = std::current_exception();
-      w->results.clear();
-      state->abort.store(true, std::memory_order_release);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    ++state->finished;
-  }
-  state->cv.notify_all();
-}
-
-/// Partitioned pre-aggregation for the `gamma` of a PartitionPoint (a unary
-/// Γ over '='). The consumer drains the Γ input — through a MergeCursor
-/// when the point also carries a partitionable segment — and routes each
-/// tuple to one of `dop` partitions by group-key hash, so every group lives
-/// entirely in one partition and ANY aggregate works without partial-state
-/// merging. One scheduler task per non-empty partition buckets and
-/// aggregates with a private Evaluator; the consumer merges results by
-/// global first-occurrence position, which reproduces the serial ΠD
-/// emission order byte for byte. Workers count ApplyAgg work and produced
-/// groups on their own stats, folded at Close — merged EvalStats equal the
-/// serial run's.
-class GammaExchangeCursor final : public Cursor {
- public:
-  GammaExchangeCursor(const PartitionPoint& point, ExecContext& ctx,
-                      const ParallelOptions& options)
-      : point_(point), ctx_(ctx), options_(options) {}
-
-  ~GammaExchangeCursor() override { WaitForTasks(); }
-
-  void Open() override {
-    const AlgebraOp& g = *point_.gamma;
-    dop_ = ResolveParallelThreads(options_.threads,
-                                  ctx_.spool->budget().limit_bytes());
-    Scheduler::Global().EnsureThreads(dop_);
-    CursorPtr input;
-    if (point_.top != nullptr) {
-      PartitionPoint inner = point_;
-      inner.gamma = nullptr;
-      input = std::make_unique<MergeCursor>(inner, ctx_, options_);
-    } else {
-      input = MakeCursor(*point_.source, ctx_);
-    }
-    workers_.clear();
-    for (unsigned p = 0; p < dop_; ++p) {
-      workers_.push_back(std::make_unique<GammaWorker>());
-    }
-    {
-      Tuple t;
-      std::vector<Key> keys;
-      uint64_t seq = 0;
-      input->Open();
-      while (input->Next(&t)) {
-        MakeKeysInto(t, g.left_attrs, ctx_.ev->store(), &keys);
-        for (size_t k = 0; k < keys.size(); ++k) {
-          size_t p = KeyHash{}(keys[k]) % dop_;
-          ++routed_;
-          // The last key takes the tuple by move; earlier keys (a
-          // sequence-valued key fanning into several groups) copy it, like
-          // GammaBuckets' multi-key path.
-          workers_[p]->part.push_back(probe::GammaRecord{
-              seq, static_cast<uint32_t>(k), std::move(keys[k]),
-              k + 1 == keys.size() ? std::move(t) : t});
-        }
-        ++seq;
-      }
-      input->Close();
-    }
-    if (ctx_.stream != nullptr) {
-      if (routed_ > 0) {
-        ctx_.stream->OnBuffer(routed_);
-        routed_charged_ = true;
-      }
-      if (dop_ > ctx_.stream->exchange_dop) ctx_.stream->exchange_dop = dop_;
-    }
-    state_ = std::make_shared<GammaState>();
-    for (unsigned p = 0; p < dop_; ++p) {
-      GammaWorker* w = workers_[p].get();
-      if (w->part.empty()) continue;
-      w->ev = std::make_unique<Evaluator>(ctx_.ev->store());
-      w->ev->set_path_mode(ctx_.ev->path_mode());
-      w->ev->set_control(ctx_.ev->control());
-      if (ctx_.ev->profile() != nullptr) {
-        w->profile = std::make_unique<obs::ProfileCollector>(
-            ctx_.ev->profile()->CloneEmpty());
-        w->ev->set_profile(w->profile.get());
-      }
-      w->ev->set_trace(ctx_.ev->trace());
-      w->spool = MakeWorkerSpool(ctx_);
-      ++state_->dispatched;
-      std::shared_ptr<GammaState> state = state_;
-      const AlgebraOp* gp = &g;
-      Scheduler::Global().Submit([state, w, gp] { RunGammaTask(state, w, gp); });
-    }
-    if (ctx_.stream != nullptr) {
-      ctx_.stream->gamma_partitions += state_->dispatched;
-    }
-    WaitForTasks();
-    // Deterministic error propagation: the lowest partition index wins,
-    // independent of wall-clock completion order.
-    for (const auto& w : workers_) {
-      if (w->error != nullptr) std::rethrow_exception(w->error);
-    }
-    merged_.clear();
-    for (auto& w : workers_) {
-      for (GammaWorker::Result& r : w->results) merged_.push_back(std::move(r));
-      w->results.clear();
-    }
-    std::sort(merged_.begin(), merged_.end(),
-              [](const GammaWorker::Result& a, const GammaWorker::Result& b) {
-                return a.first_seq != b.first_seq
-                           ? a.first_seq < b.first_seq
-                           : a.first_ordinal < b.first_ordinal;
-              });
-    pos_ = 0;
-  }
-
-  bool Next(Tuple* out) override {
-    if (pos_ >= merged_.size()) return false;
-    // Workers already counted each group (CountProducedTuple); re-emitting
-    // must not recount.
-    *out = std::move(merged_[pos_++].tuple);
-    return true;
-  }
-
-  void Close() override {
-    if (closed_) return;
-    closed_ = true;
-    WaitForTasks();
-    if (routed_charged_ && ctx_.stream != nullptr) {
-      ctx_.stream->OnRelease(routed_);
-      routed_charged_ = false;
-    }
-    for (const auto& w : workers_) {
-      if (w->ev != nullptr) ctx_.ev->stats() += w->ev->stats();
-      if (w->profile != nullptr && ctx_.ev->profile() != nullptr) {
-        ctx_.ev->profile()->MergeFrom(*w->profile);
-      }
-    }
-  }
-
- private:
-  void WaitForTasks() {
-    if (state_ == nullptr) return;
-    std::unique_lock<std::mutex> lock(state_->mu);
-    state_->cv.wait(lock,
-                    [&] { return state_->finished == state_->dispatched; });
-  }
-
-  const PartitionPoint point_;
-  ExecContext& ctx_;
-  const ParallelOptions options_;
-  unsigned dop_ = 1;
-  uint64_t routed_ = 0;
-  bool routed_charged_ = false;
-  bool closed_ = false;
-  std::vector<std::unique_ptr<GammaWorker>> workers_;
-  std::shared_ptr<GammaState> state_;
-  std::vector<GammaWorker::Result> merged_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::optional<PartitionPoint> FindPartitionPoint(const AlgebraOp& root) {
-  return FindPartitionPoint(root, PartitionScan{});
-}
-
-std::optional<PartitionPoint> FindPartitionPoint(const AlgebraOp& root,
-                                                 const PartitionScan& scan) {
   std::vector<const AlgebraOp*> spine;
   for (const AlgebraOp* op = &root; op != nullptr;
        op = op->children.empty() ? nullptr : op->child(0).get()) {
     spine.push_back(op);
   }
-  auto segmentable = [&scan](const AlgebraOp& op) {
-    return IsPartitionableOp(op) ||
-           (scan.shared_probe && IsProbePartitionableOp(op));
-  };
   // Deepest partitionable operator, extended upward to a maximal run —
   // deepest because that is where the tuple stream is widest (right above
   // the unnest that expands the document scan).
-  int bottom = -1;
-  for (int i = static_cast<int>(spine.size()) - 1; i >= 0; --i) {
-    if (segmentable(*spine[i])) {
-      bottom = i;
-      break;
-    }
+  int bottom = static_cast<int>(spine.size()) - 1;
+  while (bottom >= 0 && !IsPartitionableOp(*spine[bottom])) --bottom;
+  if (bottom < 0) return std::nullopt;
+  int top = bottom;
+  while (top > 0 && IsPartitionableOp(*spine[top - 1])) --top;
+  // Segment operators are unary, so the spine continues below `bottom`.
+  // Demote non-expanding tail operators (□, the doc() binding χ, σ...)
+  // into the source until it is Υ/μ-rooted: chunking only pays on a
+  // producer that actually fans out into many tuples.
+  int src = bottom + 1;
+  while (!IsExpanding(*spine[src])) {
+    if (bottom < top) return std::nullopt;
+    src = bottom--;
   }
-  std::optional<PartitionPoint> point;
-  int top = 0;
-  if (bottom >= 0) {
-    top = bottom;
-    while (top > 0 && segmentable(*spine[top - 1])) --top;
-    // Every segment op keeps the spine on child(0) (probe side for the
-    // breakers), so the spine continues below `bottom`.
-    int src = bottom + 1;
-    // Demote non-expanding tail operators (□, the doc() binding χ, σ...)
-    // into the source until it is Υ/μ-rooted: chunking only pays on a
-    // producer that actually fans out into many tuples.
-    bool viable = true;
-    while (!IsExpanding(*spine[src])) {
-      if (bottom < top) {
-        viable = false;
-        break;
-      }
-      src = bottom;
-      --bottom;
-    }
-    if (viable && bottom >= top) {
-      point.emplace();
-      point->top = spine[top];
-      point->segment.assign(spine.begin() + top, spine.begin() + bottom + 1);
-      point->source = spine[src];
-    }
-  }
-  if (scan.gamma) {
-    if (point.has_value()) {
-      // A partitionable Γ directly above the segment extends the same
-      // exchange: workers stream the segment AND pre-aggregate.
-      if (top > 0 && IsGammaPartitionableOp(*spine[top - 1])) {
-        point->gamma = spine[top - 1];
-      }
-    } else {
-      // No partitionable segment — a Γ alone still parallelizes: its input
-      // runs serially on the consumer, the aggregation is partitioned.
-      // Deepest first (widest input).
-      for (int i = static_cast<int>(spine.size()) - 1; i >= 0; --i) {
-        if (IsGammaPartitionableOp(*spine[i])) {
-          point.emplace();
-          point->gamma = spine[i];
-          point->source = spine[i + 1];
-          break;
-        }
-      }
-    }
-  }
+  if (bottom < top) return std::nullopt;
+  PartitionPoint point;
+  point.top = spine[top];
+  point.segment.assign(spine.begin() + top, spine.begin() + bottom + 1);
+  point.source = spine[src];
   return point;
-}
-
-std::vector<PartitionPoint> EnumeratePartitionPoints(const AlgebraOp& root) {
-  std::vector<PartitionPoint> out;
-  auto add = [&out](std::optional<PartitionPoint> p) {
-    if (!p.has_value()) return;
-    for (const PartitionPoint& q : out) {
-      if (q.top == p->top && q.source == p->source && q.gamma == p->gamma &&
-          q.segment == p->segment) {
-        return;
-      }
-    }
-    out.push_back(std::move(*p));
-  };
-  add(FindPartitionPoint(root, PartitionScan{false, false}));
-  add(FindPartitionPoint(root, PartitionScan{true, false}));
-  add(FindPartitionPoint(root, PartitionScan{false, true}));
-  add(FindPartitionPoint(root, PartitionScan{true, true}));
-  return out;
 }
 
 namespace {
@@ -767,26 +462,11 @@ uint64_t RunParallel(Evaluator& ev, const AlgebraOp& op,
   std::optional<SpoolContext> local_spool;
   Tuple env;
   ExecContext ctx{&ev, &env, stream, &RunSpool(spool, &local_spool, ev)};
-  // Placement: a resolved caller choice (the cost-driven chooser,
-  // opt/parallel.h) is honored as-is; an unresolved run scans for itself —
-  // breaker-extended only when the whole run is unlimited, because the
-  // extended breakers (shared builds, routed Γ partitions) buffer in RAM.
-  // Under a finite budget the legacy per-tuple segment keeps every breaker
-  // on the consumer, where the spool layer bounds it.
-  std::optional<PartitionPoint> point;
-  if (options.point_resolved) {
-    point = options.point;
-  } else {
-    const bool unlimited = !ctx.spool->enabled();
-    point = FindPartitionPoint(op, PartitionScan{unlimited, unlimited});
-  }
-  if (point.has_value() && point->injection() != nullptr) {
-    ctx.exchange_op = point->injection();
+  std::optional<PartitionPoint> point = FindPartitionPoint(op);
+  if (point.has_value()) {
+    ctx.exchange_op = point->top;
     const PartitionPoint* pp = &*point;
     ctx.make_exchange = [pp, &options](ExecContext& c) -> CursorPtr {
-      if (pp->gamma != nullptr) {
-        return std::make_unique<GammaExchangeCursor>(*pp, c, options);
-      }
       return std::make_unique<MergeCursor>(*pp, c, options);
     };
   }

@@ -23,9 +23,13 @@
 //     Close (EvalStats::operator+=) reproduces the serial totals.
 // tests/exchange_exec_test.cpp asserts both differentially.
 //
+// Pipeline breakers never join a segment: they stay above the exchange on
+// the consumer thread, where the spool layer bounds them at any budget.
+//
 // Shared read paths that make this safe: the store's build-once index latch
-// (xml/store.h), the mutex-guarded node string-value memo (xml/node.h) and
-// the per-thread scratch buffers in xpath.cpp/physical.cpp.
+// (xml/store.h), the node string-value memo (xml/node.h: a hit is one
+// acquire load, only a fill takes its mutex) and the per-thread scratch
+// buffers in xpath.cpp/physical.cpp.
 #ifndef NALQ_NAL_EXCHANGE_H_
 #define NALQ_NAL_EXCHANGE_H_
 
@@ -37,39 +41,22 @@
 namespace nalq::nal {
 
 /// A chosen cut of the plan: `segment` (top-down, segment.front() == top)
-/// is the run of partitionable operators every worker clones; `source` is
-/// the producer subtree below it, evaluated serially. The segment may
-/// contain probe-partitionable breakers (IsProbePartitionableOp): their
-/// build sides are materialized once on the consumer and probed read-only
-/// by every worker. `gamma`, when set, is a partitionable unary Γ sitting
-/// directly above `top` (or directly above `source` when the segment is
-/// empty) whose groups are hash-partitioned across workers and merged in
-/// first-occurrence order.
+/// is the run of per-tuple operators every worker clones; `source` is the
+/// producer subtree below it, evaluated serially.
 struct PartitionPoint {
   const AlgebraOp* top = nullptr;
   std::vector<const AlgebraOp*> segment;
   const AlgebraOp* source = nullptr;
-  const AlgebraOp* gamma = nullptr;
-
-  /// The node MakeCursor's exchange injection replaces: the Γ when the
-  /// point carries one, else the segment top.
-  const AlgebraOp* injection() const { return gamma != nullptr ? gamma : top; }
 };
 
 struct ParallelOptions {
   /// Degree of parallelism (worker pipelines / concurrent chunk tasks).
-  /// 0 = std::thread::hardware_concurrency().
+  /// 0 = the NALQ_THREADS environment knob, else one worker per hardware
+  /// core (ResolveParallelThreads).
   unsigned threads = 0;
   /// Morsel size: the producer streams fixed-size chunks, dispatched
   /// round-robin — bounded memory, overlap of production and processing.
   uint32_t chunk_tuples = 64;
-  /// Caller-chosen partition point (the cost-driven chooser in
-  /// opt/parallel.h). Honored only when `point_resolved` is true; a
-  /// resolved-but-empty point forces serial streaming. When unresolved the
-  /// run picks its own point: the breaker-extended scan under an unlimited
-  /// budget, the per-tuple legacy scan otherwise.
-  std::optional<PartitionPoint> point;
-  bool point_resolved = false;
 };
 
 /// Per-worker footprint the budget accountant cannot see — the dispatch-
@@ -77,16 +64,6 @@ struct ParallelOptions {
 /// worker count is clamped to budget / this (minimum one), keeping that
 /// uncharged memory proportional to the budget.
 inline constexpr uint64_t kMinWorkerBudgetBytes = 256 * 1024;
-
-/// What FindPartitionPoint may put in a segment beyond the per-tuple
-/// operators. Both extensions keep breaker state in RAM (the shared build /
-/// the routed partitions), so callers enable them only on unlimited-budget
-/// runs; under a finite budget the legacy per-tuple segment keeps every
-/// breaker on the consumer where the spool layer bounds it.
-struct PartitionScan {
-  bool shared_probe = false;  ///< allow IsProbePartitionableOp breakers
-  bool gamma = false;         ///< allow a Γ pre-aggregation extension
-};
 
 /// The effective degree of parallelism for a `threads` request: the request
 /// itself when non-zero, else the NALQ_THREADS environment knob (malformed
@@ -102,20 +79,6 @@ unsigned ResolveParallelThreads(unsigned threads, uint64_t budget_bytes);
 /// real cardinality. nullopt if the plan has no such cut — the caller falls
 /// back to serial streaming.
 std::optional<PartitionPoint> FindPartitionPoint(const AlgebraOp& root);
-
-/// Scan-controlled form: `scan.shared_probe` admits probe-partitionable
-/// breakers into the segment, `scan.gamma` additionally attaches a
-/// partitionable Γ directly above it (or alone when no segment exists).
-/// FindPartitionPoint(root) == FindPartitionPoint(root, {}) — the legacy
-/// per-tuple rule.
-std::optional<PartitionPoint> FindPartitionPoint(const AlgebraOp& root,
-                                                 const PartitionScan& scan);
-
-/// Every distinct candidate placement the cost-driven chooser
-/// (opt/parallel.h) prices: the legacy per-tuple point, the probe-extended
-/// point, and their Γ-extended variants, deduplicated. Order is
-/// deterministic; may be empty.
-std::vector<PartitionPoint> EnumeratePartitionPoints(const AlgebraOp& root);
 
 /// Pull-runs `op` with the partitionable segment executed in parallel,
 /// discarding root tuples — the parallel counterpart of DrainStreaming.

@@ -1,9 +1,8 @@
-// Shared join/Γ building blocks: the probe loops of the hybrid join
-// (spool.cpp) and of the exchange's shared-build probe (cursor.cpp), the
-// in-RAM join build side both of them probe, and the per-partition Γ
-// aggregation of the spilled Γ (spool.cpp) and the exchange's Γ workers
-// (exchange.cpp). One implementation each, so every executor and budget
-// runs the same code (asserted differentially by tests/spool_test.cpp and
+// Join/Γ building blocks of the hybrid breakers (spool.cpp): the probe
+// loops of the hybrid join, the in-RAM join build side they probe, and the
+// per-partition Γ aggregation of the spilled Γ. The breakers run only on
+// the consumer thread, so every executor and budget runs this one code
+// (asserted differentially by tests/spool_test.cpp and
 // tests/parallel_breakers_test.cpp).
 //
 // Access policy of the probe loops — the cursor itself, exposing:
@@ -48,9 +47,8 @@ inline void CountProducedTuple(ExecContext& ctx) {
 /// In-RAM build side of a join-family breaker (⋈/×/⋉/▷/outer join/binary
 /// Γ): the buffered right input, the equality conjuncts the hash path
 /// probes — a '='-nest-join's attribute lists, with no residual — the index
-/// over them, and the outer join's ⊥ padding and default. One setup, shared
-/// by the hybrid join (spool.cpp) and the exchange's consumer-built shared
-/// build (BuildSharedJoin, cursor.cpp).
+/// over them, and the outer join's ⊥ padding and default: the hybrid join's
+/// (spool.cpp) in-RAM mode.
 struct JoinBuild {
   explicit JoinBuild(const AlgebraOp& op) {
     switch (op.kind) {
@@ -309,8 +307,7 @@ class JoinProbeLoops {
 
 // ---------------------------------------------------------------------------
 // Unary Γ — group emission of the hybrid Γ (spool.cpp) and the
-// per-partition aggregation it shares with the exchange's Γ workers
-// (exchange.cpp).
+// per-partition aggregation of its spilled mode.
 // ---------------------------------------------------------------------------
 
 /// One Γ output tuple: the group key's attributes plus g = f(group).

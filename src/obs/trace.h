@@ -6,8 +6,8 @@
 // span closes once, so contention is per-span, not per-tuple). The service
 // opens one log per query when a trace directory is configured and records
 // the submit→admit→compile/cache→execute lifecycle; the engine adds an
-// execute span and the exchange adds one span per worker chunk / Γ
-// partition task. Export is the Chrome trace_event "X" (complete event)
+// execute span and the exchange adds one span per worker chunk task.
+// Export is the Chrome trace_event "X" (complete event)
 // format — load the file in chrome://tracing or Perfetto.
 //
 // When tracing is off no TraceLog exists and every recording site is a

@@ -1,10 +1,7 @@
 #include "opt/parallel.h"
 
 #include <algorithm>
-#include <vector>
-
-#include "nal/analysis.h"
-#include "nal/physical.h"
+#include <optional>
 
 namespace nalq::opt {
 
@@ -12,7 +9,6 @@ namespace {
 
 using nal::AlgebraOp;
 using nal::OpKind;
-using nal::PartitionPoint;
 
 bool IsJoinFamily(OpKind k) {
   return k == OpKind::kCross || k == OpKind::kJoin ||
@@ -56,36 +52,6 @@ double CpuOf(const std::map<const AlgebraOp*, OpEstimate>& rec,
   return it == rec.end() ? 0.0 : it->second.cpu;
 }
 
-/// CPU the consumer thread keeps even inside the parallel section: the
-/// build sides of the segment's probe breakers (subtree + the build's own
-/// hashing/materialization) and the Γ merge-and-emit tail.
-double SerialWithinSection(const PartitionPoint& point,
-                           const std::map<const AlgebraOp*, OpEstimate>& rec,
-                           const CostConstants& k) {
-  double serial = 0;
-  for (const AlgebraOp* seg : point.segment) {
-    if (!IsJoinFamily(seg->kind) || seg->children.size() < 2) continue;
-    const AlgebraOp* build = seg->child(1).get();
-    serial += CpuOf(rec, build);
-    double build_rows = RowsOf(rec, build);
-    if (seg->kind == OpKind::kCross) {
-      serial += build_rows * k.tuple;
-    } else if (seg->kind == OpKind::kGroupBinary) {
-      serial += build_rows * k.hash_build;
-    } else if (seg->pred != nullptr) {
-      auto equi = nal::ExtractEquiPredicate(
-          seg->pred, nal::OutputAttrs(*seg->child(0)).attrs,
-          nal::OutputAttrs(*seg->child(1)).attrs);
-      if (equi.has_value()) serial += build_rows * k.hash_build;
-    }
-  }
-  if (point.gamma != nullptr) {
-    // The merge re-emits one tuple per group on the consumer.
-    serial += RowsOf(rec, point.gamma) * k.tuple;
-  }
-  return serial;
-}
-
 }  // namespace
 
 ParallelPlacement ChooseParallelPlacement(const xml::Store& store,
@@ -107,34 +73,20 @@ ParallelPlacement ChooseParallelPlacement(const xml::Store& store,
       nal::ResolveParallelThreads(max_threads, memory_budget_bytes);
   if (max_dop <= 1) return out;  // serial by construction
 
-  // Candidate cuts mirror the exchange's own budget gating: the extended
-  // breakers (shared builds, routed Γ partitions) buffer in RAM, so finite
-  // budgets price only the legacy per-tuple cut.
-  std::vector<PartitionPoint> candidates;
-  if (memory_budget_bytes == 0) {
-    candidates = nal::EnumeratePartitionPoints(root);
-  } else {
-    std::optional<PartitionPoint> legacy = nal::FindPartitionPoint(root);
-    if (legacy.has_value()) candidates.push_back(*legacy);
-  }
+  std::optional<nal::PartitionPoint> cut = nal::FindPartitionPoint(root);
+  if (!cut.has_value()) return out;
 
   const CostConstants& k = model.constants();
-  for (const PartitionPoint& cand : candidates) {
-    const AlgebraOp* inj = cand.injection();
-    if (inj == nullptr || cand.source == nullptr) continue;
-    double section = CpuOf(rec, inj) - CpuOf(rec, cand.source);
-    double parallel_cpu =
-        std::max(section - SerialWithinSection(cand, rec, k), 0.0);
-    double serial_cpu = total.cpu_cost - parallel_cpu;
-    double exchange = RowsOf(rec, cand.source) * k.exchange_tuple;
-    for (unsigned dop = 2; dop <= max_dop; ++dop) {
-      double cost = serial_cpu + parallel_cpu / dop + exchange +
-                    dop * k.worker_setup + total.io_cost;
-      if (cost < out.est_parallel_cost) {
-        out.est_parallel_cost = cost;
-        out.point = cand;
-        out.dop = dop;
-      }
+  double parallel_cpu =
+      std::max(CpuOf(rec, cut->top) - CpuOf(rec, cut->source), 0.0);
+  double serial_cpu = total.cpu_cost - parallel_cpu;
+  double exchange = RowsOf(rec, cut->source) * k.exchange_tuple;
+  for (unsigned dop = 2; dop <= max_dop; ++dop) {
+    double cost = serial_cpu + parallel_cpu / dop + exchange +
+                  dop * k.worker_setup + total.io_cost;
+    if (cost < out.est_parallel_cost) {
+      out.est_parallel_cost = cost;
+      out.dop = dop;
     }
   }
   return out;

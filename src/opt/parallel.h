@@ -1,25 +1,24 @@
-// Cost-driven parallel placement: where to cut a plan for the exchange,
-// and at what degree of parallelism.
+// Cost-driven parallel placement: at what degree of parallelism a plan
+// runs its exchange.
 //
-// The exchange layer (nal/exchange.h) can cut a plan at several points —
-// the legacy per-tuple segment, the probe-extended segment whose join
-// breakers share one consumer-built hash table, and their Γ-pre-aggregation
-// variants. Before this chooser the executor always took the deepest
-// eligible cut; here every candidate is priced with the cardinality
-// estimates (opt/cardinality.h) and the calibrated cost constants
+// The exchange (nal/exchange.h) has one cut, the per-tuple run that
+// nal::FindPartitionPoint finds above the expanding producer; it depends
+// only on the plan. This chooser prices that cut's width with the
+// cardinality estimates (opt/cardinality.h) and the cost constants
 // (opt/cost_constants.h):
 //
-//   cost(point, dop) = serial_cpu + parallel_cpu / dop
-//                    + source_rows × exchange_tuple
-//                    + dop × worker_setup + spill_io
+//   cost(dop) = serial_cpu + parallel_cpu / dop
+//             + source_rows × exchange_tuple
+//             + dop × worker_setup + spill_io
 //
-// where parallel_cpu is the work between the source and the injection node
-// that workers actually share (probe loops, per-tuple operators, Γ
-// bucketing), and serial_cpu is everything else — the source subtree, the
-// consumer-built build sides, the Γ merge, and the plan above the exchange.
-// The cheapest (point, dop) wins; if no parallel placement beats the serial
-// cost (small inputs cannot amortize worker_setup), the placement is
-// "resolved serial" and the run streams on one thread.
+// where parallel_cpu is the estimated CPU between the source and the cut's
+// top (the per-tuple work the workers share), and serial_cpu is everything
+// else: the source subtree and the plan above the exchange, every pipeline
+// breaker included. dop 1 means serial and costs the plan's serial cost;
+// the cheapest dop wins, so small inputs that cannot amortize worker_setup
+// stay serial. The memory budget clamps the widest dop
+// (nal::ResolveParallelThreads) and prices spill I/O; it does not move the
+// cut.
 //
 // The same estimation walk yields per-breaker build-side row estimates,
 // handed to the spool layer (SpoolContext::set_row_hints) so grace
@@ -30,19 +29,16 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 
 #include "nal/exchange.h"
 #include "opt/cardinality.h"
 
 namespace nalq::opt {
 
-/// The chooser's output. `point` holds borrowed pointers into the plan the
-/// chooser saw — the plan must stay alive through the run. An empty `point`
-/// means "serial streaming beats every parallel placement"; pass it with
-/// ParallelOptions::point_resolved = true so the exchange does not rescan.
+/// The chooser's output. `dop` 1 means serial streaming beats every
+/// parallel width (or the plan has no cut); otherwise run the exchange with
+/// ParallelOptions::threads = dop.
 struct ParallelPlacement {
-  std::optional<nal::PartitionPoint> point;
   unsigned dop = 1;
   double est_serial_cost = 0;    ///< whole-plan serial cost (comparison base)
   double est_parallel_cost = 0;  ///< cost of the chosen placement at `dop`
@@ -51,11 +47,9 @@ struct ParallelPlacement {
   std::map<const nal::AlgebraOp*, double> breaker_build_rows;
 };
 
-/// Prices every candidate partition point of `root` under
-/// `memory_budget_bytes` (0 = unlimited; finite budgets restrict candidates
-/// to the legacy per-tuple cut, matching the exchange's own gating) and a
-/// dop grid up to ResolveParallelThreads(max_threads, budget). Never
-/// throws on odd plans — no candidates simply yields a serial placement.
+/// Prices the cut of `root` under `memory_budget_bytes` (0 = unlimited) at
+/// every dop up to ResolveParallelThreads(max_threads, budget). Never
+/// throws on odd plans — a plan without a cut simply yields dop 1.
 ParallelPlacement ChooseParallelPlacement(const xml::Store& store,
                                           const nal::AlgebraOp& root,
                                           unsigned max_threads,

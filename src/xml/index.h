@@ -10,13 +10,13 @@
 // subtree" shortcut the paper's Natix testbed provides its unnested plans.
 //
 // Indexes are owned and invalidated by the Store (store.h) and built lazily
-// on first indexed path evaluation; one O(n) scan of the node vector, since
-// ascending NodeId already is preorder.
+// on first indexed path evaluation: one O(n) pass counts the occurrences per
+// name id, a second fills lists allocated at exactly those sizes, in
+// ascending NodeId order, which already is preorder.
 #ifndef NALQ_XML_INDEX_H_
 #define NALQ_XML_INDEX_H_
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "xml/node.h"
@@ -25,7 +25,7 @@ namespace nalq::xml {
 
 class DocumentIndex {
  public:
-  /// Builds the index with one pass over `doc`'s node vector.
+  /// Builds the index with two passes over `doc`'s node vector.
   explicit DocumentIndex(const Document& doc);
 
   /// Preorder-sorted ids of the elements named `name_id` (empty span if the
@@ -40,8 +40,10 @@ class DocumentIndex {
   std::span<const NodeId> TextNodes() const { return text_nodes_; }
 
  private:
-  std::unordered_map<uint32_t, std::vector<NodeId>> elements_;
-  std::unordered_map<uint32_t, std::vector<NodeId>> attributes_;
+  // Occurrence lists indexed by name id (ids are dense below
+  // doc.names().size()).
+  std::vector<std::vector<NodeId>> elements_;
+  std::vector<std::vector<NodeId>> attributes_;
   std::vector<NodeId> all_elements_;
   std::vector<NodeId> text_nodes_;
 };

@@ -1,11 +1,11 @@
-// Differential and unit suite for the parallel breakers (PR 8): shared-build
-// probe partitioning, partitioned Γ pre-aggregation, the cost-driven
-// placement chooser, the row-hint grace-admission policy, and the
-// NALQ_THREADS knob. The differential half re-runs every plan alternative of
-// the paper's Q1–Q6 at threads {1, 2, 4, hw} × budgets {unlimited, 1 MB}
-// with the extended partition points enabled and asserts byte-identical Ξ
-// output, identical root tuples and identical merged (non-spill) EvalStats
-// against serial streaming — the cross-executor contract of src/nal/README.md.
+// Differential and unit suite for parallel runs over plans with pipeline
+// breakers: the cost-driven placement chooser, the row-hint grace-admission
+// policy, and the NALQ_THREADS knob. The breakers stay on the consumer
+// thread, above the exchange's per-tuple cut. The differential half re-runs
+// every plan alternative of the paper's Q1–Q6 at threads {1, 2, 4, hw} ×
+// budgets {unlimited, 1 MB} and asserts byte-identical Ξ output, identical
+// root tuples and identical merged (non-spill) EvalStats against serial
+// streaming — the cross-executor contract of src/nal/README.md.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,14 +20,11 @@
 #include "nal/spool.h"
 #include "opt/parallel.h"
 #include "test_util.h"
-#include "xml/store.h"
 
 namespace nalq::nal {
 namespace {
 
-using testutil::I;
 using testutil::SeqEq;
-using testutil::Table;
 
 unsigned Hardware() {
   unsigned hw = std::thread::hardware_concurrency();
@@ -61,92 +58,6 @@ std::vector<unsigned> ThreadSweep() {
          << expected.predicate_evals << " vs " << actual.predicate_evals
          << ", xpath steps " << expected.xpath.steps_evaluated << " vs "
          << actual.xpath.steps_evaluated;
-}
-
-// ---------------------------------------------------------------------------
-// Unit helpers: partitionability predicates and candidate enumeration
-// ---------------------------------------------------------------------------
-
-AlgebraPtr TwoColTable(unsigned seed, size_t rows, int domain) {
-  testutil::RandomRelation rng(seed);
-  return Table(rng.Make({"A", "B"}, rows, domain));
-}
-
-/// σ_{C≠0}(table{C,D}) — a probe pipeline with a real per-tuple segment.
-AlgebraPtr ProbePipeline(unsigned seed, size_t rows, int domain) {
-  testutil::RandomRelation rng(seed);
-  return Select(MakeCmp(CmpOp::kNe, MakeAttrRef(Symbol("C")), MakeConst(I(0))),
-                Table(rng.Make({"C", "D"}, rows, domain)));
-}
-
-TEST(ProbePartitionableTest, EquiJoinOverTablesQualifies) {
-  AlgebraPtr join =
-      Join(MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("C")),
-                   MakeAttrRef(Symbol("A"))),
-           ProbePipeline(1, 24, 4), TwoColTable(2, 12, 4));
-  EXPECT_TRUE(IsProbePartitionableOp(*join));
-}
-
-TEST(ProbePartitionableTest, XiInsideBuildSideDisqualifies) {
-  XiProgram program;
-  program.push_back(XiCommand::Literal("x"));
-  AlgebraPtr join =
-      Join(MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("C")),
-                   MakeAttrRef(Symbol("A"))),
-           ProbePipeline(1, 24, 4),
-           XiSimple(std::move(program), TwoColTable(2, 12, 4)));
-  EXPECT_FALSE(IsProbePartitionableOp(*join));
-}
-
-TEST(GammaPartitionableTest, EqualityGroupingQualifiesThetaDoesNot) {
-  AggSpec count;
-  count.kind = AggSpec::Kind::kCount;
-  AlgebraPtr eq = GroupUnary(Symbol("G"), CmpOp::kEq, {Symbol("A")}, count,
-                             TwoColTable(3, 24, 4));
-  EXPECT_TRUE(IsGammaPartitionableOp(*eq));
-  AggSpec count2;
-  count2.kind = AggSpec::Kind::kCount;
-  AlgebraPtr theta = GroupUnary(Symbol("G"), CmpOp::kLt, {Symbol("A")}, count2,
-                                TwoColTable(4, 24, 4));
-  EXPECT_FALSE(IsGammaPartitionableOp(*theta));
-}
-
-TEST(EnumeratePartitionPointsTest, ProbeExtensionAddsTheJoinCandidate) {
-  AlgebraPtr join =
-      Join(MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("C")),
-                   MakeAttrRef(Symbol("A"))),
-           ProbePipeline(5, 24, 4), TwoColTable(6, 12, 4));
-  std::vector<PartitionPoint> points = EnumeratePartitionPoints(*join);
-  ASSERT_FALSE(points.empty());
-  bool any_contains_join = false;
-  for (const PartitionPoint& p : points) {
-    for (const AlgebraOp* seg : p.segment) {
-      if (seg == join.get()) any_contains_join = true;
-    }
-  }
-  EXPECT_TRUE(any_contains_join)
-      << "no candidate extends the segment through the shared-build probe";
-  // The legacy rule stays reachable: the 1-arg form equals scan = {}.
-  std::optional<PartitionPoint> legacy = FindPartitionPoint(*join);
-  std::optional<PartitionPoint> legacy2 = FindPartitionPoint(*join, {});
-  ASSERT_EQ(legacy.has_value(), legacy2.has_value());
-  if (legacy.has_value()) {
-    EXPECT_EQ(legacy->source, legacy2->source);
-    EXPECT_EQ(legacy->segment.size(), legacy2->segment.size());
-  }
-}
-
-TEST(EnumeratePartitionPointsTest, GammaExtensionAttachesTheGamma) {
-  AggSpec count;
-  count.kind = AggSpec::Kind::kCount;
-  AlgebraPtr gamma = GroupUnary(Symbol("G"), CmpOp::kEq, {Symbol("C")}, count,
-                                ProbePipeline(7, 24, 4));
-  std::vector<PartitionPoint> points = EnumeratePartitionPoints(*gamma);
-  bool any_gamma = false;
-  for (const PartitionPoint& p : points) {
-    if (p.gamma == gamma.get()) any_gamma = true;
-  }
-  EXPECT_TRUE(any_gamma) << "no candidate routes the Γ to the workers";
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +155,6 @@ TEST_F(PlacementChooserTest, SerialCapYieldsSerialPlacement) {
   opt::ParallelPlacement place = opt::ChooseParallelPlacement(
       engine_.store(), *q.best.plan, /*max_threads=*/1,
       /*memory_budget_bytes=*/0);
-  EXPECT_FALSE(place.point.has_value());
   EXPECT_EQ(place.dop, 1u);
   EXPECT_EQ(place.est_parallel_cost, place.est_serial_cost);
 }
@@ -264,13 +174,10 @@ TEST_F(PlacementChooserTest, ParallelNeverPricedAboveSerial) {
     opt::ParallelPlacement place = opt::ChooseParallelPlacement(
         engine_.store(), *alt.plan, /*max_threads=*/4, 0);
     EXPECT_LE(place.est_parallel_cost, place.est_serial_cost);
-    if (place.point.has_value()) {
-      EXPECT_GE(place.dop, 2u);
-      EXPECT_LE(place.dop, 4u);
-      EXPECT_NE(place.point->source, nullptr);
-      EXPECT_NE(place.point->injection(), nullptr);
-    } else {
-      EXPECT_EQ(place.dop, 1u);
+    EXPECT_GE(place.dop, 1u);
+    EXPECT_LE(place.dop, 4u);
+    if (place.dop >= 2) {
+      EXPECT_TRUE(FindPartitionPoint(*alt.plan).has_value());
     }
   }
 }
@@ -309,14 +216,12 @@ TEST_F(PlacementChooserTest, ChoiceIsDeterministic) {
       opt::ChooseParallelPlacement(engine_.store(), *q.best.plan, 4, 0);
   opt::ParallelPlacement b =
       opt::ChooseParallelPlacement(engine_.store(), *q.best.plan, 4, 0);
-  EXPECT_EQ(a.point.has_value(), b.point.has_value());
   EXPECT_EQ(a.dop, b.dop);
   EXPECT_EQ(a.est_parallel_cost, b.est_parallel_cost);
 }
 
 // ---------------------------------------------------------------------------
-// Differential suite: Q1–Q6 × every alternative × threads × budgets, with
-// the extended (shared-probe / Γ) partition points in play
+// Differential suite: Q1–Q6 × every alternative × threads × budgets
 // ---------------------------------------------------------------------------
 
 class ParallelBreakersQueryTest : public ::testing::Test {
@@ -480,45 +385,6 @@ TEST_F(ParallelBreakersQueryTest, EnginePlacementMatchesStreaming) {
       EXPECT_EQ(s.root_tuples, p.root_tuples);
     }
   }
-}
-
-// Forced shared-probe and routed-Γ execution on synthetic relations big
-// enough that every worker sees real partitions: the StreamStats counters
-// must witness the parallel-breaker paths actually ran.
-TEST(ParallelBreakersForcedTest, SharedProbeAndGammaCountersWitnessTheRun) {
-  xml::Store store;
-  testutil::RandomRelation rng(11);
-  AlgebraPtr probe = Select(
-      MakeCmp(CmpOp::kNe, MakeAttrRef(Symbol("C")), MakeConst(I(-1))),
-      Table(rng.Make({"C", "D"}, 96, 6)));
-  AlgebraPtr join = Join(
-      MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("C")), MakeAttrRef(Symbol("A"))),
-      std::move(probe), Table(rng.Make({"A", "B"}, 48, 6)));
-  AggSpec count;
-  count.kind = AggSpec::Kind::kCount;
-  AlgebraPtr plan =
-      GroupUnary(Symbol("G"), CmpOp::kEq, {Symbol("C")}, count,
-                 std::move(join));
-
-  Evaluator streaming(store);
-  Sequence expected = ExecuteStreaming(streaming, *plan);
-
-  ParallelOptions options;
-  options.threads = 4;
-  options.chunk_tuples = 8;
-  Evaluator parallel(store);
-  StreamStats stream;
-  // The extended cuts run only under an unlimited budget; pin one so an
-  // NALQ_MEMORY_BUDGET_BYTES run (CI's 1 MB pass) still takes them.
-  SpoolContext unlimited(0);
-  Sequence actual =
-      ExecuteParallel(parallel, *plan, options, &stream, &unlimited);
-
-  EXPECT_TRUE(SeqEq(expected, actual));
-  EXPECT_EQ(streaming.output(), parallel.output());
-  EXPECT_GE(stream.exchange_dop, 2u);
-  EXPECT_GE(stream.shared_probe_breakers, 1u);
-  EXPECT_GE(stream.gamma_partitions, 1u);
 }
 
 }  // namespace
