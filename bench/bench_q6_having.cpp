@@ -3,6 +3,11 @@
 //
 // Plans {nested, grouping (Eqv. 3)} over bids.xml with 100/1000/10000 bids
 // (items = bids / 5).
+//
+// E6b: the same having-style count, correlated on a path of the outer
+// variable ($b1/publisher, perfbench's N3) over bib.xml with 100/1000/10000
+// books. The normalizer binds that path in the outer block, so the block
+// unnests; rows are the nested plan and the cost-chosen plan.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -16,6 +21,51 @@ const char kQuery[] = R"(
   return
     <popular-item>{ $i1 }</popular-item>
 )";
+
+const char kPathQuery[] = R"(
+  let $d1 := doc("bib.xml")
+  for $b1 in $d1//book
+  let $n := count(for $b2 in $d1//book where $b2/publisher = $b1/publisher
+                  return $b2)
+  where $n > 3
+  return <p>{ $b1/title }</p>
+)";
+
+/// E6b: nested vs cost-chosen plan of kPathQuery.
+void RunPathCorrelated(bool full, const std::vector<size_t>& sizes) {
+  using namespace nalq;
+  std::printf("\nE6b: count correlated on $b1/publisher (perfbench N3)\n");
+  bench::Row nested_row{"nested", "", {}};
+  bench::Row chosen_row{"cost-chosen", "", {}};
+  double previous = 0;
+  size_t previous_size = 0;
+  for (size_t size : sizes) {
+    engine::Engine engine;
+    bench::LoadBib(&engine, size, 2);
+    engine::CompiledQuery q = engine.Compile(kPathQuery);
+    bench::RecordPlanEstimates(q, "E6b", std::to_string(size), &engine);
+    const rewrite::Alternative& chosen = q.alternatives[q.cost_choice];
+    chosen_row.cells.push_back(
+        bench::FormatSeconds(bench::TimePlanRecorded(
+            engine, chosen.plan, "E6b", "cost-chosen", "",
+            std::to_string(size))) +
+        " (" + chosen.rule + ")");
+    if (size > 1000 && !full) {
+      double ratio = static_cast<double>(size) /
+                     static_cast<double>(previous_size);
+      // Every book scans every book: quadratic.
+      nested_row.cells.push_back(
+          bench::Extrapolated(previous * ratio * ratio));
+      continue;
+    }
+    previous = bench::TimePlanRecorded(engine, q.nested_plan, "E6b",
+                                       "nested", "", std::to_string(size));
+    previous_size = size;
+    nested_row.cells.push_back(bench::FormatSeconds(previous));
+  }
+  bench::PrintTable("Evaluation time (books = 100 / 1000 / 10000)", "",
+                    {"100", "1000", "10000"}, {nested_row, chosen_row});
+}
 
 }  // namespace
 
@@ -64,6 +114,7 @@ int main(int argc, char** argv) {
   }
   bench::PrintTable("Evaluation time (bids = 100 / 1000 / 10000)", "",
                     {"100", "1000", "10000"}, rows);
+  RunPathCorrelated(full, sizes);
   bench::WriteBenchResults();
   return 0;
 }

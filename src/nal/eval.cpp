@@ -362,6 +362,20 @@ Value Evaluator::AggEmptyValue(const AggSpec& agg) {
   }
 }
 
+// Keep in step with EvalFnCall below: every built-in it implements except
+// distinct-values.
+bool ReturnsAtMostOneItem(const std::string& fn) {
+  static const char* const kSingle[] = {
+      "doc",    "document", "count",       "min",    "max",
+      "sum",    "avg",      "decimal",     "number", "contains",
+      "empty",  "exists",   "starts-with", "not",    "true",
+      "false",  "string",   "string-length",         "concat"};
+  for (const char* name : kSingle) {
+    if (fn == name) return true;
+  }
+  return false;
+}
+
 Value Evaluator::EvalFnCall(const Expr& e, const Tuple& local,
                             const Tuple& env) {
   auto arg = [&](size_t i) { return EvalExpr(*e.children[i], local, env); };

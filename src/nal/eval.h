@@ -245,6 +245,12 @@ void FlattenToItems(const Value& v, ItemSeq* out);
 /// Effective boolean value per the XQuery rules the paper assumes.
 bool EffectiveBooleanValue(const Value& v);
 
+/// True iff the built-in `fn` of Evaluator::EvalFnCall returns at most one
+/// item per call: the document node, or one atomic value or null.
+/// distinct-values is the one sequence-valued built-in; an unknown name is
+/// not single-valued.
+bool ReturnsAtMostOneItem(const std::string& fn);
+
 }  // namespace nalq::nal
 
 #endif  // NALQ_NAL_EVAL_H_

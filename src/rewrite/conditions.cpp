@@ -9,60 +9,30 @@ bool ConditionChecker::FreeOfOuter(const nal::AlgebraOp& e2,
   return nal::Disjoint(free, outer);
 }
 
-bool ConditionChecker::DistinctSourceMatches(const nal::AlgebraOp& e1,
-                                             nal::Symbol a1,
-                                             const nal::AlgebraOp& e2,
-                                             nal::Symbol a2,
-                                             bool require_distinct_e1) const {
-  if (dtds_ == nullptr) return false;
-  ProvenanceMap p1 = DeriveProvenance(e1);
-  ProvenanceMap p2 = DeriveProvenance(e2);
-  auto it1 = p1.find(a1);
-  auto it2 = p2.find(a2);
-  if (it1 == p1.end() || it2 == p2.end()) return false;
-  const AttrProvenance& prov1 = it1->second;
-  const AttrProvenance& prov2 = it2->second;
-  if (!prov1.known || !prov2.known) return false;
-  if (require_distinct_e1 && !prov1.distinct) return false;
-  if (!prov1.complete || !prov2.complete) return false;
-  if (prov1.doc != prov2.doc) return false;
-  if (prov2.is_nested) return false;  // nested case handled separately
-  const xml::Dtd* dtd = dtds_->Find(prov1.doc);
-  if (dtd == nullptr) return false;
-  return dtd->PathsSelectSameNodes(prov1.path, prov2.path);
+namespace {
+
+/// The checks shared by Eqv. 3/5/8/9: both sources known and complete, in
+/// one document, A1 one value per e1 tuple, and the DTD proves P1 and P2
+/// select the same nodes.
+bool SameSourceNodes(const xml::DtdRegistry* dtds, const AttrProvenance& a1,
+                     const AttrProvenance& a2) {
+  if (dtds == nullptr || !a1.known || !a2.known || !a1.single) return false;
+  if (!a1.complete || !a2.complete || a1.doc != a2.doc) return false;
+  const xml::Dtd* dtd = dtds->Find(a1.doc);
+  return dtd != nullptr && dtd->PathsSelectSameNodes(a1.path, a2.path);
 }
 
-bool ConditionChecker::DistinctSourceMatchesNested(const nal::AlgebraOp& e1,
-                                                   nal::Symbol a1,
-                                                   const nal::AlgebraOp& e2,
-                                                   nal::Symbol a2) const {
-  if (dtds_ == nullptr) return false;
-  ProvenanceMap p1 = DeriveProvenance(e1);
-  ProvenanceMap p2 = DeriveProvenance(e2);
-  auto it1 = p1.find(a1);
-  auto it2 = p2.find(a2);
-  if (it1 == p1.end() || it2 == p2.end()) return false;
-  const AttrProvenance& prov1 = it1->second;
-  const AttrProvenance& prov2 = it2->second;
-  if (!prov1.known || !prov2.known) return false;
-  if (!prov1.distinct) return false;
-  if (!prov1.complete || !prov2.complete) return false;
-  if (prov1.doc != prov2.doc) return false;
-  if (!prov2.is_nested) return false;
-  const xml::Dtd* dtd = dtds_->Find(prov1.doc);
-  if (dtd == nullptr) return false;
-  return dtd->PathsSelectSameNodes(prov1.path, prov2.path);
+}  // namespace
+
+bool ConditionChecker::DistinctSourceMatches(const AttrProvenance& a1,
+                                             const AttrProvenance& a2) const {
+  // The nested case is DistinctSourceMatchesNested.
+  return a1.distinct && !a2.is_nested && SameSourceNodes(dtds_, a1, a2);
 }
 
-bool ConditionChecker::IsDuplicateFree(const nal::AlgebraOp& e1,
-                                       nal::Symbol a1) const {
-  ProvenanceMap p1 = DeriveProvenance(e1);
-  auto it = p1.find(a1);
-  if (it == p1.end() || !it->second.known) return false;
-  // distinct-values output is duplicate-free by definition; a complete
-  // node-path scan yields unique nodes but possibly duplicate *values*, so
-  // only the distinct flag qualifies here.
-  return it->second.distinct;
+bool ConditionChecker::DistinctSourceMatchesNested(
+    const AttrProvenance& a1, const AttrProvenance& a2) const {
+  return a1.distinct && a2.is_nested && SameSourceNodes(dtds_, a1, a2);
 }
 
 }  // namespace nalq::rewrite

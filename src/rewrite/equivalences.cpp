@@ -208,20 +208,16 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
   if (!ConditionChecker::FreeOfOuter(*e2, *e1)) return out;
 
   ExprPtr f_empty = nal::MakeConst(AggEmpty(f));
-  ProvenanceMap e2_prov = DeriveProvenance(*e2);
-  bool nested = false;
-  Symbol item_attr;
-  {
-    auto it = e2_prov.find(corr->a2);
-    if (it != e2_prov.end() && it->second.is_nested) {
+  AttrProvenance a1_prov =
+      ProvenanceOf(DeriveProvenance(*e1, checker.dtds()), corr->a1);
+  AttrProvenance a2_prov = ProvenanceOf(DeriveProvenance(*e2), corr->a2);
+  bool nested = a2_prov.is_nested;
+  Symbol item_attr = a2_prov.nested_item;
+  if (!nested) {
+    auto nit = e2_info.nested.find(corr->a2);
+    if (nit != e2_info.nested.end() && nit->second.size() == 1) {
       nested = true;
-      item_attr = it->second.nested_item;
-    } else {
-      auto nit = e2_info.nested.find(corr->a2);
-      if (nit != e2_info.nested.end() && nit->second.size() == 1) {
-        nested = true;
-        item_attr = *nit->second.begin();
-      }
+      item_attr = *nit->second.begin();
     }
   }
 
@@ -240,7 +236,7 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
       AlgebraPtr mu = nal::Unnest(corr->a2, e2->Clone(), /*distinct=*/true,
                                   /*outer=*/false);
       // Eqv. 5 (condition: e1 = ΠD_{A1:A2}(Π_{A2}(μ_{a2}(e2)))).
-      if (checker.DistinctSourceMatchesNested(*e1, corr->a1, *e2, corr->a2)) {
+      if (checker.DistinctSourceMatchesNested(a1_prov, a2_prov)) {
         AlgebraPtr plan = nal::ProjectRename(
             {{corr->a1, item_attr}},
             nal::GroupUnary(g, CmpOp::kEq, {item_attr}, f.CloneSpec(),
@@ -249,8 +245,8 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
           out.push_back({"eqv5-grouping", std::move(plan)});
         }
       }
-      // Eqv. 4 (always applicable).
-      {
+      // Eqv. 4 (condition: A1 holds at most one item per e1 tuple).
+      if (ConditionChecker::IsSingleValued(a1_prov)) {
         AlgebraPtr grouped = nal::GroupUnary(g, CmpOp::kEq, {item_attr},
                                              f.CloneSpec(), mu->Clone());
         AlgebraPtr oj = nal::OuterJoin(
@@ -278,7 +274,7 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
 
   // Atomic A1 θ A2.
   // Eqv. 3 (condition: e1 = ΠD_{A1:A2}(Π_{A2}(e2))).
-  if (checker.DistinctSourceMatches(*e1, corr->a1, *e2, corr->a2)) {
+  if (checker.DistinctSourceMatches(a1_prov, a2_prov)) {
     AlgebraPtr plan = nal::ProjectRename(
         {{corr->a1, corr->a2}},
         nal::GroupUnary(g, corr->theta, {corr->a2}, f.CloneSpec(),
@@ -287,8 +283,9 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
       out.push_back({"eqv3-grouping", std::move(plan)});
     }
   }
-  // Eqv. 2 (θ must be '=').
-  if (corr->theta == CmpOp::kEq) {
+  // Eqv. 2 (θ must be '=', and A1 hold at most one item per e1 tuple).
+  if (corr->theta == CmpOp::kEq &&
+      ConditionChecker::IsSingleValued(a1_prov)) {
     AlgebraPtr grouped = nal::GroupUnary(g, CmpOp::kEq, {corr->a2},
                                          f.CloneSpec(), e2->Clone());
     AlgebraPtr oj = nal::OuterJoin(
@@ -406,8 +403,11 @@ std::optional<Alternative> CountingRewrite(const AlgebraOp& join_op,
     if (s != corr->a1 && e1_info.attrs.count(s) != 0) return std::nullopt;
   }
   // ΠD(e1) = e1 and ΠD(e1) = ΠD_{A1:A2}(Π_{A2}(e2)).
-  if (!checker.IsDuplicateFree(*e1, corr->a1)) return std::nullopt;
-  if (!checker.DistinctSourceMatches(*e1, corr->a1, *e2, corr->a2)) {
+  AttrProvenance a1_prov =
+      ProvenanceOf(DeriveProvenance(*e1, checker.dtds()), corr->a1);
+  if (!ConditionChecker::IsDuplicateFree(a1_prov)) return std::nullopt;
+  if (!checker.DistinctSourceMatches(
+          a1_prov, ProvenanceOf(DeriveProvenance(*e2), corr->a2))) {
     return std::nullopt;
   }
   AggSpec count = nal::AggCount();

@@ -1,5 +1,7 @@
 #include "rewrite/provenance.h"
 
+#include "nal/eval.h"
+
 namespace nalq::rewrite {
 
 namespace {
@@ -10,9 +12,27 @@ using nal::ExprKind;
 using nal::OpKind;
 using nal::Symbol;
 
+/// Does the relative path `rel`, from one node of `base`, yield at most one
+/// node?
+bool AtMostOneNode(const AttrProvenance& base, const xml::Path& rel,
+                   const xml::DtdRegistry* dtds) {
+  if (rel.absolute()) return false;
+  // An element carries at most one attribute of a name; no DTD needed.
+  // `@*` selects all of them.
+  if (rel.steps().size() == 1 &&
+      rel.steps()[0].axis == xml::Axis::kAttribute) {
+    return !rel.steps()[0].wildcard();
+  }
+  if (!base.known || base.is_nested || dtds == nullptr) return false;
+  const xml::Dtd* dtd = dtds->Find(base.doc);
+  return dtd != nullptr &&
+         dtd->SingleNodePath(base.path, rel, /*exactly_one=*/false);
+}
+
 /// Provenance of a scalar expression given the provenance of the attributes
 /// it references.
-AttrProvenance ExprProvenance(const Expr& e, const ProvenanceMap& env) {
+AttrProvenance ExprProvenance(const Expr& e, const ProvenanceMap& env,
+                              const xml::DtdRegistry* dtds) {
   AttrProvenance out;
   switch (e.kind) {
     case ExprKind::kAttrRef: {
@@ -21,6 +41,7 @@ AttrProvenance ExprProvenance(const Expr& e, const ProvenanceMap& env) {
       return out;
     }
     case ExprKind::kFnCall: {
+      out.single = nal::ReturnsAtMostOneItem(e.fn);
       if ((e.fn == "doc" || e.fn == "document") && e.children.size() == 1 &&
           e.children[0]->kind == ExprKind::kConst &&
           e.children[0]->literal.kind() == nal::ValueKind::kString) {
@@ -30,33 +51,60 @@ AttrProvenance ExprProvenance(const Expr& e, const ProvenanceMap& env) {
         return out;
       }
       if (e.fn == "distinct-values" && e.children.size() == 1) {
-        AttrProvenance inner = ExprProvenance(*e.children[0], env);
+        AttrProvenance inner = ExprProvenance(*e.children[0], env, dtds);
         if (inner.known) {
           inner.distinct = true;
+          inner.single = false;
           return inner;
         }
       }
       return out;
     }
     case ExprKind::kPath: {
-      AttrProvenance base = ExprProvenance(*e.children[0], env);
-      if (!base.known) return out;
-      out = base;
-      out.distinct = false;
-      out.path = base.path.Concat(e.path);
+      AttrProvenance base = ExprProvenance(*e.children[0], env, dtds);
+      bool single = base.single && AtMostOneNode(base, e.path, dtds);
+      if (base.known) {
+        out = base;
+        out.distinct = false;
+        out.path = base.path.Concat(e.path);
+      }
+      out.single = single;
       return out;
     }
     case ExprKind::kBindTuples: {
-      AttrProvenance inner = ExprProvenance(*e.children[0], env);
-      if (!inner.known) return out;
-      out = inner;
-      out.is_nested = true;
-      out.nested_item = e.attr;
+      AttrProvenance inner = ExprProvenance(*e.children[0], env, dtds);
+      if (inner.known) {
+        out = inner;
+        out.is_nested = true;
+        out.nested_item = e.attr;
+      }
+      out.single = inner.single;  // a sequence of at most one tuple
       return out;
     }
-    default:
+    case ExprKind::kConst:
+      out.single = e.literal.kind() != nal::ValueKind::kItemSeq &&
+                   e.literal.kind() != nal::ValueKind::kTupleSeq;
+      return out;
+    case ExprKind::kAgg:
+      out.single = e.agg.kind != nal::AggSpec::Kind::kId &&
+                   e.agg.kind != nal::AggSpec::Kind::kProjectItems;
+      return out;
+    case ExprKind::kCond:
+      out.single = ExprProvenance(*e.children[1], env, dtds).single &&
+                   ExprProvenance(*e.children[2], env, dtds).single;
+      return out;
+    case ExprKind::kCmp:
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kNot:
+    case ExprKind::kQuant:
+    case ExprKind::kArith:
+      out.single = true;
+      return out;
+    case ExprKind::kNestedAlg:
       return out;
   }
+  return out;
 }
 
 void MarkAllIncomplete(ProvenanceMap* map) {
@@ -65,29 +113,34 @@ void MarkAllIncomplete(ProvenanceMap* map) {
 
 }  // namespace
 
-ProvenanceMap DeriveProvenance(const nal::AlgebraOp& op) {
+ProvenanceMap DeriveProvenance(const nal::AlgebraOp& op,
+                               const xml::DtdRegistry* dtds) {
+  auto derive = [dtds](const nal::AlgebraPtr& child) {
+    return DeriveProvenance(*child, dtds);
+  };
   switch (op.kind) {
     case OpKind::kSingleton:
       return {};
     case OpKind::kMap:
     case OpKind::kUnnestMap: {
-      ProvenanceMap map = DeriveProvenance(*op.child(0));
-      AttrProvenance prov = ExprProvenance(*op.expr, map);
+      ProvenanceMap map = derive(op.child(0));
+      AttrProvenance prov = ExprProvenance(*op.expr, map, dtds);
       // χ/Υ keep the child's completeness; the new attribute enumerates all
       // path results per input tuple. If the input enumerated its own source
       // completely, the composition is complete too — captured by the
       // base provenance's `complete` flag already folded in.
+      if (op.kind == OpKind::kUnnestMap) prov.single = true;  // one item
       map[op.attr] = prov;
       return map;
     }
     case OpKind::kSelect: {
       // A filter breaks completeness (values may be missing afterwards).
-      ProvenanceMap map = DeriveProvenance(*op.child(0));
+      ProvenanceMap map = derive(op.child(0));
       MarkAllIncomplete(&map);
       return map;
     }
     case OpKind::kProject: {
-      ProvenanceMap map = DeriveProvenance(*op.child(0));
+      ProvenanceMap map = derive(op.child(0));
       ProvenanceMap out;
       // Renames first.
       for (const auto& [to, from] : op.renames) {
@@ -116,13 +169,14 @@ ProvenanceMap DeriveProvenance(const nal::AlgebraOp& op) {
       return out;
     }
     case OpKind::kUnnest: {
-      ProvenanceMap map = DeriveProvenance(*op.child(0));
+      ProvenanceMap map = derive(op.child(0));
       auto it = map.find(op.attr);
       if (it != map.end() && it->second.is_nested) {
         AttrProvenance item = it->second;
         Symbol inner = item.nested_item;
         item.is_nested = false;
         item.nested_item = Symbol();
+        item.single = true;  // μ yields one item per tuple
         map.erase(op.attr);
         map[inner] = item;
       } else {
@@ -133,20 +187,20 @@ ProvenanceMap DeriveProvenance(const nal::AlgebraOp& op) {
     case OpKind::kCross:
     case OpKind::kJoin:
     case OpKind::kOuterJoin: {
-      ProvenanceMap left = DeriveProvenance(*op.child(0));
-      ProvenanceMap right = DeriveProvenance(*op.child(1));
+      ProvenanceMap left = derive(op.child(0));
+      ProvenanceMap right = derive(op.child(1));
       left.insert(right.begin(), right.end());
       if (op.kind != OpKind::kCross) MarkAllIncomplete(&left);
       return left;
     }
     case OpKind::kSemiJoin:
     case OpKind::kAntiJoin: {
-      ProvenanceMap map = DeriveProvenance(*op.child(0));
+      ProvenanceMap map = derive(op.child(0));
       MarkAllIncomplete(&map);
       return map;
     }
     case OpKind::kGroupUnary: {
-      ProvenanceMap map = DeriveProvenance(*op.child(0));
+      ProvenanceMap map = derive(op.child(0));
       ProvenanceMap out;
       for (Symbol a : op.left_attrs) {
         auto it = map.find(a);
@@ -160,15 +214,20 @@ ProvenanceMap DeriveProvenance(const nal::AlgebraOp& op) {
     }
     case OpKind::kGroupBinary: {
       // Left side passes through unchanged.
-      return DeriveProvenance(*op.child(0));
+      return derive(op.child(0));
     }
     case OpKind::kSort:
     case OpKind::kXiSimple:
-      return DeriveProvenance(*op.child(0));
+      return derive(op.child(0));
     case OpKind::kXiGroup:
       return {};
   }
   return {};
+}
+
+AttrProvenance ProvenanceOf(const ProvenanceMap& map, nal::Symbol attr) {
+  auto it = map.find(attr);
+  return it == map.end() ? AttrProvenance() : it->second;
 }
 
 }  // namespace nalq::rewrite

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "nal/algebra.h"
+#include "xml/dtd.h"
 #include "xml/xpath.h"
 
 namespace nalq::rewrite {
@@ -30,12 +31,22 @@ struct AttrProvenance {
                          ///< document order (no filter in between)
   bool is_nested = false;      ///< e[a'] binding: value is a tuple sequence
   nal::Symbol nested_item;     ///< the inner attribute a'
+  /// The attribute holds at most one item per tuple: bound by Υ (or μ), by
+  /// χ over an atomic-valued expression, or by χ over a path the DTD proves
+  /// yields at most one node from a single-valued context. Set whether or
+  /// not the source is `known`.
+  bool single = false;
 };
 
 using ProvenanceMap = std::map<nal::Symbol, AttrProvenance>;
 
-/// Derives provenance for every output attribute of `op`.
-ProvenanceMap DeriveProvenance(const nal::AlgebraOp& op);
+/// Derives provenance for every output attribute of `op`. `dtds` (may be
+/// null) only feeds the `single` flag of χ over a child path.
+ProvenanceMap DeriveProvenance(const nal::AlgebraOp& op,
+                               const xml::DtdRegistry* dtds = nullptr);
+
+/// The entry of `attr` in `map`; an unknown, multi-valued one if absent.
+AttrProvenance ProvenanceOf(const ProvenanceMap& map, nal::Symbol attr);
 
 }  // namespace nalq::rewrite
 

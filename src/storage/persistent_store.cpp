@@ -559,10 +559,13 @@ void Persist(const xml::Store& store, const std::string& dir) {
   const uint64_t epoch = NextEpoch(dir);
   Manifest manifest;
   manifest.epoch = epoch;
-  // Reading documents (and building their statistics) makes Persist a
-  // reader under the single-writer contract.
-  xml::StoreReadLease lease(store);
   for (xml::DocId id = 0; id < store.size(); ++id) {
+    // Reading a document makes Persist a reader under the single-writer
+    // contract, which already forbids a write between two documents. One
+    // lease per document, not one around the loop: each lease boundary can
+    // evict what the last one faulted in, so persisting an attached store
+    // stays within the cache limit plus one document.
+    xml::StoreReadLease lease(store);
     const xml::Document& doc = store.document(id);
     ManifestDoc entry;
     entry.name = store.document_name(id);

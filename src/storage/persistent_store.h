@@ -104,8 +104,9 @@ class StoreCodec {
 
 /// Serializes every document of `store` (faulting lazily attached ones in
 /// as needed) and its statistics into `dir`, one page file per document,
-/// creating the directory if needed. Reads `store` under a StoreReadLease;
-/// the caller must not load documents concurrently. Throws engine::Error
+/// creating the directory if needed. Reads each document under its own
+/// StoreReadLease, so an attached store stays within its cache limit plus
+/// one document; the caller must not load documents concurrently. Throws engine::Error
 /// on any I/O failure, leaving the directory's previous contents openable.
 /// When `dir` is the directory the store's own attached source was opened
 /// from, the superseded epoch's files are kept (not deleted) so the live

@@ -306,12 +306,6 @@ std::optional<Cardinality> Dtd::ChildCardinality(std::string_view parent,
   return decl->model.CardinalityOf(child);
 }
 
-bool Dtd::ExactlyOneChild(std::string_view parent,
-                          std::string_view child) const {
-  auto c = ChildCardinality(parent, child);
-  return c.has_value() && c->exactly_one();
-}
-
 bool Dtd::HasAttribute(std::string_view element, std::string_view attr) const {
   const ElementDecl* decl = Find(element);
   if (decl == nullptr) return false;
@@ -319,6 +313,43 @@ bool Dtd::HasAttribute(std::string_view element, std::string_view attr) const {
     if (a == attr) return true;
   }
   return false;
+}
+
+bool Dtd::SingleNodePath(const Path& context, const Path& rel,
+                         bool exactly_one) const {
+  // The element the context path selects; empty for the document node.
+  std::string parent;
+  if (!context.empty()) {
+    const Step& last = context.steps().back();
+    if ((last.axis != Axis::kChild && last.axis != Axis::kDescendant) ||
+        last.wildcard()) {
+      return false;
+    }
+    parent = last.name;
+  }
+  const std::vector<Step>& steps = rel.steps();
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const Step& s = steps[i];
+    if (s.axis == Axis::kAttribute) {
+      // An element carries at most one attribute of a name; `@*` selects
+      // all of them.
+      return i + 1 == steps.size() && !parent.empty() && !s.wildcard() &&
+             (!exactly_one || HasAttribute(parent, s.name));
+    }
+    if (s.axis != Axis::kChild || s.wildcard()) return false;
+    if (parent.empty()) {
+      // The document node's one element child is the root.
+      if (s.name != root()) return false;
+    } else {
+      std::optional<Cardinality> c = ChildCardinality(parent, s.name);
+      if (!c.has_value() ||
+          !(exactly_one ? c->exactly_one() : c->at_most_one())) {
+        return false;
+      }
+    }
+    parent = s.name;
+  }
+  return true;
 }
 
 namespace {

@@ -81,11 +81,6 @@ class Dtd {
   std::optional<Cardinality> ChildCardinality(std::string_view parent,
                                               std::string_view child) const;
 
-  /// True iff every `parent` element has exactly one `child` child — the
-  /// condition allowing `$b/title` to be treated as a singleton (paper
-  /// Sec. 5.2: "every book element has exactly one title child element").
-  bool ExactlyOneChild(std::string_view parent, std::string_view child) const;
-
   /// True iff the node set selected by `general` (e.g. //author) is always
   /// equal to the node set selected by `specific` (e.g. //book/author): the
   /// condition e1 = ΠD_{A1:A2}(Π_{A2}(e2)) hinges on this (paper Sec. 5.1).
@@ -101,6 +96,17 @@ class Dtd {
 
   /// True iff `element` declares an attribute named `attr`.
   bool HasAttribute(std::string_view element, std::string_view attr) const;
+
+  /// True iff the relative path `rel`, evaluated from one node selected by
+  /// the absolute path `context` (empty: the document node), yields at most
+  /// one node — with `exactly_one`, exactly one element or a declared
+  /// attribute. `rel` may be named child steps followed by one named
+  /// attribute step. The singleton facts of translation (paper Sec. 3: "in
+  /// case the result of some ei is a singleton"; Sec. 5.2: "every book
+  /// element has exactly one title child element") and of Eqv. 2–5's
+  /// single-valued A1.
+  bool SingleNodePath(const Path& context, const Path& rel,
+                      bool exactly_one) const;
 
  private:
   std::map<std::string, ElementDecl, std::less<>> elements_;

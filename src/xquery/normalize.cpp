@@ -1,5 +1,6 @@
 #include "xquery/normalize.h"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 
@@ -7,52 +8,38 @@ namespace nalq::xquery {
 
 namespace {
 
+/// Copies `node` with every direct sub-AST replaced by `fn(sub-AST)`, in
+/// source order (the return before the order by keys).
+template <typename Fn>
+AstPtr MapChildren(const AstPtr& node, const Fn& fn) {
+  AstPtr copy = std::make_shared<Ast>(*node);
+  for (AstPtr& c : copy->children) c = fn(c);
+  for (PathStepAst& s : copy->steps) {
+    if (s.predicate != nullptr) s.predicate = fn(s.predicate);
+  }
+  for (Clause& c : copy->clauses) {
+    if (c.expr != nullptr) c.expr = fn(c.expr);
+  }
+  if (copy->ret != nullptr) copy->ret = fn(copy->ret);
+  for (auto& [key, desc] : copy->order_by) key = fn(key);
+  if (copy->range != nullptr) copy->range = fn(copy->range);
+  if (copy->satisfies != nullptr) copy->satisfies = fn(copy->satisfies);
+  for (auto& [name, parts] : copy->attributes) {
+    for (CtorPart& p : parts) {
+      if (p.expr != nullptr) p.expr = fn(p.expr);
+    }
+  }
+  for (CtorPart& p : copy->content) {
+    if (p.expr != nullptr) p.expr = fn(p.expr);
+  }
+  return copy;
+}
+
 /// Applies `fn` to every sub-AST bottom-up and returns the rebuilt tree.
 AstPtr Transform(const AstPtr& node,
                  const std::function<AstPtr(const AstPtr&)>& fn) {
-  AstPtr copy = std::make_shared<Ast>(*node);
-  copy->children.clear();
-  for (const AstPtr& c : node->children) {
-    copy->children.push_back(Transform(c, fn));
-  }
-  copy->steps.clear();
-  for (const PathStepAst& s : node->steps) {
-    PathStepAst step = s;
-    if (s.predicate != nullptr) step.predicate = Transform(s.predicate, fn);
-    copy->steps.push_back(std::move(step));
-  }
-  copy->clauses.clear();
-  for (const Clause& c : node->clauses) {
-    Clause clause = c;
-    if (c.expr != nullptr) clause.expr = Transform(c.expr, fn);
-    copy->clauses.push_back(std::move(clause));
-  }
-  if (node->ret != nullptr) copy->ret = Transform(node->ret, fn);
-  copy->order_by.clear();
-  for (const auto& [key, desc] : node->order_by) {
-    copy->order_by.emplace_back(Transform(key, fn), desc);
-  }
-  if (node->range != nullptr) copy->range = Transform(node->range, fn);
-  if (node->satisfies != nullptr) {
-    copy->satisfies = Transform(node->satisfies, fn);
-  }
-  copy->attributes.clear();
-  for (const auto& [name, parts] : node->attributes) {
-    std::vector<CtorPart> out_parts;
-    for (const CtorPart& p : parts) {
-      CtorPart part = p;
-      if (p.expr != nullptr) part.expr = Transform(p.expr, fn);
-      out_parts.push_back(std::move(part));
-    }
-    copy->attributes.emplace_back(name, std::move(out_parts));
-  }
-  copy->content.clear();
-  for (const CtorPart& p : node->content) {
-    CtorPart part = p;
-    if (p.expr != nullptr) part.expr = Transform(p.expr, fn);
-    copy->content.push_back(std::move(part));
-  }
-  return fn(copy);
+  return fn(MapChildren(
+      node, [&fn](const AstPtr& c) { return Transform(c, fn); }));
 }
 
 bool IsAggregateFn(const std::string& name) {
@@ -185,53 +172,174 @@ AstPtr InlineDocLets(const AstPtr& query) {
 // ---------------------------------------------------------------------------
 // Pass 2b: bind relative-path comparison operands in where clauses
 // (the paper's "let $a2 := $b2/author" of Sec. 5.1's normalization).
+//
+// An operand rooted at a variable of an *enclosing* FLWR is bound in that
+// FLWR, just before the clause (or the return) that contains the nested
+// block, and bound once there however often the block uses it. The
+// correlation then compares an attribute of the outer expression e1 with
+// one of the block e2, and the rest of the block is free of e1
+// (F(e2) ∩ A(e1) = ∅): the shape the unnesting equivalences match. Bound
+// inside the block, `$b1/publisher` would hide the correlation in a χ of
+// e2. Paths are pure and total (a path over a non-node is empty), so one
+// evaluation per outer binding gives what one per inner binding gave.
+// Operands rooted at the block's own variable, a quantifier variable or no
+// binder at all keep the local binding.
 // ---------------------------------------------------------------------------
 
-AstPtr BindWherePaths(const AstPtr& query) {
-  return Transform(query, [](const AstPtr& node) -> AstPtr {
-    if (node->kind != AstKind::kFlwr) return node;
-    AstPtr flwr = std::make_shared<Ast>(*node);
-    std::vector<Clause> out;
-    for (const Clause& c : flwr->clauses) {
-      if (c.kind != Clause::Kind::kWhere) {
-        out.push_back(c);
-        continue;
-      }
-      std::vector<AstPtr> conjuncts;
-      SplitConjuncts(c.expr, &conjuncts);
-      std::vector<AstPtr> rewritten;
-      for (AstPtr conj : conjuncts) {
-        if (conj->kind != AstKind::kCmp) {
-          rewritten.push_back(conj);
-          continue;
-        }
-        for (int side = 0; side < 2; ++side) {
-          const AstPtr& operand = conj->children[side];
-          if (operand->kind == AstKind::kPathExpr &&
-              operand->children[0]->kind == AstKind::kVarRef) {
-            std::string fresh = FreshVar(
-                operand->steps.empty() ? std::string("p")
-                                       : operand->steps.back().name);
-            Clause let;
-            let.kind = Clause::Kind::kLet;
-            let.var = fresh;
-            let.expr = operand;
-            out.push_back(std::move(let));
-            AstPtr copy = std::make_shared<Ast>(*conj);
-            copy->children[side] = MakeVarRef(fresh);
-            conj = copy;
-          }
-        }
-        rewritten.push_back(conj);
-      }
-      Clause where;
-      where.kind = Clause::Kind::kWhere;
-      where.expr = JoinConjuncts(rewritten);
-      out.push_back(std::move(where));
+namespace {
+
+/// A binder enclosing the node being walked: a FLWR or a quantifier.
+struct BindScope {
+  bool quantifier = false;
+  /// The quantifier's variable, or the FLWR's for/let variables bound
+  /// before the clause being walked.
+  std::vector<std::string> vars;
+  /// FLWR only: the clause being walked (clauses.size() while walking the
+  /// return and the order by), the lets to insert before each clause, and
+  /// the paths already bound here (rendered text, root, bound variable).
+  size_t clause = 0;
+  std::vector<std::vector<Clause>> lets;
+  struct Bound {
+    std::string text;
+    std::string root;
+    std::string var;
+  };
+  std::vector<Bound> bound;
+
+  bool Binds(const std::string& var) const {
+    return std::find(vars.begin(), vars.end(), var) != vars.end();
+  }
+};
+
+class WherePathBinder {
+ public:
+  AstPtr Walk(const AstPtr& node) {
+    if (node->kind == AstKind::kFlwr) return WalkFlwr(*node);
+    if (node->kind == AstKind::kQuantified) {
+      AstPtr q = std::make_shared<Ast>(*node);
+      if (q->range != nullptr) q->range = Walk(q->range);
+      BindScope scope;
+      scope.quantifier = true;
+      scope.vars.push_back(q->qvar);
+      scopes_.push_back(std::move(scope));
+      if (q->satisfies != nullptr) q->satisfies = Walk(q->satisfies);
+      scopes_.pop_back();
+      return q;
     }
+    return MapChildren(node, [this](const AstPtr& c) { return Walk(c); });
+  }
+
+ private:
+  AstPtr WalkFlwr(const Ast& node) {
+    AstPtr flwr = std::make_shared<Ast>(node);
+    const size_t n = flwr->clauses.size();
+    scopes_.emplace_back();
+    scopes_.back().lets.resize(n + 1);
+    for (size_t i = 0; i < n; ++i) {
+      scopes_.back().clause = i;
+      Clause& c = flwr->clauses[i];
+      if (c.expr != nullptr) c.expr = Walk(c.expr);
+      if (c.kind != Clause::Kind::kWhere) Rebind(&scopes_.back(), c.var);
+    }
+    scopes_.back().clause = n;
+    if (flwr->ret != nullptr) flwr->ret = Walk(flwr->ret);
+    for (auto& [key, desc] : flwr->order_by) key = Walk(key);
+    BindScope scope = std::move(scopes_.back());
+    scopes_.pop_back();
+
+    std::vector<std::string> local;  // this FLWR's variables bound so far
+    std::vector<Clause> out;
+    for (size_t i = 0; i < n; ++i) {
+      for (Clause& let : scope.lets[i]) out.push_back(std::move(let));
+      Clause& c = flwr->clauses[i];
+      if (c.kind == Clause::Kind::kWhere) {
+        c.expr = BindOperands(c.expr, local, &out);
+      } else {
+        local.push_back(c.var);
+      }
+      out.push_back(std::move(c));
+    }
+    for (Clause& let : scope.lets[n]) out.push_back(std::move(let));
     flwr->clauses = std::move(out);
     return flwr;
-  });
+  }
+
+  /// A for/let clause binds `var`: it is in scope from the next clause on,
+  /// and a path bound earlier from a shadowed `var` is stale.
+  static void Rebind(BindScope* scope, const std::string& var) {
+    scope->vars.push_back(var);
+    std::erase_if(scope->bound, [&](const BindScope::Bound& b) {
+      return b.root == var;
+    });
+  }
+
+  /// The enclosing FLWR that binds `var` innermost, or null when the
+  /// innermost binder is this FLWR (`local`), a quantifier, or nothing.
+  BindScope* HoistTarget(const std::string& var,
+                         const std::vector<std::string>& local) {
+    if (std::find(local.begin(), local.end(), var) != local.end()) {
+      return nullptr;
+    }
+    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
+      if (it->Binds(var)) return it->quantifier ? nullptr : &*it;
+    }
+    return nullptr;
+  }
+
+  /// Binds the path operands of `where`'s comparison conjuncts: hoisted
+  /// into the enclosing FLWR that binds their root, or as a let appended to
+  /// `out` (just before the where).
+  AstPtr BindOperands(const AstPtr& where,
+                      const std::vector<std::string>& local,
+                      std::vector<Clause>* out) {
+    std::vector<AstPtr> conjuncts;
+    SplitConjuncts(where, &conjuncts);
+    for (AstPtr& conj : conjuncts) {
+      if (conj->kind != AstKind::kCmp) continue;
+      for (int side = 0; side < 2; ++side) {
+        const AstPtr& operand = conj->children[side];
+        if (operand->kind != AstKind::kPathExpr ||
+            operand->children[0]->kind != AstKind::kVarRef) {
+          continue;
+        }
+        BindScope* target = HoistTarget(operand->children[0]->name, local);
+        std::string var = target != nullptr ? Hoist(target, operand)
+                                            : BindLet(operand, out);
+        AstPtr copy = std::make_shared<Ast>(*conj);
+        copy->children[side] = MakeVarRef(var);
+        conj = copy;
+      }
+    }
+    return JoinConjuncts(conjuncts);
+  }
+
+  static std::string Hoist(BindScope* target, const AstPtr& path) {
+    std::string text = path->ToString();
+    for (const BindScope::Bound& b : target->bound) {
+      if (b.text == text) return b.var;
+    }
+    std::string var = BindLet(path, &target->lets[target->clause]);
+    target->bound.push_back({std::move(text), path->children[0]->name, var});
+    return var;
+  }
+
+  static std::string BindLet(const AstPtr& path, std::vector<Clause>* out) {
+    Clause let;
+    let.kind = Clause::Kind::kLet;
+    let.var = FreshVar(path->steps.empty() ? std::string("p")
+                                           : path->steps.back().name);
+    let.expr = path;
+    out->push_back(let);
+    return let.var;
+  }
+
+  std::vector<BindScope> scopes_;
+};
+
+}  // namespace
+
+AstPtr BindWherePaths(const AstPtr& query) {
+  return WherePathBinder().Walk(query);
 }
 
 AstPtr RebaseContext(const AstPtr& e, const std::string& var) {
@@ -295,12 +403,17 @@ AstPtr HoistPathPredicates(const AstPtr& query) {
 namespace {
 
 /// Rewrites comparisons in the range FLWR's where clauses whose operand is a
-/// relative path from a for-variable into an explicit author-style unnest:
+/// relative path from one of its own variables into an explicit author-style
+/// unnest:
 ///   where $a1 = $b3/author  →  for $a3 in $b3/author where $a1 = $a3
+/// An operand rooted at a variable this FLWR does not bind stays a path, so
+/// that BindWherePaths binds it in the enclosing FLWR.
 void UnnestWherePaths(Ast* flwr) {
   std::vector<Clause> out;
+  std::vector<std::string> bound;
   for (Clause& c : flwr->clauses) {
     if (c.kind != Clause::Kind::kWhere) {
+      bound.push_back(c.var);
       out.push_back(std::move(c));
       continue;
     }
@@ -316,6 +429,8 @@ void UnnestWherePaths(Ast* flwr) {
         AstPtr operand = conj->children[side];
         if (operand->kind == AstKind::kPathExpr &&
             operand->children[0]->kind == AstKind::kVarRef &&
+            std::find(bound.begin(), bound.end(),
+                      operand->children[0]->name) != bound.end() &&
             !operand->steps.empty() &&
             operand->steps.back().axis != xml::Axis::kAttribute) {
           std::string fresh = FreshVar(operand->steps.back().name);

@@ -11,9 +11,12 @@
 //      satisfies clause actually tests (steps 1/2; the Q5 rewrite),
 //   3. aggregate / exists / empty calls in where clauses are hoisted into
 //      new `let` variables (step 2; the Q6 rewrite),
-//   4. nested FLWRs (and aggregates over them) in return clauses are hoisted
+//   4. path operands of where comparisons are bound by `let`s; one rooted at
+//      an enclosing FLWR's variable is bound in that FLWR, so the nested
+//      block is free of the outer expression (BindWherePaths),
+//   5. nested FLWRs (and aggregates over them) in return clauses are hoisted
 //      into new `let` variables (step 2; the Q1/Q2 rewrite),
-//   5. `let $v := FLWR ... agg($v)` with a single use folds to
+//   6. `let $v := FLWR ... agg($v)` with a single use folds to
 //      `let $v := agg(FLWR)` so translation yields χ_{v:agg(σ...)} directly.
 //
 // All rewrites are pure AST→AST functions; `Normalize` composes them.

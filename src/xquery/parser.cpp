@@ -384,11 +384,13 @@ class Parser {
       }
       case TokKind::kAt: {
         lex_.Next();
-        Token name = Expect(TokKind::kName, "attribute name after '@'");
-        std::vector<PathStepAst> steps;
         PathStepAst step;
         step.axis = xml::Axis::kAttribute;
-        step.name = name.text;
+        step.name = Accept(TokKind::kStar)
+                        ? "*"
+                        : Expect(TokKind::kName, "attribute name after '@'")
+                              .text;
+        std::vector<PathStepAst> steps;
         steps.push_back(std::move(step));
         return MakePathAst(MakeContextRef(), std::move(steps));
       }

@@ -105,32 +105,9 @@ class Translator {
   bool IsSingletonPath(const VarInfo& base, const Ast& path_ast) const {
     if (!base.known || dtds_ == nullptr) return false;
     const xml::Dtd* dtd = dtds_->Find(base.doc);
-    if (dtd == nullptr) return false;
-    // Walk steps: each must be a child/attribute step with cardinality one
-    // from a known parent element.
-    std::string parent;
-    if (!base.path.empty()) {
-      parent = base.path.steps().back().name;
-    } else {
-      // Document root context: first step must select the root element.
-      if (path_ast.steps.empty()) return true;
-    }
-    for (size_t i = 0; i < path_ast.steps.size(); ++i) {
-      const PathStepAst& s = path_ast.steps[i];
-      if (s.predicate != nullptr) return false;
-      if (s.axis == xml::Axis::kAttribute) {
-        return i + 1 == path_ast.steps.size() && !parent.empty() &&
-               dtd->HasAttribute(parent, s.name);
-      }
-      if (s.axis != xml::Axis::kChild) return false;
-      if (parent.empty()) {
-        if (s.name != dtd->root()) return false;
-      } else if (!dtd->ExactlyOneChild(parent, s.name)) {
-        return false;
-      }
-      parent = s.name;
-    }
-    return true;
+    std::optional<xml::Path> rel = StepsToPath(path_ast.steps);
+    return dtd != nullptr && rel.has_value() &&
+           dtd->SingleNodePath(base.path, *rel, /*exactly_one=*/true);
   }
 
   // ---- FLWR translation (the binary T function) -------------------------

@@ -47,12 +47,33 @@ TEST_F(BibDtdTest, Cardinalities) {
   EXPECT_TRUE(book->unbounded);
 }
 
-TEST_F(BibDtdTest, ExactlyOneChild) {
-  EXPECT_TRUE(dtd_.ExactlyOneChild("book", "title"));
-  EXPECT_TRUE(dtd_.ExactlyOneChild("book", "publisher"));
-  EXPECT_FALSE(dtd_.ExactlyOneChild("book", "author"));
-  EXPECT_FALSE(dtd_.ExactlyOneChild("bib", "book"));
-  EXPECT_TRUE(dtd_.ExactlyOneChild("author", "last"));
+// Paper Sec. 5.2: "every book element has exactly one title child
+// element", so `$b/title` from a book is a singleton.
+TEST_F(BibDtdTest, SingleNodePath) {
+  auto single = [this](const char* context, const char* rel,
+                       bool exactly_one) {
+    return dtd_.SingleNodePath(Path::Parse(context), Path::Parse(rel),
+                               exactly_one);
+  };
+  EXPECT_TRUE(single("//book", "title", true));
+  EXPECT_TRUE(single("//book", "publisher", true));
+  EXPECT_FALSE(single("//book", "author", true));
+  EXPECT_FALSE(single("//book", "author", false));
+  EXPECT_FALSE(single("/bib", "book", false));
+  EXPECT_TRUE(single("//author", "last", true));
+  EXPECT_FALSE(single("//book", "author/last", false));
+  // An element carries at most one attribute of a name; only a declared
+  // one is certain. `@*` and `*` select every attribute or child.
+  EXPECT_TRUE(single("//book", "@year", true));
+  EXPECT_FALSE(single("//book", "@isbn", true));
+  EXPECT_TRUE(single("//book", "@isbn", false));
+  EXPECT_FALSE(single("//book", "@*", false));
+  EXPECT_FALSE(single("//book", "*", false));
+  EXPECT_FALSE(single("//book/@year", "title", false));
+  // From the document node, the one element child is the root.
+  EXPECT_TRUE(dtd_.SingleNodePath(Path(), Path::Parse("bib"), true));
+  EXPECT_FALSE(dtd_.SingleNodePath(Path(), Path::Parse("bib/book"), false));
+  EXPECT_FALSE(dtd_.SingleNodePath(Path(), Path::Parse("book"), false));
 }
 
 TEST_F(BibDtdTest, OccursOnlyUnder) {
@@ -102,7 +123,8 @@ TEST(BidsDtdTest, ItemnoOnlyUnderBidtuple) {
   EXPECT_TRUE(dtd.OccursOnlyUnder("itemno", "bidtuple"));
   EXPECT_TRUE(dtd.PathsSelectSameNodes(Path::Parse("//itemno"),
                                        Path::Parse("//bidtuple/itemno")));
-  EXPECT_TRUE(dtd.ExactlyOneChild("bidtuple", "itemno"));
+  EXPECT_TRUE(dtd.SingleNodePath(Path::Parse("//bidtuple"),
+                                 Path::Parse("itemno"), true));
 }
 
 TEST(ContentModelTest, OptionalAndChoice) {
@@ -127,8 +149,8 @@ TEST(ContentModelTest, RepeatedNameAcrossSequence) {
   auto a = dtd.ChildCardinality("r", "a");
   EXPECT_EQ(a->min, 2);
   EXPECT_EQ(a->max, 2);
-  EXPECT_FALSE(dtd.ExactlyOneChild("r", "a"));
-  EXPECT_TRUE(dtd.ExactlyOneChild("r", "b"));
+  EXPECT_FALSE(dtd.SingleNodePath(Path::Parse("/r"), Path::Parse("a"), false));
+  EXPECT_TRUE(dtd.SingleNodePath(Path::Parse("/r"), Path::Parse("b"), true));
 }
 
 TEST(ContentModelTest, EmptyAndAny) {

@@ -76,6 +76,177 @@ TEST(BindWherePathsTest, IntroducesLetForPathOperand) {
   EXPECT_TRUE(found_let);
 }
 
+/// Index of the let clause of `flwr` that binds `path` (by its text), or -1.
+int LetIndex(const AstPtr& flwr, const std::string& path) {
+  for (size_t i = 0; i < flwr->clauses.size(); ++i) {
+    const Clause& c = flwr->clauses[i];
+    if (c.kind == Clause::Kind::kLet && c.expr->ToString() == path) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+/// Number of let clauses of `flwr` that bind `path`.
+int LetCount(const AstPtr& flwr, const std::string& path) {
+  int n = 0;
+  for (const Clause& c : flwr->clauses) {
+    if (c.kind == Clause::Kind::kLet && c.expr->ToString() == path) ++n;
+  }
+  return n;
+}
+
+/// The FLWR inside `e`: e itself, the argument of a function call over it,
+/// or the first FLWR of an element constructor's content.
+AstPtr InnerFlwr(const AstPtr& e) {
+  if (e->kind == AstKind::kFlwr) return e;
+  if (e->kind == AstKind::kFnCall) return InnerFlwr(e->children[0]);
+  for (const CtorPart& p : e->content) {
+    if (p.expr != nullptr) return InnerFlwr(p.expr);
+  }
+  return nullptr;
+}
+
+// A where operand rooted at an enclosing FLWR's variable is bound in that
+// FLWR just before the clause that contains the block — here the return —
+// so the block compares two variables and no longer mentions $b1.
+TEST(BindWherePathsTest, OuterOperandOfBlockInReturnIsBoundInOuterBlock) {
+  AstPtr q = ParseQuery(R"(
+    for $b1 in doc("c.xml")//book
+    return <b>{ count(for $b2 in doc("c.xml")//book
+                      where $b2/@year < $b1/@year return $b2) }</b>)");
+  AstPtr out = BindWherePaths(q);
+  ASSERT_EQ(out->clauses.size(), 2u);
+  EXPECT_EQ(LetIndex(out, "$b1/@year"), 1);
+  AstPtr inner = InnerFlwr(out->ret);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(LetIndex(inner, "$b2/@year"), 1);  // the block's own path
+  EXPECT_EQ(inner->ToString().find("$b1"), std::string::npos)
+      << inner->ToString();
+}
+
+TEST(BindWherePathsTest, OuterOperandOfBlockInLetIsBoundBeforeThatLet) {
+  AstPtr q = ParseQuery(R"(
+    for $b1 in doc("c.xml")//book
+    where $b1/@year > 1990
+    let $n := count(for $b2 in doc("c.xml")//book
+                    where $b2/publisher = $b1/publisher return $b2)
+    return <p>{ $n }</p>)");
+  AstPtr out = BindWherePaths(q);
+  // for, where, let $p := $b1/publisher, let $n (the where's own operand
+  // is bound locally, before the where).
+  int bound = LetIndex(out, "$b1/publisher");
+  ASSERT_GE(bound, 0);
+  ASSERT_EQ(static_cast<size_t>(bound + 1), out->clauses.size() - 1);
+  EXPECT_EQ(out->clauses[bound + 1].var, "n");
+  EXPECT_EQ(out->clauses[bound - 1].kind, Clause::Kind::kWhere);
+  EXPECT_EQ(LetIndex(out, "$b1/@year"), 1);
+}
+
+TEST(BindWherePathsTest, OuterOperandOfBlockInWhereIsBoundBeforeTheWhere) {
+  AstPtr q = ParseQuery(R"(
+    for $b1 in doc("c.xml")//book
+    where exists(for $b2 in doc("c.xml")//book
+                 where $b2/publisher = $b1/publisher and
+                       $b2/@year > $b1/@year
+                 return $b2)
+    return <p>{ $b1 }</p>)");
+  AstPtr out = BindWherePaths(q);
+  ASSERT_EQ(out->clauses.size(), 4u);
+  EXPECT_EQ(LetIndex(out, "$b1/publisher"), 1);
+  EXPECT_EQ(LetIndex(out, "$b1/@year"), 2);
+  EXPECT_EQ(out->clauses[3].kind, Clause::Kind::kWhere);
+  EXPECT_EQ(out->clauses[3].expr->ToString().find("$b1"), std::string::npos);
+}
+
+// Three levels: each outer path goes to the FLWR that binds its root.
+TEST(BindWherePathsTest, ThreeLevelsBindEachPathWhereItsRootIsBound) {
+  AstPtr q = ParseQuery(R"(
+    for $a in doc("c.xml")//book
+    let $m := count(
+      for $b in doc("c.xml")//book
+      where exists(for $c in doc("c.xml")//book
+                   where $c/title = $a/title and $c/publisher = $b/publisher
+                   return $c)
+      return $b)
+    return <p>{ $m }</p>)");
+  AstPtr out = BindWherePaths(q);
+  EXPECT_EQ(LetIndex(out, "$a/title"), 1);
+  EXPECT_EQ(LetIndex(out, "$b/publisher"), -1);
+  AstPtr middle = InnerFlwr(out->clauses[2].expr);
+  ASSERT_NE(middle, nullptr);
+  EXPECT_EQ(LetIndex(middle, "$b/publisher"), 1);
+  EXPECT_EQ(LetIndex(middle, "$a/title"), -1);
+  AstPtr inner = InnerFlwr(middle->clauses[2].expr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(LetIndex(inner, "$c/title"), 1);
+  EXPECT_EQ(LetIndex(inner, "$c/publisher"), 2);
+}
+
+// A block that rebinds the outer variable's name compares its own binding:
+// the path stays local.
+TEST(BindWherePathsTest, ShadowedRootStaysLocal) {
+  AstPtr q = ParseQuery(R"(
+    for $b1 in doc("c.xml")//book
+    return <b>{ count(for $b1 in doc("c.xml")//book
+                      where $b1/publisher = "P1" return $b1) }</b>)");
+  AstPtr out = BindWherePaths(q);
+  EXPECT_EQ(out->clauses.size(), 1u);
+  AstPtr inner = InnerFlwr(out->ret);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(LetIndex(inner, "$b1/publisher"), 1);
+}
+
+// A root bound by a quantifier between the blocks is the quantifier's
+// variable, not the outer FLWR's: the path stays local.
+TEST(BindWherePathsTest, QuantifierBoundRootStaysLocal) {
+  AstPtr q = ParseQuery(R"(
+    for $b1 in doc("c.xml")//book
+    where some $b1 in doc("c.xml")//book satisfies
+          exists(for $b2 in doc("c.xml")//book
+                 where $b2/title = $b1/title return $b2)
+    return <b>{ $b1 }</b>)");
+  AstPtr out = BindWherePaths(q);
+  EXPECT_EQ(LetIndex(out, "$b1/title"), -1);
+  const Ast& quant = *out->clauses[1].expr;
+  ASSERT_EQ(quant.kind, AstKind::kQuantified);
+  AstPtr inner = InnerFlwr(quant.satisfies);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(LetCount(inner, "$b1/title"), 1);
+}
+
+// One outer path used by two blocks (and twice in one) is bound once.
+TEST(BindWherePathsTest, PathUsedTwiceIsBoundOnce) {
+  AstPtr q = ParseQuery(R"(
+    for $b1 in doc("c.xml")//book
+    let $x := count(for $b2 in doc("c.xml")//book
+                    where $b2/@year < $b1/@year and $b2/price > $b1/@year
+                    return $b2)
+    let $y := count(for $b3 in doc("c.xml")//book
+                    where $b3/@year >= $b1/@year return $b3)
+    return <b>{ $x }{ $y }</b>)");
+  AstPtr out = BindWherePaths(q);
+  EXPECT_EQ(LetCount(out, "$b1/@year"), 1);
+  EXPECT_EQ(LetIndex(out, "$b1/@year"), 1);
+  EXPECT_EQ(out->ToString().find("$b1/@year <"), std::string::npos);
+}
+
+// In quantifier ranges and predicated aggregate arguments, the outer path
+// stays a path (no unnest over $b1/publisher inside the block) and is then
+// bound in the outer block; the block's own path keeps its unnest.
+TEST(NormalizeTest, OuterPathsOfRangesAndAggregateArgumentsMoveOut) {
+  AstPtr q = Normalize(ParseQuery(R"(
+    for $b1 in doc("c.xml")//book
+    where every $b2 in doc("c.xml")//book[publisher = $b1/publisher]
+          satisfies $b2/@year > 1990
+    return <b>{ count(doc("c.xml")//book[author = $b1/author]) }</b>)"));
+  EXPECT_EQ(LetIndex(q, "$b1/publisher"), 1);
+  EXPECT_GE(LetIndex(q, "$b1/author"), 2);
+  std::string text = q->ToString();
+  EXPECT_EQ(text.find("in $b1/"), std::string::npos) << text;
+  EXPECT_NE(text.find("in $b2/publisher"), std::string::npos) << text;
+}
+
 TEST(NormalizeQuantifiersTest, EmbedsRangeIntoFlwr) {
   AstPtr q = ParseQuery(R"(
     for $t in doc("b.xml")//title

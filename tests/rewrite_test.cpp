@@ -90,11 +90,61 @@ TEST_F(ProvenanceTest, RenameCarriesProvenance) {
   EXPECT_EQ(prov.count(Symbol("b")), 0u);
 }
 
+// `single`: at most one item per tuple. Υ binds one item; χ over a path is
+// single only when the DTD bounds every step from a single context (or the
+// path is one attribute step); χ over distinct-values is a whole sequence.
+TEST_F(ProvenanceTest, SingleFlagFollowsBindingAndDtd) {
+  xml::DtdRegistry dtds;
+  dtds.Register("bib.xml", xml::Dtd::Parse(datagen::kBibDtd));
+  auto map_path = [](const char* attr, const char* path, AlgebraPtr child) {
+    return nal::Map(Symbol(attr),
+                    nal::MakePath(nal::MakeAttrRef(Symbol("b")),
+                                  xml::Path::Parse(path)),
+                    std::move(child));
+  };
+  AlgebraPtr plan = map_path(
+      "p", "publisher",
+      map_path("a", "author",
+               map_path("y", "@year",
+                        map_path("w", "@*",
+                                 DocScan("bib.xml", "//book", "b")))));
+  plan = nal::Map(Symbol("c"),
+                  nal::MakeAgg(nal::AggCount(),
+                               nal::MakeNestedAlg(DocScan("bib.xml", "//book",
+                                                          "x"))),
+                  std::move(plan));
+  plan = nal::Map(
+      Symbol("dv"),
+      nal::MakeFnCall("distinct-values",
+                      {nal::MakePath(nal::MakeFnCall(
+                                         "doc", {nal::MakeConst(
+                                                    nal::Value("bib.xml"))}),
+                                     xml::Path::Parse("//author"))}),
+      std::move(plan));
+  ProvenanceMap with_dtd = DeriveProvenance(*plan, &dtds);
+  EXPECT_TRUE(with_dtd[Symbol("b")].single);   // Υ
+  EXPECT_TRUE(with_dtd[Symbol("p")].single);   // publisher: exactly one
+  EXPECT_FALSE(with_dtd[Symbol("a")].single);  // author+
+  EXPECT_TRUE(with_dtd[Symbol("y")].single);   // one attribute step
+  EXPECT_FALSE(with_dtd[Symbol("w")].single);  // @*: every attribute
+  EXPECT_TRUE(with_dtd[Symbol("c")].single);   // count(...)
+  EXPECT_FALSE(with_dtd[Symbol("dv")].single);
+  ProvenanceMap without = DeriveProvenance(*plan);
+  EXPECT_FALSE(without[Symbol("p")].single);   // no DTD, no bound
+  EXPECT_TRUE(without[Symbol("y")].single);
+  EXPECT_FALSE(without[Symbol("w")].single);
+}
+
 class ConditionsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dtds_.Register("bib.xml", xml::Dtd::Parse(datagen::kBibDtd));
     dtds_.Register("dblp.xml", xml::Dtd::Parse(datagen::kDblpDtd));
+  }
+  /// The provenance entry of `attr` in `op`, derived as the rewriter does
+  /// for e1 (with the DTDs).
+  AttrProvenance Prov(const AlgebraPtr& op, const char* attr) const {
+    return ProvenanceOf(DeriveProvenance(*op, &dtds_), Symbol(attr));
   }
   xml::DtdRegistry dtds_;
 };
@@ -115,9 +165,9 @@ TEST_F(ConditionsTest, DistinctSourceMatchHoldsOnBib) {
                     xml::Path::Parse("author")),
       DocScan("bib.xml", "//book", "b2"));
   EXPECT_TRUE(
-      checker.DistinctSourceMatches(*e1, Symbol("a1"), *e2, Symbol("a2")));
-  EXPECT_TRUE(checker.IsDuplicateFree(*e1, Symbol("a1")));
-  EXPECT_FALSE(checker.IsDuplicateFree(*e2, Symbol("a2")));
+      checker.DistinctSourceMatches(Prov(e1, "a1"), Prov(e2, "a2")));
+  EXPECT_TRUE(ConditionChecker::IsDuplicateFree(Prov(e1, "a1")));
+  EXPECT_FALSE(ConditionChecker::IsDuplicateFree(Prov(e2, "a2")));
 }
 
 TEST_F(ConditionsTest, DistinctSourceMatchFailsOnDblp) {
@@ -137,7 +187,7 @@ TEST_F(ConditionsTest, DistinctSourceMatchFailsOnDblp) {
       DocScan("dblp.xml", "//book", "b2"));
   // Authors occur under articles and theses too: the condition must fail.
   EXPECT_FALSE(
-      checker.DistinctSourceMatches(*e1, Symbol("a1"), *e2, Symbol("a2")));
+      checker.DistinctSourceMatches(Prov(e1, "a1"), Prov(e2, "a2")));
 }
 
 TEST_F(ConditionsTest, DifferentDocumentsNeverMatch) {
@@ -152,7 +202,7 @@ TEST_F(ConditionsTest, DifferentDocumentsNeverMatch) {
       nal::Singleton());
   AlgebraPtr e2 = DocScan("dblp.xml", "//author", "a2");
   EXPECT_FALSE(
-      checker.DistinctSourceMatches(*e1, Symbol("a1"), *e2, Symbol("a2")));
+      checker.DistinctSourceMatches(Prov(e1, "a1"), Prov(e2, "a2")));
 }
 
 TEST_F(ConditionsTest, NullRegistryFailsConservatively) {
@@ -160,7 +210,30 @@ TEST_F(ConditionsTest, NullRegistryFailsConservatively) {
   AlgebraPtr e1 = DocScan("bib.xml", "//author", "a1");
   AlgebraPtr e2 = DocScan("bib.xml", "//author", "a2");
   EXPECT_FALSE(
-      checker.DistinctSourceMatches(*e1, Symbol("a1"), *e2, Symbol("a2")));
+      checker.DistinctSourceMatches(Prov(e1, "a1"), Prov(e2, "a2")));
+}
+
+// A χ-bound distinct-values sequence is distinct but one tuple: e1 is not
+// ΠD_{A1:A2}(Π_{A2}(e2)), whatever the DTD says about the paths.
+TEST_F(ConditionsTest, DistinctSourceMatchRequiresSingleValuedA1) {
+  ConditionChecker checker(&dtds_);
+  AlgebraPtr e1 = nal::Map(
+      Symbol("a1"),
+      nal::MakeFnCall(
+          "distinct-values",
+          {nal::MakePath(
+              nal::MakeFnCall("doc", {nal::MakeConst(nal::Value("bib.xml"))}),
+              xml::Path::Parse("//author"))}),
+      nal::Singleton());
+  AlgebraPtr e2 = nal::UnnestMap(
+      Symbol("a2"),
+      nal::MakePath(nal::MakeAttrRef(Symbol("b2")),
+                    xml::Path::Parse("author")),
+      DocScan("bib.xml", "//book", "b2"));
+  EXPECT_FALSE(ConditionChecker::IsSingleValued(Prov(e1, "a1")));
+  EXPECT_FALSE(
+      checker.DistinctSourceMatches(Prov(e1, "a1"), Prov(e2, "a2")));
+  EXPECT_TRUE(ConditionChecker::IsSingleValued(Prov(e2, "a2")));
 }
 
 TEST_F(ConditionsTest, FreeOfOuter) {
@@ -326,6 +399,64 @@ TEST_F(UnnesterTest, RequiredAttributesBlockEqv3) {
   auto alts_blocked = unnester.Alternatives(plan);
   EXPECT_FALSE(Has(alts_blocked, "eqv3-grouping"));
   EXPECT_TRUE(Has(alts_blocked, "eqv2-outerjoin"));
+}
+
+// Eqv. 2/4 join e1 to e2's groups on A1: they need A1 to hold at most one
+// item per e1 tuple. `publisher` is one per book under the bib DTD; `author`
+// and `@*` are not, and without a DTD `publisher` is not either.
+TEST_F(UnnesterTest, OuterJoinsNeedSingleValuedA1) {
+  const char* by_publisher = R"(
+    for $b1 in doc("bib.xml")//book
+    let $p1 := $b1/publisher
+    return <x>{ count(for $b2 in doc("bib.xml")//book
+                      where $b2/publisher = $p1 return $b2) }</x>)";
+  EXPECT_TRUE(Has(Compile(by_publisher), "eqv2-outerjoin"));
+  auto by_author = Compile(R"(
+    for $b1 in doc("bib.xml")//book
+    let $a1 := $b1/author
+    return <x>{ count(for $b2 in doc("bib.xml")//book
+                      where $b2/author = $a1 return $b2) }</x>)");
+  EXPECT_FALSE(Has(by_author, "eqv4-outerjoin"));
+  EXPECT_FALSE(Has(by_author, "eqv2-outerjoin"));
+  EXPECT_TRUE(Has(by_author, "eqv1-nestjoin"));
+  // `@*` selects every attribute of a book, whatever the DTD declares.
+  auto by_any_attribute = Compile(R"(
+    for $b1 in doc("bib.xml")//book
+    return <x>{ count(for $b2 in doc("bib.xml")//book
+                      where $b2/@* = $b1/@* return $b2) }</x>)");
+  EXPECT_FALSE(Has(by_any_attribute, "eqv4-outerjoin"));
+  EXPECT_FALSE(Has(by_any_attribute, "eqv2-outerjoin"));
+  EXPECT_TRUE(Has(by_any_attribute, "eqv1-nestjoin"));
+  dtds_ = xml::DtdRegistry();
+  auto no_dtd = Compile(by_publisher);
+  EXPECT_FALSE(Has(no_dtd, "eqv4-outerjoin"));
+  EXPECT_FALSE(Has(no_dtd, "eqv2-outerjoin"));
+  EXPECT_TRUE(Has(no_dtd, "eqv1-nestjoin"));
+}
+
+// The where-path binding moves an outer path out of the block, so N3's
+// inline spelling unnests like its let-bound spelling.
+TEST_F(UnnesterTest, InlineOuterPathUnnests) {
+  auto alts = Compile(R"(
+    for $b1 in doc("bib.xml")//book
+    let $n := count(for $b2 in doc("bib.xml")//book
+                    where $b2/publisher = $b1/publisher return $b2)
+    where $n > 3
+    return <p>{ $b1/title }</p>)");
+  EXPECT_TRUE(Has(alts, "eqv2-outerjoin"));
+  EXPECT_TRUE(Has(alts, "eqv1-nestjoin"));
+}
+
+// Eqv. 3/5 replace e1 by one tuple per distinct value: a χ-bound
+// distinct-values sequence (one tuple) must not qualify.
+TEST_F(UnnesterTest, GroupingNeedsSingleValuedA1) {
+  auto alts = Compile(R"(
+    let $a1 := distinct-values(doc("bib.xml")//author)
+    return <x>{ for $b2 in doc("bib.xml")//book[$a1 = author]
+                return $b2/title }</x>)");
+  EXPECT_FALSE(Has(alts, "eqv5-grouping"));
+  EXPECT_FALSE(Has(alts, "eqv4-outerjoin"));
+  EXPECT_TRUE(Has(alts, "eqv1-nestjoin"));
 }
 
 TEST_F(UnnesterTest, NoSiteMeansOnlyNestedPlan) {

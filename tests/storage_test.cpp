@@ -8,6 +8,7 @@
 // carrying the offending path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -818,6 +819,53 @@ TEST(StorageResidencyTest, AttachedStatisticsLoadWithoutPageIn) {
                         text_engine.store().document(id).names().size()));
   }
   EXPECT_EQ(store.source()->resident_bytes(), 0u);
+}
+
+// Persisting an attached store takes one lease per document, so each lease
+// boundary evicts what the previous document faulted in: residency stays
+// within the cache limit plus one document, and the re-persisted store
+// reopens with the same documents.
+TEST(StorageResidencyTest, PersistOfAttachedStoreStaysWithinLimitPlusOneDocument) {
+  constexpr uint64_t kLimit = 65536;
+  engine::Engine text_engine;
+  for (unsigned i = 0; i < 64; ++i) {
+    datagen::BibOptions bib;
+    bib.books = 20;
+    bib.seed = i + 1;
+    text_engine.AddDocument("b" + std::to_string(i) + ".xml",
+                            datagen::GenerateBib(bib));
+  }
+  uint64_t largest = 0;
+  {
+    xml::StoreReadLease lease(text_engine.store());
+    for (xml::DocId id = 0; id < text_engine.store().size(); ++id) {
+      largest = std::max(largest, storage::StoreCodec::ApproxResidentBytes(
+                                      text_engine.store().document(id)));
+    }
+  }
+  ASSERT_GT(64 * largest, 4 * kLimit) << "the corpus must exceed the limit";
+  TempDir first;
+  text_engine.PersistStore(first.str());
+
+  ASSERT_EQ(::setenv("NALQ_STORE_CACHE_BYTES", "65536", 1), 0);
+  engine::Engine warm;
+  warm.AttachStore(first.str());
+  ASSERT_EQ(::unsetenv("NALQ_STORE_CACHE_BYTES"), 0);
+  TempDir second;
+  warm.PersistStore(second.str());
+  EXPECT_LE(warm.store().source()->resident_bytes(), kLimit + largest);
+
+  engine::Engine reopened;
+  reopened.AttachStore(second.str());
+  xml::StoreReadLease text_lease(text_engine.store());
+  xml::StoreReadLease lease(reopened.store());
+  ASSERT_EQ(reopened.store().size(), text_engine.store().size());
+  for (xml::DocId id = 0; id < reopened.store().size(); ++id) {
+    const xml::Document& want = text_engine.store().document(id);
+    const xml::Document& got = reopened.store().document(id);
+    EXPECT_EQ(xml::Serialize(got, got.root()), xml::Serialize(want, want.root()))
+        << reopened.store().document_name(id);
+  }
 }
 
 // Stored documents are immutable: even a mutable Store hands out only

@@ -86,6 +86,13 @@ TEST(ParserTest, PathWithPredicateAndAttribute) {
   // Return: attribute step.
   EXPECT_EQ(q->ret->steps.back().axis, xml::Axis::kAttribute);
   EXPECT_EQ(q->ret->steps.back().name, "year");
+  // `@*` is a context-relative step in a predicate as after a `/`.
+  AstPtr any = ParseQuery("for $b in $d//book[@* = $v] return $b/@*");
+  const Ast& any_pred = *any->clauses[0].expr->steps[0].predicate;
+  ASSERT_EQ(any_pred.children[0]->kind, AstKind::kPathExpr);
+  EXPECT_EQ(any_pred.children[0]->steps[0].axis, xml::Axis::kAttribute);
+  EXPECT_EQ(any_pred.children[0]->steps[0].name, "*");
+  EXPECT_EQ(any->ret->steps.back().name, "*");
 }
 
 TEST(ParserTest, Quantifiers) {
