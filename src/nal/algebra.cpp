@@ -232,4 +232,102 @@ AlgebraPtr XiGroup(XiProgram s1, std::vector<Symbol> group_attrs, XiProgram s2,
   return op;
 }
 
+AlgebraPtr ReplaceChild(const AlgebraOp& op, size_t index, AlgebraPtr child) {
+  AlgebraPtr copy = std::make_shared<AlgebraOp>(op);
+  copy->children[index] = std::move(child);
+  return copy;
+}
+
+// ---- structural identity ---------------------------------------------
+
+namespace {
+
+size_t Mix(size_t h, size_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+/// Hashes kinds, symbols and literals over the whole walk; the remaining
+/// fields only break ties, which StructurallyEqual settles.
+size_t HashExpr(const ExprPtr& e) {
+  if (e == nullptr) return 0;
+  size_t h = Mix(Mix(static_cast<size_t>(e->kind) + 1, e->attr.id()),
+                 e->literal.Hash());
+  h = Mix(h, HashExpr(e->agg.filter));
+  if (e->alg != nullptr) h = Mix(h, StructuralHash(*e->alg));
+  for (const ExprPtr& c : e->children) h = Mix(h, HashExpr(c));
+  return h;
+}
+
+bool ExprEqual(const ExprPtr& a, const ExprPtr& b);
+
+bool AggEqual(const AggSpec& a, const AggSpec& b) {
+  return a.kind == b.kind && a.project == b.project &&
+         ExprEqual(a.filter, b.filter);
+}
+
+bool ExprEqual(const ExprPtr& a, const ExprPtr& b) {
+  if (a == b) return true;
+  if (a == nullptr || b == nullptr) return false;
+  if (a->kind != b->kind || a->attr != b->attr || a->cmp != b->cmp ||
+      a->fn != b->fn || a->quant != b->quant ||
+      a->quant_var != b->quant_var || a->arith != b->arith ||
+      a->path.absolute() != b->path.absolute() ||
+      a->path.steps() != b->path.steps() ||
+      a->literal.kind() != b->literal.kind() ||
+      !a->literal.Equals(b->literal) || !AggEqual(a->agg, b->agg) ||
+      (a->alg == nullptr) != (b->alg == nullptr) ||
+      (a->alg != nullptr && !StructurallyEqual(*a->alg, *b->alg)) ||
+      a->children.size() != b->children.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a->children.size(); ++i) {
+    if (!ExprEqual(a->children[i], b->children[i])) return false;
+  }
+  return true;
+}
+
+bool ProgramEqual(const XiProgram& a, const XiProgram& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].is_literal != b[i].is_literal || a[i].text != b[i].text ||
+        !ExprEqual(a[i].expr, b[i].expr)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+size_t StructuralHash(const AlgebraOp& op) {
+  size_t h = Mix(static_cast<size_t>(op.kind) + 1, op.attr.id());
+  for (const AlgebraPtr& c : op.children) h = Mix(h, StructuralHash(*c));
+  for (const ExprPtr* e : {&op.pred, &op.expr, &op.agg.filter}) {
+    h = Mix(h, HashExpr(*e));
+  }
+  for (const XiProgram* program : {&op.s1, &op.s2, &op.s3}) {
+    for (const XiCommand& c : *program) h = Mix(h, HashExpr(c.expr));
+  }
+  return h;
+}
+
+bool StructurallyEqual(const AlgebraOp& a, const AlgebraOp& b) {
+  if (&a == &b) return true;
+  if (a.kind != b.kind || a.attr != b.attr || a.pmode != b.pmode ||
+      a.attrs != b.attrs || a.renames != b.renames ||
+      a.sort_desc != b.sort_desc || a.theta != b.theta ||
+      a.left_attrs != b.left_attrs || a.right_attrs != b.right_attrs ||
+      a.distinct != b.distinct || a.outer != b.outer ||
+      a.cse_id != b.cse_id || a.children.size() != b.children.size() ||
+      !ExprEqual(a.pred, b.pred) || !ExprEqual(a.expr, b.expr) ||
+      !AggEqual(a.agg, b.agg) || !ProgramEqual(a.s1, b.s1) ||
+      !ProgramEqual(a.s2, b.s2) || !ProgramEqual(a.s3, b.s3)) {
+    return false;
+  }
+  for (size_t i = 0; i < a.children.size(); ++i) {
+    if (!StructurallyEqual(*a.children[i], *b.children[i])) return false;
+  }
+  return true;
+}
+
 }  // namespace nalq::nal

@@ -76,6 +76,14 @@ using XiProgram = std::vector<XiCommand>;
 /// One algebra operator node. Like Expr, a tagged struct: the unnesting
 /// rewriter pattern-matches and rebuilds these trees, which a flat
 /// representation keeps straightforward.
+///
+/// Immutable once built. A rewrite copies only the operators between the
+/// root and the rewritten site and shares every other subtree, so the
+/// alternatives of one query share subtrees with each other and with the
+/// nested plan. Within one plan no operator or expression node is reachable
+/// twice: profiles, estimates and spool hints key per-plan state by node
+/// address. Code that must write to a plan (ShareCommonSubexpressions'
+/// cse_id) writes to its own Clone().
 struct AlgebraOp {
   OpKind kind = OpKind::kSingleton;
   std::vector<AlgebraPtr> children;
@@ -109,8 +117,32 @@ struct AlgebraOp {
   /// env-independent subtrees.
   int cse_id = -1;
 
+  /// Deep copy, for code that writes to its copy.
   AlgebraPtr Clone() const;
   const AlgebraPtr& child(size_t i) const { return children[i]; }
+};
+
+// ---- structural identity ---------------------------------------------
+
+/// Two plans are structurally equal when their operators agree in every
+/// field (kind, symbols, modes, flags, Ξ literals, cse_id) and their
+/// children and subscripts — pred, expr, agg and its filter, the Ξ
+/// commands, and nested algebra inside expressions — are structurally equal
+/// in turn. Equality returns at once on identical pointers, so subtrees
+/// shared between alternatives compare in constant time. StructuralHash is
+/// consistent with it. Deduplicating plans uses this pair; PrintPlan is for
+/// display only.
+size_t StructuralHash(const AlgebraOp& op);
+bool StructurallyEqual(const AlgebraOp& a, const AlgebraOp& b);
+
+/// The pair as functors for unordered containers of operator pointers.
+struct StructuralOpHash {
+  size_t operator()(const AlgebraOp* op) const { return StructuralHash(*op); }
+};
+struct StructuralOpEqual {
+  bool operator()(const AlgebraOp* a, const AlgebraOp* b) const {
+    return StructurallyEqual(*a, *b);
+  }
 };
 
 // ---- constructors -----------------------------------------------------
@@ -148,6 +180,10 @@ AlgebraPtr SortByDir(std::vector<Symbol> attrs, std::vector<uint8_t> desc,
 AlgebraPtr XiSimple(XiProgram commands, AlgebraPtr input);
 AlgebraPtr XiGroup(XiProgram s1, std::vector<Symbol> group_attrs, XiProgram s2,
                    XiProgram s3, AlgebraPtr input);
+
+/// `op` with child `index` replaced by `child`: one new node that shares
+/// everything else with `op` (path copying).
+AlgebraPtr ReplaceChild(const AlgebraOp& op, size_t index, AlgebraPtr child);
 
 }  // namespace nalq::nal
 

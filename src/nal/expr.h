@@ -85,8 +85,11 @@ AggSpec AggCount();
 AggSpec AggOf(AggSpec::Kind kind, Symbol input);
 
 /// One expression node. A tagged struct (rather than a class hierarchy)
-/// keeps deep-clone and structural comparison — which the rewriter leans on —
-/// simple and in one place.
+/// keeps structural hashing and comparison (StructuralHash and
+/// StructurallyEqual in algebra.h, which the rewriter deduplicates plans
+/// with) simple and in one place. Immutable once built, like AlgebraOp:
+/// rewrites share unchanged subexpressions between plans, so no code may
+/// write to an expression another plan can reach.
 struct Expr {
   ExprKind kind = ExprKind::kConst;
 
@@ -102,7 +105,8 @@ struct Expr {
   ArithOp arith = ArithOp::kAdd;  // kArith
   std::vector<ExprPtr> children;  // operands / arguments / quant predicate
 
-  /// Deep copy (algebra subtrees cloned too).
+  /// Deep copy (algebra subtrees cloned too), for code that writes to its
+  /// copy.
   ExprPtr Clone() const;
 
   std::string DebugString() const;

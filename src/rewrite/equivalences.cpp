@@ -106,14 +106,14 @@ std::optional<Extraction> ExtractOuterConjuncts(const AlgebraPtr& op,
       if (!sub.has_value()) return std::nullopt;
       Extraction out;
       out.moved = std::move(sub->moved);
-      AlgebraPtr copy = op->Clone();
-      copy->children[0] = sub->rebuilt;
-      out.rebuilt = std::move(copy);
+      out.rebuilt = sub->rebuilt == op->child(0)
+                        ? op
+                        : nal::ReplaceChild(*op, 0, std::move(sub->rebuilt));
       return out;
     }
     default: {
       Extraction out;
-      out.rebuilt = op->Clone();
+      out.rebuilt = op;
       return out;
     }
   }
@@ -183,7 +183,7 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
   const Expr& expr = *map_op.expr;
   if (expr.kind == ExprKind::kAgg &&
       expr.children[0]->kind == ExprKind::kNestedAlg) {
-    f = expr.agg.CloneSpec();
+    f = expr.agg;
     chain = expr.children[0]->alg;
   } else if (expr.kind == ExprKind::kNestedAlg) {
     f = nal::AggId();
@@ -233,26 +233,25 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
     // A1 ∈ a2 (the value of a2 is an e[a'] sequence). Condition for 4/5:
     // f may not depend on a2 or its items.
     if (!f.DependsOn(corr->a2) && !f.DependsOn(item_attr)) {
-      AlgebraPtr mu = nal::Unnest(corr->a2, e2->Clone(), /*distinct=*/true,
+      AlgebraPtr mu = nal::Unnest(corr->a2, e2, /*distinct=*/true,
                                   /*outer=*/false);
       // Eqv. 5 (condition: e1 = ΠD_{A1:A2}(Π_{A2}(μ_{a2}(e2)))).
       if (checker.DistinctSourceMatchesNested(a1_prov, a2_prov)) {
         AlgebraPtr plan = nal::ProjectRename(
             {{corr->a1, item_attr}},
-            nal::GroupUnary(g, CmpOp::kEq, {item_attr}, f.CloneSpec(),
-                            mu->Clone()));
+            nal::GroupUnary(g, CmpOp::kEq, {item_attr}, f, mu));
         if (required_ok(*plan)) {
           out.push_back({"eqv5-grouping", std::move(plan)});
         }
       }
       // Eqv. 4 (condition: A1 holds at most one item per e1 tuple).
       if (ConditionChecker::IsSingleValued(a1_prov)) {
-        AlgebraPtr grouped = nal::GroupUnary(g, CmpOp::kEq, {item_attr},
-                                             f.CloneSpec(), mu->Clone());
+        AlgebraPtr grouped =
+            nal::GroupUnary(g, CmpOp::kEq, {item_attr}, f, mu);
         AlgebraPtr oj = nal::OuterJoin(
             nal::MakeCmp(CmpOp::kEq, nal::MakeAttrRef(corr->a1),
                          nal::MakeAttrRef(item_attr)),
-            g, f_empty->Clone(), e1->Clone(), std::move(grouped));
+            g, f_empty, e1, std::move(grouped));
         AlgebraPtr plan = nal::ProjectDrop({item_attr}, std::move(oj));
         if (required_ok(*plan)) {
           out.push_back({"eqv4-outerjoin", std::move(plan)});
@@ -262,9 +261,8 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
     // Nest-join over the membership predicate (Eqv. 1 generalized to ∈; the
     // hash grouping expands sequence-valued keys).
     {
-      AlgebraPtr plan =
-          nal::GroupBinary(g, {corr->a1}, CmpOp::kEq, {corr->a2},
-                           f.CloneSpec(), e1->Clone(), e2->Clone());
+      AlgebraPtr plan = nal::GroupBinary(g, {corr->a1}, CmpOp::kEq,
+                                         {corr->a2}, f, e1, e2);
       if (required_ok(*plan)) {
         out.push_back({"eqv1-nestjoin", std::move(plan)});
       }
@@ -277,8 +275,7 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
   if (checker.DistinctSourceMatches(a1_prov, a2_prov)) {
     AlgebraPtr plan = nal::ProjectRename(
         {{corr->a1, corr->a2}},
-        nal::GroupUnary(g, corr->theta, {corr->a2}, f.CloneSpec(),
-                        e2->Clone()));
+        nal::GroupUnary(g, corr->theta, {corr->a2}, f, e2));
     if (required_ok(*plan)) {
       out.push_back({"eqv3-grouping", std::move(plan)});
     }
@@ -286,12 +283,11 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
   // Eqv. 2 (θ must be '=', and A1 hold at most one item per e1 tuple).
   if (corr->theta == CmpOp::kEq &&
       ConditionChecker::IsSingleValued(a1_prov)) {
-    AlgebraPtr grouped = nal::GroupUnary(g, CmpOp::kEq, {corr->a2},
-                                         f.CloneSpec(), e2->Clone());
+    AlgebraPtr grouped = nal::GroupUnary(g, CmpOp::kEq, {corr->a2}, f, e2);
     AlgebraPtr oj = nal::OuterJoin(
         nal::MakeCmp(CmpOp::kEq, nal::MakeAttrRef(corr->a1),
                      nal::MakeAttrRef(corr->a2)),
-        g, f_empty->Clone(), e1->Clone(), std::move(grouped));
+        g, f_empty, e1, std::move(grouped));
     AlgebraPtr plan = nal::ProjectDrop({corr->a2}, std::move(oj));
     if (required_ok(*plan)) {
       out.push_back({"eqv2-outerjoin", std::move(plan)});
@@ -300,8 +296,7 @@ std::vector<Alternative> UnnestMapNode(const AlgebraOp& map_op,
   // Eqv. 1 (any θ).
   {
     AlgebraPtr plan =
-        nal::GroupBinary(g, {corr->a1}, corr->theta, {corr->a2}, f.CloneSpec(),
-                         e1->Clone(), e2->Clone());
+        nal::GroupBinary(g, {corr->a1}, corr->theta, {corr->a2}, f, e1, e2);
     if (required_ok(*plan)) {
       out.push_back({"eqv1-nestjoin", std::move(plan)});
     }
@@ -351,7 +346,7 @@ std::vector<Alternative> UnnestQuantNode(const AlgebraOp& select_op,
     }
     ExprPtr pred = JoinAnd(pred_parts);
     out.push_back(
-        {"eqv6-semijoin", nal::SemiJoin(pred, e1->Clone(), e2->Clone())});
+        {"eqv6-semijoin", nal::SemiJoin(pred, e1, e2)});
   } else {
     ExprPtr p_sub = nal::SubstituteAttr(p, quant.quant_var, x_prime);
     ExprPtr negated = p_sub->kind == ExprKind::kCmp
@@ -361,7 +356,7 @@ std::vector<Alternative> UnnestQuantNode(const AlgebraOp& select_op,
     pred_parts.push_back(std::move(negated));
     ExprPtr pred = JoinAnd(pred_parts);
     out.push_back(
-        {"eqv7-antijoin", nal::AntiJoin(pred, e1->Clone(), e2->Clone())});
+        {"eqv7-antijoin", nal::AntiJoin(pred, e1, e2)});
   }
   return out;
 }
@@ -414,7 +409,7 @@ std::optional<Alternative> CountingRewrite(const AlgebraOp& join_op,
   if (!residual.empty()) count.filter = JoinAnd(residual);
   Symbol c = Symbol::Fresh("c");
   AlgebraPtr grouped =
-      nal::GroupUnary(c, CmpOp::kEq, {corr->a2}, std::move(count), e2->Clone());
+      nal::GroupUnary(c, CmpOp::kEq, {corr->a2}, std::move(count), e2);
   AlgebraPtr renamed =
       nal::ProjectRename({{corr->a1, corr->a2}}, std::move(grouped));
   bool anti = join_op.kind == OpKind::kAntiJoin;
@@ -477,7 +472,7 @@ std::optional<Alternative> GroupXiRewrite(const AlgebraOp& xi_op) {
   nal::XiProgram s2 = {nal::XiCommand::Var(t)};
   return Alternative{"group-xi",
                      nal::XiGroup(std::move(s1), {a2}, std::move(s2),
-                                  std::move(s3), gamma->child(0)->Clone())};
+                                  std::move(s3), gamma->child(0))};
 }
 
 }  // namespace nalq::rewrite

@@ -1,10 +1,8 @@
 #include "rewrite/unnester.h"
 
 #include <atomic>
-#include <map>
-#include <set>
-
-#include "nal/printer.h"
+#include <unordered_map>
+#include <unordered_set>
 
 namespace nalq::rewrite {
 
@@ -43,12 +41,6 @@ SymbolSet SubscriptRefs(const AlgebraOp& op) {
   return out;
 }
 
-AlgebraPtr ReplaceChild(const AlgebraOp& op, size_t index, AlgebraPtr child) {
-  AlgebraPtr copy = op.Clone();
-  copy->children[index] = std::move(child);
-  return copy;
-}
-
 /// DFS for a semi/antijoin where the counting rewrite (Eqv. 8/9) fires.
 std::optional<Alternative> ApplyCountingRec(const AlgebraPtr& op,
                                             const SymbolSet& required,
@@ -60,7 +52,7 @@ std::optional<Alternative> ApplyCountingRec(const AlgebraPtr& op,
     std::optional<Alternative> sub =
         ApplyCountingRec(op->children[i], child_required, checker);
     if (sub.has_value()) {
-      return Alternative{sub->rule, ReplaceChild(*op, i, sub->plan)};
+      return Alternative{sub->rule, nal::ReplaceChild(*op, i, sub->plan)};
     }
   }
   return std::nullopt;
@@ -69,26 +61,21 @@ std::optional<Alternative> ApplyCountingRec(const AlgebraPtr& op,
 }  // namespace
 
 nal::AlgebraPtr Unnester::SplitSelects(const nal::AlgebraPtr& plan) {
-  AlgebraPtr copy = plan->Clone();
-  // Bottom-up rewrite.
-  std::vector<AlgebraPtr*> stack = {&copy};
-  std::vector<AlgebraPtr*> order;
-  while (!stack.empty()) {
-    AlgebraPtr* cur = stack.back();
-    stack.pop_back();
-    order.push_back(cur);
-    for (AlgebraPtr& c : (*cur)->children) stack.push_back(&c);
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    AlgebraPtr& node = **it;
-    while (node->kind == OpKind::kSelect &&
-           node->pred->kind == ExprKind::kAnd) {
-      nal::ExprPtr p = node->pred->children[0];
-      nal::ExprPtr q = node->pred->children[1];
-      node = nal::Select(p, nal::Select(q, node->child(0)));
+  // Bottom-up; only the spine above a split selection is rebuilt.
+  AlgebraPtr node = plan;
+  for (size_t i = 0; i < plan->children.size(); ++i) {
+    AlgebraPtr child = SplitSelects(plan->children[i]);
+    if (child != plan->children[i]) {
+      if (node == plan) node = std::make_shared<AlgebraOp>(*plan);
+      node->children[i] = std::move(child);
     }
   }
-  return copy;
+  while (node->kind == OpKind::kSelect && node->pred->kind == ExprKind::kAnd) {
+    nal::ExprPtr p = node->pred->children[0];
+    nal::ExprPtr q = node->pred->children[1];
+    node = nal::Select(p, nal::Select(q, node->child(0)));
+  }
+  return node;
 }
 
 std::vector<Alternative> Unnester::RewriteSubtree(const AlgebraPtr& op,
@@ -136,7 +123,7 @@ std::vector<Alternative> Unnester::RewriteSubtree(const AlgebraPtr& op,
       std::vector<Alternative> out;
       out.reserve(sub.size());
       for (Alternative& alt : sub) {
-        out.push_back({alt.rule, ReplaceChild(*op, i, alt.plan)});
+        out.push_back({alt.rule, nal::ReplaceChild(*op, i, alt.plan)});
       }
       return out;
     }
@@ -169,14 +156,16 @@ std::vector<Alternative> Unnester::AllAlternatives(const nal::AlgebraPtr& plan,
                                                    size_t max_plans) {
   std::vector<Alternative> out;
   out.push_back({"nested", plan});
-  std::set<std::string> seen = {nal::PrintPlan(*plan)};
+  // Keys point into the plans `out` holds.
+  std::unordered_set<const AlgebraOp*, nal::StructuralOpHash,
+                     nal::StructuralOpEqual>
+      seen = {plan.get()};
   // Breadth-first worklist of indexes into `out` still to expand.
   for (size_t next = 0; next < out.size() && out.size() < max_plans; ++next) {
     const Alternative current = out[next];  // copy: out grows below
     std::vector<Alternative> alts = Alternatives(current.plan);
     for (size_t i = 1; i < alts.size() && out.size() < max_plans; ++i) {
-      std::string printed = nal::PrintPlan(*alts[i].plan);
-      if (!seen.insert(std::move(printed)).second) continue;
+      if (!seen.insert(alts[i].plan.get()).second) continue;
       std::string rule = current.rule == "nested"
                              ? alts[i].rule
                              : current.rule + "," + alts[i].rule;
@@ -224,10 +213,13 @@ Alternative Unnester::Best(const nal::AlgebraPtr& plan) {
 }
 
 nal::AlgebraPtr ShareCommonSubexpressions(const nal::AlgebraPtr& plan) {
+  // Writes cse_id, so it works on its own deep copy.
   AlgebraPtr copy = plan->Clone();
-  // Group subtrees by their printed form (a canonical rendering: two nodes
-  // print identically iff kinds, subscripts and children coincide).
-  std::map<std::string, std::vector<AlgebraOp*>> groups;
+  // Group structurally equal subtrees, in order of first appearance.
+  std::vector<std::vector<AlgebraOp*>> groups;
+  std::unordered_map<const AlgebraOp*, size_t, nal::StructuralOpHash,
+                     nal::StructuralOpEqual>
+      group_of;
   std::vector<AlgebraOp*> stack = {copy.get()};
   while (!stack.empty()) {
     AlgebraOp* cur = stack.back();
@@ -241,12 +233,14 @@ nal::AlgebraPtr ShareCommonSubexpressions(const nal::AlgebraPtr& plan) {
       for (const AlgebraPtr& c : p->children) probe.push_back(c.get());
     }
     if (has_scan && nal::FreeVars(*cur).empty()) {
-      groups[nal::PrintPlan(*cur)].push_back(cur);
+      auto [it, added] = group_of.emplace(cur, groups.size());
+      if (added) groups.emplace_back();
+      groups[it->second].push_back(cur);
     }
     for (const AlgebraPtr& c : cur->children) stack.push_back(c.get());
   }
   static std::atomic<int> next_id{1000};
-  for (auto& [text, nodes] : groups) {
+  for (const std::vector<AlgebraOp*>& nodes : groups) {
     if (nodes.size() < 2) continue;
     // Skip nodes nested inside an already-shared group member (their parent
     // cache entry covers them).

@@ -2,58 +2,6 @@
 
 namespace nalq::xquery {
 
-namespace {
-
-CtorPart ClonePart(const CtorPart& p) {
-  CtorPart out = p;
-  if (p.expr != nullptr) out.expr = p.expr->Clone();
-  return out;
-}
-
-}  // namespace
-
-AstPtr Ast::Clone() const {
-  auto out = std::make_shared<Ast>();
-  out->kind = kind;
-  out->literal = literal;
-  out->name = name;
-  out->cmp = cmp;
-  out->steps.reserve(steps.size());
-  for (const PathStepAst& s : steps) {
-    PathStepAst copy = s;
-    if (s.predicate != nullptr) copy.predicate = s.predicate->Clone();
-    out->steps.push_back(std::move(copy));
-  }
-  out->clauses.reserve(clauses.size());
-  for (const Clause& c : clauses) {
-    Clause copy = c;
-    if (c.expr != nullptr) copy.expr = c.expr->Clone();
-    out->clauses.push_back(std::move(copy));
-  }
-  if (ret != nullptr) out->ret = ret->Clone();
-  out->order_by.reserve(order_by.size());
-  for (const auto& [key, desc] : order_by) {
-    out->order_by.emplace_back(key->Clone(), desc);
-  }
-  out->quant = quant;
-  out->qvar = qvar;
-  if (range != nullptr) out->range = range->Clone();
-  if (satisfies != nullptr) out->satisfies = satisfies->Clone();
-  out->tag = tag;
-  out->attributes.reserve(attributes.size());
-  for (const auto& [name_, parts] : attributes) {
-    std::vector<CtorPart> copied;
-    copied.reserve(parts.size());
-    for (const CtorPart& p : parts) copied.push_back(ClonePart(p));
-    out->attributes.emplace_back(name_, std::move(copied));
-  }
-  out->content.reserve(content.size());
-  for (const CtorPart& p : content) out->content.push_back(ClonePart(p));
-  out->children.reserve(children.size());
-  for (const AstPtr& c : children) out->children.push_back(c->Clone());
-  return out;
-}
-
 std::string Ast::ToString() const {
   switch (kind) {
     case AstKind::kLiteral:

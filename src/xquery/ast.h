@@ -56,6 +56,11 @@ struct Clause {
   AstPtr expr;
 };
 
+/// One query-tree node. Immutable once built: a rewrite copies only the
+/// nodes between the root and the rewritten site and shares every other
+/// subtree with its input (the normalizer's MapChildren/Transform), so
+/// the parsed query and its normalized form share unchanged subtrees, and
+/// no code may write to a node that another tree can reach.
 struct Ast {
   AstKind kind = AstKind::kLiteral;
 
@@ -87,7 +92,6 @@ struct Ast {
   // kCmp/kAnd/kOr operands, kFnCall arguments, kPathExpr base.
   std::vector<AstPtr> children;
 
-  AstPtr Clone() const;
   /// Source-like rendering (used in tests and error messages).
   std::string ToString() const;
 };

@@ -8,34 +8,58 @@ namespace nalq::xquery {
 
 namespace {
 
-/// Copies `node` with every direct sub-AST replaced by `fn(sub-AST)`, in
-/// source order (the return before the order by keys).
-template <typename Fn>
-AstPtr MapChildren(const AstPtr& node, const Fn& fn) {
-  AstPtr copy = std::make_shared<Ast>(*node);
-  for (AstPtr& c : copy->children) c = fn(c);
-  for (PathStepAst& s : copy->steps) {
-    if (s.predicate != nullptr) s.predicate = fn(s.predicate);
+/// Calls `fn` on every non-null direct sub-AST slot of `node` (an `Ast` or a
+/// `const Ast`), in source order: the return before the order by keys.
+template <typename Node, typename Fn>
+void ForEachSubAst(Node& node, const Fn& fn) {
+  for (auto& c : node.children) fn(c);
+  for (auto& s : node.steps) {
+    if (s.predicate != nullptr) fn(s.predicate);
   }
-  for (Clause& c : copy->clauses) {
-    if (c.expr != nullptr) c.expr = fn(c.expr);
+  for (auto& c : node.clauses) {
+    if (c.expr != nullptr) fn(c.expr);
   }
-  if (copy->ret != nullptr) copy->ret = fn(copy->ret);
-  for (auto& [key, desc] : copy->order_by) key = fn(key);
-  if (copy->range != nullptr) copy->range = fn(copy->range);
-  if (copy->satisfies != nullptr) copy->satisfies = fn(copy->satisfies);
-  for (auto& [name, parts] : copy->attributes) {
-    for (CtorPart& p : parts) {
-      if (p.expr != nullptr) p.expr = fn(p.expr);
+  if (node.ret != nullptr) fn(node.ret);
+  for (auto& [key, desc] : node.order_by) fn(key);
+  if (node.range != nullptr) fn(node.range);
+  if (node.satisfies != nullptr) fn(node.satisfies);
+  for (auto& [name, parts] : node.attributes) {
+    for (auto& p : parts) {
+      if (p.expr != nullptr) fn(p.expr);
     }
   }
-  for (CtorPart& p : copy->content) {
-    if (p.expr != nullptr) p.expr = fn(p.expr);
+  for (auto& p : node.content) {
+    if (p.expr != nullptr) fn(p.expr);
   }
-  return copy;
+}
+
+/// `node` with every direct sub-AST replaced by `fn(sub-AST)`, in source
+/// order. Path copying: `node` is copied (one node, its sub-ASTs shared) only
+/// when some sub-AST comes back as a different pointer; otherwise `node`
+/// itself is returned, so an unchanged subtree stays shared with the input.
+template <typename Fn>
+AstPtr MapChildren(const AstPtr& node, const Fn& fn) {
+  AstPtr copy;
+  size_t slot = 0;
+  ForEachSubAst(*node, [&](const AstPtr& sub) {
+    AstPtr mapped = fn(sub);
+    if (mapped != sub) {
+      if (copy == nullptr) copy = std::make_shared<Ast>(*node);
+      size_t i = 0;
+      ForEachSubAst(*copy, [&](AstPtr& s) {
+        if (i++ == slot) s = std::move(mapped);
+      });
+    }
+    ++slot;
+  });
+  return copy != nullptr ? copy : node;
 }
 
 /// Applies `fn` to every sub-AST bottom-up and returns the rebuilt tree.
+/// Nodes are never written: `fn` returns its argument when it leaves a node
+/// as it is, and a new node otherwise, so only the path from the root to
+/// each rewritten node is copied and every other subtree stays shared with
+/// the input.
 AstPtr Transform(const AstPtr& node,
                  const std::function<AstPtr(const AstPtr&)>& fn) {
   return fn(MapChildren(
@@ -78,48 +102,37 @@ AstPtr JoinConjuncts(const std::vector<AstPtr>& conjuncts) {
   return out;
 }
 
-/// Does `e` reference variable `var` (not counting rebinding — the subset
-/// has no shadowing in practice)?
-bool ReferencesVar(const AstPtr& e, const std::string& var) {
-  if (e->kind == AstKind::kVarRef && e->name == var) return true;
-  for (const AstPtr& c : e->children) {
-    if (ReferencesVar(c, var)) return true;
-  }
-  for (const PathStepAst& s : e->steps) {
-    if (s.predicate != nullptr && ReferencesVar(s.predicate, var)) return true;
-  }
-  for (const Clause& c : e->clauses) {
-    if (c.expr != nullptr && ReferencesVar(c.expr, var)) return true;
-  }
-  if (e->ret != nullptr && ReferencesVar(e->ret, var)) return true;
-  if (e->range != nullptr && ReferencesVar(e->range, var)) return true;
-  if (e->satisfies != nullptr && ReferencesVar(e->satisfies, var)) return true;
-  for (const auto& [name, parts] : e->attributes) {
-    for (const CtorPart& p : parts) {
-      if (p.expr != nullptr && ReferencesVar(p.expr, var)) return true;
-    }
-  }
-  for (const CtorPart& p : e->content) {
-    if (p.expr != nullptr && ReferencesVar(p.expr, var)) return true;
-  }
-  return false;
+/// Is `e` a conjunction JoinConjuncts builds: nested on the left only?
+bool IsLeftDeep(const AstPtr& e) {
+  return e->kind != AstKind::kAnd ||
+         (e->children[1]->kind != AstKind::kAnd && IsLeftDeep(e->children[0]));
+}
+
+/// JoinConjuncts(`conjuncts`), the split of `e`; `e` itself when no conjunct
+/// was `rewritten` and the join would rebuild the same tree.
+AstPtr RejoinConjuncts(const AstPtr& e, const std::vector<AstPtr>& conjuncts,
+                       bool rewritten) {
+  return !rewritten && IsLeftDeep(e) ? e : JoinConjuncts(conjuncts);
 }
 
 }  // namespace
 
 std::string FreshVar(const std::string& prefix) {
   static std::atomic<uint64_t> counter{0};
-  return prefix + "_n" + std::to_string(counter.fetch_add(1));
+  // '#' is no XQuery name character, so no query can spell this variable;
+  // the 'n' keeps it apart from nal::Symbol::Fresh's `<base>#<digits>`.
+  return prefix + "#n" + std::to_string(counter.fetch_add(1));
 }
 
 namespace {
 
-/// Substitutes every reference to $var with (a clone of) `replacement`.
+/// Substitutes every reference to $var with `replacement` (shared: no pass
+/// writes to a node).
 AstPtr SubstituteVar(const AstPtr& e, const std::string& var,
                      const AstPtr& replacement) {
   return Transform(e, [&](const AstPtr& node) -> AstPtr {
     if (node->kind == AstKind::kVarRef && node->name == var) {
-      return replacement->Clone();
+      return replacement;
     }
     return node;
   });
@@ -137,18 +150,23 @@ AstPtr SubstituteVar(const AstPtr& e, const std::string& var,
 // ---------------------------------------------------------------------------
 
 AstPtr InlineDocLets(const AstPtr& query) {
-  return Transform(query, [](const AstPtr& node) -> AstPtr {
-    if (node->kind != AstKind::kFlwr) return node;
+  auto is_doc_let = [](const Clause& c) {
+    return c.kind == Clause::Kind::kLet && c.expr != nullptr &&
+           c.expr->kind == AstKind::kFnCall &&
+           (c.expr->name == "doc" || c.expr->name == "document") &&
+           c.expr->children.size() == 1 &&
+           c.expr->children[0]->kind == AstKind::kLiteral;
+  };
+  return Transform(query, [&](const AstPtr& node) -> AstPtr {
+    if (node->kind != AstKind::kFlwr ||
+        std::none_of(node->clauses.begin(), node->clauses.end(),
+                     is_doc_let)) {
+      return node;
+    }
     AstPtr flwr = std::make_shared<Ast>(*node);
     for (size_t i = 0; i < flwr->clauses.size();) {
       const Clause& c = flwr->clauses[i];
-      bool is_doc_let =
-          c.kind == Clause::Kind::kLet && c.expr != nullptr &&
-          c.expr->kind == AstKind::kFnCall &&
-          (c.expr->name == "doc" || c.expr->name == "document") &&
-          c.expr->children.size() == 1 &&
-          c.expr->children[0]->kind == AstKind::kLiteral;
-      if (!is_doc_let) {
+      if (!is_doc_let(c)) {
         ++i;
         continue;
       }
@@ -214,53 +232,68 @@ struct BindScope {
 class WherePathBinder {
  public:
   AstPtr Walk(const AstPtr& node) {
-    if (node->kind == AstKind::kFlwr) return WalkFlwr(*node);
+    if (node->kind == AstKind::kFlwr) return WalkFlwr(node);
     if (node->kind == AstKind::kQuantified) {
-      AstPtr q = std::make_shared<Ast>(*node);
-      if (q->range != nullptr) q->range = Walk(q->range);
+      AstPtr range = node->range != nullptr ? Walk(node->range) : nullptr;
       BindScope scope;
       scope.quantifier = true;
-      scope.vars.push_back(q->qvar);
+      scope.vars.push_back(node->qvar);
       scopes_.push_back(std::move(scope));
-      if (q->satisfies != nullptr) q->satisfies = Walk(q->satisfies);
+      AstPtr satisfies =
+          node->satisfies != nullptr ? Walk(node->satisfies) : nullptr;
       scopes_.pop_back();
+      if (range == node->range && satisfies == node->satisfies) return node;
+      AstPtr q = std::make_shared<Ast>(*node);
+      q->range = std::move(range);
+      q->satisfies = std::move(satisfies);
       return q;
     }
     return MapChildren(node, [this](const AstPtr& c) { return Walk(c); });
   }
 
  private:
-  AstPtr WalkFlwr(const Ast& node) {
-    AstPtr flwr = std::make_shared<Ast>(node);
-    const size_t n = flwr->clauses.size();
+  AstPtr WalkFlwr(const AstPtr& node) {
+    const size_t n = node->clauses.size();
+    std::vector<Clause> clauses = node->clauses;
     scopes_.emplace_back();
     scopes_.back().lets.resize(n + 1);
     for (size_t i = 0; i < n; ++i) {
       scopes_.back().clause = i;
-      Clause& c = flwr->clauses[i];
+      Clause& c = clauses[i];
       if (c.expr != nullptr) c.expr = Walk(c.expr);
       if (c.kind != Clause::Kind::kWhere) Rebind(&scopes_.back(), c.var);
     }
     scopes_.back().clause = n;
-    if (flwr->ret != nullptr) flwr->ret = Walk(flwr->ret);
-    for (auto& [key, desc] : flwr->order_by) key = Walk(key);
+    AstPtr ret = node->ret != nullptr ? Walk(node->ret) : nullptr;
+    std::vector<std::pair<AstPtr, bool>> order_by = node->order_by;
+    for (auto& [key, desc] : order_by) key = Walk(key);
     BindScope scope = std::move(scopes_.back());
     scopes_.pop_back();
 
+    bool changed = ret != node->ret;
     std::vector<std::string> local;  // this FLWR's variables bound so far
     std::vector<Clause> out;
     for (size_t i = 0; i < n; ++i) {
       for (Clause& let : scope.lets[i]) out.push_back(std::move(let));
-      Clause& c = flwr->clauses[i];
+      Clause& c = clauses[i];
       if (c.kind == Clause::Kind::kWhere) {
         c.expr = BindOperands(c.expr, local, &out);
       } else {
         local.push_back(c.var);
       }
+      changed |= c.expr != node->clauses[i].expr;
       out.push_back(std::move(c));
     }
     for (Clause& let : scope.lets[n]) out.push_back(std::move(let));
+    changed |= out.size() != n;  // lets were bound here
+    for (size_t i = 0; i < order_by.size(); ++i) {
+      changed |= order_by[i].first != node->order_by[i].first;
+    }
+    if (!changed) return node;
+    AstPtr flwr = std::make_shared<Ast>(*node);
     flwr->clauses = std::move(out);
+    flwr->ret = std::move(ret);
+    flwr->order_by = std::move(order_by);
     return flwr;
   }
 
@@ -294,6 +327,7 @@ class WherePathBinder {
                       std::vector<Clause>* out) {
     std::vector<AstPtr> conjuncts;
     SplitConjuncts(where, &conjuncts);
+    bool rewritten = false;
     for (AstPtr& conj : conjuncts) {
       if (conj->kind != AstKind::kCmp) continue;
       for (int side = 0; side < 2; ++side) {
@@ -308,9 +342,10 @@ class WherePathBinder {
         AstPtr copy = std::make_shared<Ast>(*conj);
         copy->children[side] = MakeVarRef(var);
         conj = copy;
+        rewritten = true;
       }
     }
-    return JoinConjuncts(conjuncts);
+    return RejoinConjuncts(where, conjuncts, rewritten);
   }
 
   static std::string Hoist(BindScope* target, const AstPtr& path) {
@@ -360,37 +395,34 @@ AstPtr RebaseContext(const AstPtr& e, const std::string& var) {
 // ---------------------------------------------------------------------------
 
 AstPtr HoistPathPredicates(const AstPtr& query) {
-  return Transform(query, [](const AstPtr& node) -> AstPtr {
-    if (node->kind != AstKind::kFlwr) return node;
-    AstPtr flwr = std::make_shared<Ast>(*node);
-    std::vector<Clause> out;
-    for (const Clause& c : flwr->clauses) {
-      if (c.kind != Clause::Kind::kFor || c.expr == nullptr ||
-          c.expr->kind != AstKind::kPathExpr) {
-        out.push_back(c);
-        continue;
-      }
-      // Strip predicates from the trailing step(s); earlier-step predicates
-      // would change which subtrees are visited and are hoisted per-step via
-      // fresh for variables only when they are on the final step — the
-      // queries in scope only use final-step predicates.
-      AstPtr range = c.expr->Clone();
-      std::vector<AstPtr> hoisted;
-      if (!range->steps.empty() && range->steps.back().predicate != nullptr) {
-        AstPtr pred = range->steps.back().predicate;
-        range->steps.back().predicate = nullptr;
-        hoisted.push_back(RebaseContext(pred, c.var));
-      }
-      Clause for_clause = c;
-      for_clause.expr = range;
-      out.push_back(std::move(for_clause));
-      for (const AstPtr& pred : hoisted) {
-        Clause where;
-        where.kind = Clause::Kind::kWhere;
-        where.expr = pred;
-        out.push_back(std::move(where));
-      }
+  // Only a predicate on the final step is hoisted; earlier-step predicates
+  // would change which subtrees are visited, and the queries in scope only
+  // use final-step predicates.
+  auto has_final_predicate = [](const Clause& c) {
+    return c.kind == Clause::Kind::kFor && c.expr != nullptr &&
+           c.expr->kind == AstKind::kPathExpr && !c.expr->steps.empty() &&
+           c.expr->steps.back().predicate != nullptr;
+  };
+  return Transform(query, [&](const AstPtr& node) -> AstPtr {
+    if (node->kind != AstKind::kFlwr ||
+        std::none_of(node->clauses.begin(), node->clauses.end(),
+                     has_final_predicate)) {
+      return node;
     }
+    std::vector<Clause> out;
+    for (const Clause& c : node->clauses) {
+      out.push_back(c);
+      if (!has_final_predicate(c)) continue;
+      AstPtr range = std::make_shared<Ast>(*c.expr);
+      AstPtr pred = range->steps.back().predicate;
+      range->steps.back().predicate = nullptr;
+      out.back().expr = range;
+      Clause where;
+      where.kind = Clause::Kind::kWhere;
+      where.expr = RebaseContext(pred, c.var);
+      out.push_back(std::move(where));
+    }
+    AstPtr flwr = std::make_shared<Ast>(*node);
     flwr->clauses = std::move(out);
     return flwr;
   });
@@ -408,23 +440,21 @@ namespace {
 ///   where $a1 = $b3/author  →  for $a3 in $b3/author where $a1 = $a3
 /// An operand rooted at a variable this FLWR does not bind stays a path, so
 /// that BindWherePaths binds it in the enclosing FLWR.
-void UnnestWherePaths(Ast* flwr) {
+AstPtr UnnestWherePaths(const AstPtr& flwr) {
   std::vector<Clause> out;
   std::vector<std::string> bound;
-  for (Clause& c : flwr->clauses) {
+  bool changed = false;
+  for (const Clause& c : flwr->clauses) {
     if (c.kind != Clause::Kind::kWhere) {
       bound.push_back(c.var);
-      out.push_back(std::move(c));
+      out.push_back(c);
       continue;
     }
     std::vector<AstPtr> conjuncts;
     SplitConjuncts(c.expr, &conjuncts);
-    std::vector<AstPtr> rewritten;
+    bool rewritten = false;
     for (AstPtr& conj : conjuncts) {
-      if (conj->kind != AstKind::kCmp) {
-        rewritten.push_back(conj);
-        continue;
-      }
+      if (conj->kind != AstKind::kCmp) continue;
       for (int side = 0; side < 2; ++side) {
         AstPtr operand = conj->children[side];
         if (operand->kind == AstKind::kPathExpr &&
@@ -442,16 +472,18 @@ void UnnestWherePaths(Ast* flwr) {
           AstPtr copy = std::make_shared<Ast>(*conj);
           copy->children[side] = MakeVarRef(fresh);
           conj = copy;
+          rewritten = true;
         }
       }
-      rewritten.push_back(conj);
     }
-    Clause where;
-    where.kind = Clause::Kind::kWhere;
-    where.expr = JoinConjuncts(rewritten);
-    out.push_back(std::move(where));
+    out.push_back(c);
+    out.back().expr = RejoinConjuncts(c.expr, conjuncts, rewritten);
+    changed |= out.back().expr != c.expr;
   }
-  flwr->clauses = std::move(out);
+  if (!changed) return flwr;
+  AstPtr copy = std::make_shared<Ast>(*flwr);
+  copy->clauses = std::move(out);
+  return copy;
 }
 
 /// Collects the distinct paths through which `pred` references $var; returns
@@ -495,7 +527,7 @@ AstPtr NormalizeQuantifiers(const AstPtr& query) {
     AstPtr range = q->range;
     AstPtr flwr;
     if (range->kind == AstKind::kFlwr) {
-      flwr = range->Clone();
+      flwr = range;
     } else {
       flwr = std::make_shared<Ast>();
       flwr->kind = AstKind::kFlwr;
@@ -509,7 +541,7 @@ AstPtr NormalizeQuantifiers(const AstPtr& query) {
     // (b) Hoist range-path predicates (the for-clause may carry [..]).
     flwr = HoistPathPredicates(flwr);
     // (c) Unnest relative paths in the range's where clauses.
-    UnnestWherePaths(flwr.get());
+    flwr = UnnestWherePaths(flwr);
     // (d) Change the range variable when the satisfies clause accesses the
     //     bound variable through exactly one path (Q5: $b2/@year).
     std::vector<AstPtr> paths;
@@ -519,13 +551,14 @@ AstPtr NormalizeQuantifiers(const AstPtr& query) {
       const std::string range_var = flwr->ret->name;
       // The path is rooted at the quantifier variable; re-root it at the
       // range's return variable.
-      AstPtr rebased = paths[0]->Clone();
+      AstPtr rebased = std::make_shared<Ast>(*paths[0]);
       rebased->children[0] = MakeVarRef(range_var);
       std::string fresh = FreshVar("q");
       Clause value_clause;
       value_clause.kind = Clause::Kind::kFor;
       value_clause.var = fresh;
       value_clause.expr = rebased;
+      flwr = std::make_shared<Ast>(*flwr);
       flwr->clauses.push_back(std::move(value_clause));
       flwr->ret = MakeVarRef(fresh);
       q->satisfies = ReplacePath(q->satisfies, paths[0], q->qvar);
@@ -551,9 +584,7 @@ AstPtr PathArgToFlwr(const AstPtr& arg) {
   for_clause.expr = arg;
   sub->clauses.push_back(std::move(for_clause));
   sub->ret = MakeVarRef(fresh);
-  AstPtr hoisted = HoistPathPredicates(sub);
-  UnnestWherePaths(hoisted.get());
-  return hoisted;
+  return UnnestWherePaths(HoistPathPredicates(sub));
 }
 
 bool PathHasPredicate(const AstPtr& e) {
@@ -591,9 +622,9 @@ AstPtr NormalizeAggregateArgs(const AstPtr& query) {
 AstPtr HoistWhereAggregates(const AstPtr& query) {
   return Transform(query, [](const AstPtr& node) -> AstPtr {
     if (node->kind != AstKind::kFlwr) return node;
-    AstPtr flwr = std::make_shared<Ast>(*node);
     std::vector<Clause> out;
-    for (const Clause& c : flwr->clauses) {
+    bool changed = false;
+    for (const Clause& c : node->clauses) {
       if (c.kind != Clause::Kind::kWhere) {
         out.push_back(c);
         continue;
@@ -621,12 +652,15 @@ AstPtr HoistWhereAggregates(const AstPtr& query) {
         lets.push_back(std::move(let));
         return MakeVarRef(var);
       });
+      changed |= pred != c.expr;
       for (Clause& let : lets) out.push_back(std::move(let));
       Clause where;
       where.kind = Clause::Kind::kWhere;
       where.expr = pred;
       out.push_back(std::move(where));
     }
+    if (!changed) return node;
+    AstPtr flwr = std::make_shared<Ast>(*node);
     flwr->clauses = std::move(out);
     return flwr;
   });
@@ -638,47 +672,36 @@ AstPtr HoistWhereAggregates(const AstPtr& query) {
 
 AstPtr HoistFromReturn(const AstPtr& query) {
   return Transform(query, [](const AstPtr& node) -> AstPtr {
-    if (node->kind != AstKind::kFlwr || node->ret == nullptr) return node;
-    AstPtr flwr = std::make_shared<Ast>(*node);
+    if (node->kind != AstKind::kFlwr || node->ret == nullptr ||
+        node->ret->kind != AstKind::kElementCtor) {
+      return node;
+    }
     std::vector<Clause> lets;
     // Recursive: nested constructors inside the return clause are walked
     // too, so <r><min>{ FLWR }</min></r> hoists the inner block.
-    std::function<void(CtorPart&)> hoist_part = [&](CtorPart& part) {
-      if (part.is_literal || part.expr == nullptr) return;
-      if (part.expr->kind == AstKind::kElementCtor) {
-        AstPtr ctor = part.expr->Clone();
-        for (auto& [name, parts] : ctor->attributes) {
-          for (CtorPart& p : parts) hoist_part(p);
-        }
-        for (CtorPart& p : ctor->content) hoist_part(p);
-        part.expr = ctor;
-        return;
+    std::function<AstPtr(const AstPtr&)> hoist_part =
+        [&](const AstPtr& part) -> AstPtr {
+      if (part->kind == AstKind::kElementCtor) {
+        return MapChildren(part, hoist_part);
       }
-      bool needs_hoist =
-          part.expr->kind == AstKind::kFlwr ||
-          (part.expr->kind == AstKind::kFnCall &&
-           IsAggregateFn(part.expr->name) &&
-           ContainsFlwrOrPredicatePath(part.expr));
-      if (!needs_hoist) return;
+      bool needs_hoist = part->kind == AstKind::kFlwr ||
+                         (part->kind == AstKind::kFnCall &&
+                          IsAggregateFn(part->name) &&
+                          ContainsFlwrOrPredicatePath(part));
+      if (!needs_hoist) return part;
       std::string var = FreshVar("t");
       Clause let;
       let.kind = Clause::Kind::kLet;
       let.var = var;
-      let.expr = part.expr;
+      let.expr = part;
       lets.push_back(std::move(let));
-      part.expr = MakeVarRef(var);
+      return MakeVarRef(var);
     };
-    if (flwr->ret->kind == AstKind::kElementCtor) {
-      AstPtr ctor = flwr->ret->Clone();
-      for (auto& [name, parts] : ctor->attributes) {
-        for (CtorPart& p : parts) hoist_part(p);
-      }
-      for (CtorPart& p : ctor->content) hoist_part(p);
-      flwr->ret = ctor;
-    }
-    if (!lets.empty()) {
-      for (Clause& let : lets) flwr->clauses.push_back(std::move(let));
-    }
+    AstPtr ret = MapChildren(node->ret, hoist_part);
+    if (lets.empty()) return node;
+    AstPtr flwr = std::make_shared<Ast>(*node);
+    for (Clause& let : lets) flwr->clauses.push_back(std::move(let));
+    flwr->ret = std::move(ret);
     return flwr;
   });
 }
@@ -687,21 +710,42 @@ AstPtr HoistFromReturn(const AstPtr& query) {
 // Pass 5: let $v := FLWR … agg($v) (single use) → let $v := agg(FLWR)
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Calls `fn` on every sub-AST of FLWR `flwr` in the scope of its clause
+/// `i`: the later clauses, the return and the order by keys.
+template <typename Node, typename Fn>
+void ForEachInScopeOf(Node& flwr, size_t i, const Fn& fn) {
+  for (size_t j = i + 1; j < flwr.clauses.size(); ++j) {
+    if (flwr.clauses[j].expr != nullptr) fn(flwr.clauses[j].expr);
+  }
+  if (flwr.ret != nullptr) fn(flwr.ret);
+  for (auto& [key, desc] : flwr.order_by) fn(key);
+}
+
+/// `e` with the node `site` replaced by `with`, copying only the path to it.
+AstPtr ReplaceNode(const AstPtr& e, const Ast* site, const AstPtr& with) {
+  if (e.get() == site) return with;
+  return MapChildren(
+      e, [&](const AstPtr& c) { return ReplaceNode(c, site, with); });
+}
+
+}  // namespace
+
 AstPtr FoldLetAggregates(const AstPtr& query) {
   return Transform(query, [](const AstPtr& node) -> AstPtr {
     if (node->kind != AstKind::kFlwr) return node;
-    AstPtr flwr = std::make_shared<Ast>(*node);
+    AstPtr flwr = node;  // copied on the first fold
     for (size_t i = 0; i < flwr->clauses.size(); ++i) {
-      Clause& let = flwr->clauses[i];
+      const Clause& let = flwr->clauses[i];
       if (let.kind != Clause::Kind::kLet || let.expr == nullptr ||
           let.expr->kind != AstKind::kFlwr) {
         continue;
       }
       // Count uses of the let variable; find the single aggregate use.
       size_t uses = 0;
-      AstPtr* agg_site = nullptr;
-      std::function<void(AstPtr&)> scan = [&](AstPtr& e) {
-        if (e == nullptr) return;
+      const Ast* agg_site = nullptr;
+      std::function<void(const AstPtr&)> scan = [&](const AstPtr& e) {
         if (e->kind == AstKind::kVarRef && e->name == let.var) {
           ++uses;
           return;
@@ -711,30 +755,22 @@ AstPtr FoldLetAggregates(const AstPtr& query) {
             e->children[0]->kind == AstKind::kVarRef &&
             e->children[0]->name == let.var) {
           ++uses;
-          agg_site = &e;
+          agg_site = e.get();
           return;
         }
-        for (AstPtr& c : e->children) scan(c);
-        for (PathStepAst& s : e->steps) scan(s.predicate);
-        for (Clause& c : e->clauses) scan(c.expr);
-        scan(e->ret);
-        scan(e->range);
-        scan(e->satisfies);
-        for (auto& [name, parts] : e->attributes) {
-          for (CtorPart& p : parts) scan(p.expr);
-        }
-        for (CtorPart& p : e->content) scan(p.expr);
+        ForEachSubAst(*e, scan);
       };
-      for (size_t j = i + 1; j < flwr->clauses.size(); ++j) {
-        scan(flwr->clauses[j].expr);
-      }
-      scan(flwr->ret);
-      if (uses == 1 && agg_site != nullptr) {
-        AstPtr call = std::make_shared<Ast>(**agg_site);
-        call->children[0] = let.expr;
-        let.expr = call;
-        *agg_site = MakeVarRef(let.var);
-      }
+      ForEachInScopeOf(*flwr, i, scan);
+      if (uses != 1 || agg_site == nullptr) continue;
+      if (flwr == node) flwr = std::make_shared<Ast>(*node);
+      Clause& folded = flwr->clauses[i];
+      AstPtr call = std::make_shared<Ast>(*agg_site);
+      call->children[0] = folded.expr;
+      folded.expr = call;
+      AstPtr ref = MakeVarRef(folded.var);
+      ForEachInScopeOf(*flwr, i, [&](AstPtr& e) {
+        e = ReplaceNode(e, agg_site, ref);
+      });
     }
     return flwr;
   });

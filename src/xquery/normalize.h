@@ -19,7 +19,9 @@
 //   6. `let $v := FLWR ... agg($v)` with a single use folds to
 //      `let $v := agg(FLWR)` so translation yields χ_{v:agg(σ...)} directly.
 //
-// All rewrites are pure AST→AST functions; `Normalize` composes them.
+// All rewrites are pure AST→AST functions that share every subtree they do
+// not change with their input (the AST is immutable); `Normalize` composes
+// them.
 #ifndef NALQ_XQUERY_NORMALIZE_H_
 #define NALQ_XQUERY_NORMALIZE_H_
 
@@ -44,8 +46,11 @@ AstPtr NormalizeFlwrReturns(const AstPtr& query);
 /// Replaces the context item (kContextRef) with a reference to `var`.
 AstPtr RebaseContext(const AstPtr& e, const std::string& var);
 
-/// Generates a fresh variable name with the given prefix, unique within this
-/// process.
+/// Generates a fresh variable name `<prefix>#n<counter>`, unique within this
+/// process. No query text can spell it ('#' is not an XQuery name
+/// character), so a binding the normalizer introduces never captures or
+/// shadows one of the user's, and it differs from every
+/// nal::Symbol::Fresh name (`<base>#<digits>`).
 std::string FreshVar(const std::string& prefix);
 
 }  // namespace nalq::xquery

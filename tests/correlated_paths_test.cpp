@@ -10,7 +10,9 @@
 //     bytes;
 //   - the two spellings of each query — the outer path inline, and bound
 //     by a let in the outer block — must give the same bytes and the same
-//     alternatives.
+//     alternatives;
+//   - compilation must leave the parsed query and the nested plan as they
+//     were, and no alternative may reach one node twice.
 // Queries range over five forms (where-count, two-conjunct exists,
 // predicated count argument, every range, some range), five outer paths
 // (@year, @*, publisher, author, title) and three comparisons (=, <, >=).
@@ -28,6 +30,10 @@
 #include "datagen/datagen.h"
 #include "engine/engine.h"
 #include "nal/printer.h"
+#include "test_util.h"
+#include "xquery/normalize.h"
+#include "xquery/parser.h"
+#include "xquery/translate.h"
 
 namespace nalq {
 namespace {
@@ -155,11 +161,13 @@ class CorrelatedPathsTest : public ::testing::TestWithParam<DataSet> {
   /// against the nested plan; returns the nested plan's bytes.
   std::string CheckAllPlans(const std::string& query,
                             std::vector<std::string>* rules) {
+    CheckCompileSharesWithoutWriting(query);
     engine::CompiledQuery q = engine_.Compile(query);
     const std::string reference =
         engine_.Run(q.nested_plan, engine::ExecMode::kMaterializing).output;
     for (const rewrite::Alternative& alt : q.alternatives) {
       rules->push_back(alt.rule);
+      EXPECT_TRUE(testutil::NoNodeTwice(*alt.plan)) << alt.rule;
       struct Run {
         engine::ExecMode mode;
         engine::PathMode path_mode;
@@ -199,6 +207,23 @@ class CorrelatedPathsTest : public ::testing::TestWithParam<DataSet> {
           << chosen.best.rule << "\nquery:\n" << query;
     }
     return reference;
+  }
+
+  /// Compilation shares unchanged subtrees and never writes to them:
+  /// Normalize leaves the parsed query as parsed, and AllAlternatives and
+  /// Unnester::Best leave the nested plan as translated.
+  void CheckCompileSharesWithoutWriting(const std::string& query) {
+    const xquery::AstPtr ast = xquery::ParseQuery(query);
+    const std::string parsed = ast->ToString();
+    const xquery::AstPtr normalized = xquery::Normalize(ast);
+    EXPECT_EQ(ast->ToString(), parsed);
+    const nal::AlgebraPtr nested =
+        xquery::Translate(normalized, &engine_.dtds());
+    const std::string translated = nal::PrintPlan(*nested);
+    rewrite::Unnester unnester(&engine_.dtds());
+    unnester.AllAlternatives(nested);
+    unnester.Best(nested);
+    EXPECT_EQ(nal::PrintPlan(*nested), translated);
   }
 
   static constexpr const char* kDoc = "bib.xml";

@@ -1,6 +1,10 @@
 // Tests for the source-level normalization passes (paper Sec. 3).
 #include <gtest/gtest.h>
 
+#include <cctype>
+
+#include "engine/engine.h"
+#include "xquery/lexer.h"
 #include "xquery/normalize.h"
 #include "xquery/parser.h"
 
@@ -345,6 +349,52 @@ TEST(FoldLetAggregatesTest, MultipleUsesDoNotFold) {
   }
 }
 
+// An order by key is a use too: folding the let would make the key
+// aggregate the aggregate.
+TEST(FoldLetAggregatesTest, OrderByUseIsCounted) {
+  const char* query = R"(
+    for $b in doc("b.xml")//book
+    let $v := (for $a in $b/author return $a)
+    order by count($v)
+    return <r>{ count($v) }</r>)";
+  AstPtr out = FoldLetAggregates(ParseQuery(query));
+  EXPECT_EQ(out->clauses[1].expr->kind, AstKind::kFlwr) << out->ToString();
+  engine::Engine engine;
+  engine.AddDocument("b.xml",
+                     "<bib><book><author>a</author><author>b</author>"
+                     "<author>c</author></book><book><author>d</author></book>"
+                     "<book><author>e</author><author>f</author></book></bib>");
+  EXPECT_EQ(engine.RunQuery(query).output, "<r>1</r><r>2</r><r>3</r>");
+}
+
+TEST(FoldLetAggregatesTest, OrderByAloneFolds) {
+  AstPtr out = FoldLetAggregates(ParseQuery(R"(
+    for $b in doc("b.xml")//book
+    let $v := (for $a in $b/author return $a)
+    order by count($v)
+    return <r>{ $b }</r>)"));
+  EXPECT_EQ(out->clauses[1].expr->kind, AstKind::kFnCall);
+  EXPECT_EQ(out->order_by[0].first->ToString(), "$v");
+}
+
+// Normalization copies only the path to a rewritten node: subtrees no pass
+// changes are the parsed query's own nodes, and an already-normal query
+// comes back as is.
+TEST(NormalizeTest, SharesWhatItDoesNotRewrite) {
+  AstPtr q = ParseQuery(R"(
+    for $b in doc("b.xml")//book[price > 10]
+    return <r><t>{ $b }</t>{ count(for $a in $b/author return $a) }</r>)");
+  AstPtr out = Normalize(q);
+  EXPECT_NE(out, q);
+  // The for range's document call is the parsed node.
+  EXPECT_EQ(out->clauses[0].expr->children[0], q->clauses[0].expr->children[0]);
+  // The untouched constructor part is shared; the hoisted one is replaced.
+  ASSERT_EQ(out->ret->kind, AstKind::kElementCtor);
+  EXPECT_EQ(out->ret->content[0].expr, q->ret->content[0].expr);
+  EXPECT_NE(out->ret->content[1].expr, q->ret->content[1].expr);
+  EXPECT_EQ(Normalize(out), out);
+}
+
 TEST(NormalizeFlwrReturnsTest, PathReturnGetsLet) {
   AstPtr q = ParseQuery("for $b in doc(\"b.xml\")//book return $b/title");
   AstPtr out = NormalizeFlwrReturns(q);
@@ -373,6 +423,48 @@ TEST(FreshVarTest, NamesAreUnique) {
   std::string a = FreshVar("x");
   std::string b = FreshVar("x");
   EXPECT_NE(a, b);
+}
+
+TEST(FreshVarTest, NoFreshNameLexesAsAVariable) {
+  for (const char* prefix : {"x", "p", "publisher", "year", "t", "agg", "r"}) {
+    const std::string name = FreshVar(prefix);
+    const std::string text = "$" + name;
+    Lexer lexer(text);
+    const Token& token = lexer.Peek();
+    EXPECT_FALSE(token.kind == TokKind::kVar && token.text == name) << name;
+  }
+}
+
+/// The counter value FreshVar hands out next, read off one probe name.
+uint64_t NextFreshCounter() {
+  const std::string probe = FreshVar("probe");
+  size_t digits = probe.size();
+  while (digits > 0 && std::isdigit(static_cast<unsigned char>(
+                           probe[digits - 1])) != 0) {
+    --digits;
+  }
+  return std::stoull(probe.substr(digits)) + 1;
+}
+
+// The where-path binder hoists `let <fresh> := $b1/publisher` into the outer
+// block. A user variable spelled like a fresh name must not be shadowed by
+// it, whichever counter value the hoisted binding gets.
+TEST(FreshVarTest, UserVariablesAreNeverCaptured) {
+  engine::Engine engine;
+  engine.AddDocument("bib.xml",
+                     "<bib><book><publisher>A</publisher></book>"
+                     "<book><publisher>B</publisher></book></bib>");
+  for (uint64_t ahead = 0; ahead < 8; ++ahead) {
+    const std::string var =
+        "$publisher_n" + std::to_string(NextFreshCounter() + ahead);
+    const std::string query =
+        "for $b1 in doc(\"bib.xml\")//book let " + var +
+        " := \"zzz\" return <x>{ count(for $b2 in doc(\"bib.xml\")//book "
+        "where $b2/publisher = $b1/publisher return $b2) }{ " + var +
+        " }</x>";
+    EXPECT_EQ(engine.RunQuery(query).output, "<x>1zzz</x><x>1zzz</x>")
+        << query;
+  }
 }
 
 }  // namespace

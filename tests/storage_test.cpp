@@ -247,6 +247,59 @@ void FlipByteAt(const fs::path& file, uint64_t offset) {
 }
 
 // ---------------------------------------------------------------------------
+// The page checksum.
+
+/// The byte-at-a-time table CRC-32 (reflected 0xEDB88320) the store's
+/// checksum must keep matching: the on-disk format depends on its values.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t len, uint32_t seed) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+TEST(StorageFormatTest, Crc32MatchesBytewiseReference) {
+  // The well-known check value of CRC-32/ISO-HDLC.
+  EXPECT_EQ(storage::Crc32("123456789", 9), 0xCBF43926u);
+  std::mt19937 rng(20050101);
+  constexpr size_t kMaxLen = (64 << 10) + 5;
+  std::vector<uint8_t> buffer(kMaxLen + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng());
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 80; ++len) lengths.push_back(len);
+  std::uniform_int_distribution<size_t> any_len(0, kMaxLen);
+  for (int i = 0; i < 24; ++i) lengths.push_back(any_len(rng));
+  lengths.push_back(kMaxLen);
+  for (size_t len : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const uint8_t* p = buffer.data() + offset;
+      const uint32_t seed = static_cast<uint32_t>(rng());
+      EXPECT_EQ(storage::Crc32(p, len), BytewiseCrc32(p, len, 0))
+          << "len " << len << " offset " << offset;
+      EXPECT_EQ(storage::Crc32(p, len, seed), BytewiseCrc32(p, len, seed))
+          << "len " << len << " offset " << offset << " seed " << seed;
+      // Chained calls continue the checksum of the concatenation.
+      const size_t cut = len / 3;
+      EXPECT_EQ(storage::Crc32(p + cut, len - cut, storage::Crc32(p, cut)),
+                storage::Crc32(p, len))
+          << "len " << len << " offset " << offset << " cut " << cut;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The acceptance test: persist → reopen differential suite.
 
 TEST(StorageDifferentialTest, ReopenedStoreIsByteIdenticalAcrossExecutors) {

@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <random>
+#include <regex>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "nal/algebra.h"
 #include "nal/eval.h"
+#include "nal/printer.h"
 #include "nal/sequence.h"
 
 namespace nalq::testutil {
@@ -116,6 +121,67 @@ class RandomRelation {
  private:
   std::mt19937 rng_;
 };
+
+/// Succeeds iff no AlgebraOp or Expr node is reachable twice from `plan`,
+/// walking children, pred, expr, agg.filter, the Ξ programs, Expr children
+/// and Expr::alg. Alternatives may share subtrees with each other, never
+/// within one plan: profiles, estimates and spool hints key per-plan state
+/// by node address.
+inline ::testing::AssertionResult NoNodeTwice(const nal::AlgebraOp& plan) {
+  std::set<const void*> seen;
+  std::string repeated;
+  std::function<void(const nal::ExprPtr&)> expr;
+  std::function<void(const nal::AlgebraOp&)> op =
+      [&](const nal::AlgebraOp& o) {
+        if (!seen.insert(&o).second) {
+          repeated = "operator " + nal::OpHeadline(o);
+          return;
+        }
+        for (const nal::AlgebraPtr& c : o.children) op(*c);
+        expr(o.pred);
+        expr(o.expr);
+        expr(o.agg.filter);
+        for (const nal::XiProgram* program : {&o.s1, &o.s2, &o.s3}) {
+          for (const nal::XiCommand& c : *program) expr(c.expr);
+        }
+      };
+  expr = [&](const nal::ExprPtr& e) {
+    if (e == nullptr) return;
+    if (!seen.insert(e.get()).second) {
+      repeated = "expression " + e->DebugString();
+      return;
+    }
+    for (const nal::ExprPtr& c : e->children) expr(c);
+    expr(e->agg.filter);
+    if (e->alg != nullptr) op(*e->alg);
+  };
+  op(plan);
+  if (repeated.empty()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "reachable twice: " << repeated;
+}
+
+/// `text` with the counter of every fresh name — `<base>#<n>` from
+/// nal::Symbol::Fresh (and `cse#<n>`), `<base>#n<n>` from xquery::FreshVar —
+/// replaced by its rank of first appearance, so that plans compiled at
+/// different points of one process, or in different processes, compare
+/// equal.
+inline std::string RenumberFreshNames(const std::string& text) {
+  static const std::regex kFresh(R"(([A-Za-z_][A-Za-z0-9_.\-]*#n?)([0-9]+))");
+  std::map<std::string, size_t> ranks;
+  std::string out;
+  size_t copied = 0;
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), kFresh);
+       it != std::sregex_iterator(); ++it) {
+    const std::smatch& m = *it;
+    const size_t at = static_cast<size_t>(m.position());
+    out.append(text, copied, at - copied);
+    const size_t rank = ranks.emplace(m.str(), ranks.size()).first->second;
+    out += m.str(1) + std::to_string(rank);
+    copied = at + static_cast<size_t>(m.length());
+  }
+  out.append(text, copied);
+  return out;
+}
 
 }  // namespace nalq::testutil
 

@@ -196,14 +196,5 @@ TEST(ParserTest, ToStringRoundTripsThroughParser) {
   }
 }
 
-TEST(AstTest, CloneIsDeep) {
-  AstPtr q = ParseQuery("for $b in $d//book[author = $x] return <r>{$b}</r>");
-  AstPtr copy = q->Clone();
-  copy->clauses[0].var = "changed";
-  copy->clauses[0].expr->steps[0].predicate = nullptr;
-  EXPECT_EQ(q->clauses[0].var, "b");
-  EXPECT_NE(q->clauses[0].expr->steps[0].predicate, nullptr);
-}
-
 }  // namespace
 }  // namespace nalq::xquery
