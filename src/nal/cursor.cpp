@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "nal/analysis.h"
+#include "nal/exchange.h"
 #include "nal/physical.h"
-#include "nal/probe_loops.h"
 #include "nal/spool.h"
 
 namespace nalq::nal {
@@ -20,12 +20,6 @@ namespace {
 /// Builds the operator cursor for `op`, ignoring its cse_id (the CSE wrapper
 /// is applied by MakeCursor).
 CursorPtr MakeOpCursor(const AlgebraOp& op, ExecContext& ctx);
-
-/// Counts one emitted tuple for the operator that owns `ctx` — the streaming
-/// equivalent of the materializing evaluator's per-node
-/// `stats_.tuples_produced += out.size()`. One definition, shared with the
-/// hybrid breakers (nal/probe_loops.h).
-using probe::CountProducedTuple;
 
 /// Fully drains `c` into a Sequence (the CSE cache; charged to StreamStats
 /// by the caller).
@@ -638,16 +632,13 @@ CursorPtr MaybeProfileCursor(const AlgebraOp& op, ExecContext& ctx,
 }  // namespace
 
 CursorPtr MakeCursor(const AlgebraOp& op, ExecContext& ctx) {
-  if (ctx.exchange_op == &op && ctx.make_exchange != nullptr) {
-    // Fire the injection once; the exchange builds its own source cursor
-    // through this same context, and must not recurse into itself. The
-    // decorator wraps the exchange cursor itself, so the injection node's
-    // profile covers source drain + worker wait + merge (its workers' own
+  if (ctx.cut != nullptr && &op == ctx.cut->top) {
+    // The exchange builds its source cursor through this same context; the
+    // source lies below the cut's top, so this cannot recurse. The
+    // decorator wraps the exchange cursor itself, so the top node's profile
+    // covers source drain + worker wait + merge (its workers' own
     // processing is folded in from the worker collectors at Close).
-    std::function<CursorPtr(ExecContext&)> factory =
-        std::move(ctx.make_exchange);
-    ctx.make_exchange = nullptr;
-    return MaybeProfileCursor(op, ctx, factory(ctx));
+    return MaybeProfileCursor(op, ctx, MakeExchangeCursor(*ctx.cut, ctx));
   }
   if (op.cse_id >= 0 && ctx.env->empty()) {
     return MaybeProfileCursor(op, ctx,
@@ -705,22 +696,37 @@ CursorPtr MakeCursorOver(const AlgebraOp& op, ExecContext& ctx,
 
 namespace {
 
-/// The streaming entry points' shared body: every root tuple goes to `emit`.
-template <typename Emit>
-uint64_t RunStreaming(Evaluator& ev, const AlgebraOp& op, StreamStats* stream,
-                      SpoolContext* spool, Emit&& emit) {
+/// The one run loop of both cursor executors: every root tuple goes to
+/// `out` when it is not null. With `parallel`, the plan is cut at
+/// FindPartitionPoint(op), if it has a cut, and the exchange runs the
+/// segment on the scheduler's workers. The root cursor is closed on the
+/// thrown-error path too, so every cursor's Close-time release runs.
+uint64_t RunCursors(Evaluator& ev, const AlgebraOp& op,
+                    const ParallelOptions* parallel, StreamStats* stream,
+                    SpoolContext* spool, Sequence* out) {
   xml::StoreReadLease lease(ev.store());
   ev.ClearCse();
   std::optional<SpoolContext> local_spool;
   Tuple env;
   ExecContext ctx{&ev, &env, stream, &RunSpool(spool, &local_spool, ev)};
+  std::optional<PartitionPoint> cut;
+  if (parallel != nullptr) cut = FindPartitionPoint(op);
+  if (cut.has_value()) {
+    ctx.cut = &*cut;
+    ctx.parallel = parallel;
+  }
   CursorPtr root = MakeCursor(op, ctx);
   uint64_t count = 0;
   Tuple t;
-  root->Open();
-  while (root->Next(&t)) {
-    emit(std::move(t));
-    ++count;
+  try {
+    root->Open();
+    while (root->Next(&t)) {
+      if (out != nullptr) out->Append(std::move(t));
+      ++count;
+    }
+  } catch (...) {
+    root->Close();
+    throw;
   }
   root->Close();
   return count;
@@ -730,14 +736,28 @@ uint64_t RunStreaming(Evaluator& ev, const AlgebraOp& op, StreamStats* stream,
 
 uint64_t DrainStreaming(Evaluator& ev, const AlgebraOp& op,
                         StreamStats* stream, SpoolContext* spool) {
-  return RunStreaming(ev, op, stream, spool, [](Tuple&&) {});
+  return RunCursors(ev, op, nullptr, stream, spool, nullptr);
 }
 
 Sequence ExecuteStreaming(Evaluator& ev, const AlgebraOp& op,
                           StreamStats* stream, SpoolContext* spool) {
   Sequence out;
-  RunStreaming(ev, op, stream, spool,
-               [&out](Tuple&& t) { out.Append(std::move(t)); });
+  RunCursors(ev, op, nullptr, stream, spool, &out);
+  return out;
+}
+
+// The parallel entry points (exchange.h) share the run loop.
+uint64_t DrainParallel(Evaluator& ev, const AlgebraOp& op,
+                       const ParallelOptions& options, StreamStats* stream,
+                       SpoolContext* spool) {
+  return RunCursors(ev, op, &options, stream, spool, nullptr);
+}
+
+Sequence ExecuteParallel(Evaluator& ev, const AlgebraOp& op,
+                         const ParallelOptions& options, StreamStats* stream,
+                         SpoolContext* spool) {
+  Sequence out;
+  RunCursors(ev, op, &options, stream, spool, &out);
   return out;
 }
 

@@ -35,7 +35,6 @@
 #define NALQ_NAL_CURSOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "nal/algebra.h"
@@ -43,7 +42,9 @@
 
 namespace nalq::nal {
 
-class SpoolContext;  // memory-bounded execution (nal/spool.h)
+class SpoolContext;     // memory-bounded execution (nal/spool.h)
+struct PartitionPoint;  // the parallel executor (nal/exchange.h)
+struct ParallelOptions;
 
 /// Streaming-executor bookkeeping, independent of EvalStats (which must stay
 /// byte-identical across executors). Tracks how much the pipeline buffers so
@@ -106,21 +107,34 @@ struct ExecContext {
   const Tuple* env = nullptr;
   StreamStats* stream = nullptr;  ///< optional
 
-  /// The run's memory budget and temp-file directory (nal/spool.h). Never
-  /// null: every streaming and parallel run carries exactly one context
-  /// (each exchange worker a private one sharing its accountant). The
-  /// breakers buffer in RAM while the budget allows; once it binds they
-  /// grace-partition hash builds and Γ and external-sort Sort. A limit of 0
-  /// means unlimited, and then nothing spills.
+  /// The run's memory budget and temp-file directory (nal/spool.h). Every
+  /// streaming and parallel run carries exactly one context, on the
+  /// consumer thread. The breakers buffer in RAM while the budget allows;
+  /// once it binds they grace-partition hash builds and Γ and external-sort
+  /// Sort. A limit of 0 means unlimited, and then nothing spills. Null on an
+  /// exchange worker: a worker runs only per-tuple operators
+  /// (IsPartitionableOp) and evaluates nested subscripts through
+  /// Evaluator::EvalOp, so nothing there buffers or spills.
   SpoolContext* spool = nullptr;
 
-  /// Exchange injection point (exchange.h): when MakeCursor reaches the
-  /// plan node `exchange_op`, it returns make_exchange(ctx) — the exchange
-  /// cursor spanning that node's partitionable segment — instead of the
-  /// serial operator cursor. One-shot; null in plain streaming execution.
-  const AlgebraOp* exchange_op = nullptr;
-  std::function<CursorPtr(ExecContext&)> make_exchange = nullptr;
+  /// The exchange cut of a parallel run (exchange.h): when MakeCursor
+  /// reaches `cut->top`, it returns the exchange cursor spanning the cut
+  /// (MakeExchangeCursor, run with `parallel`) instead of the serial
+  /// operator cursor. Null in plain streaming execution and on workers.
+  const PartitionPoint* cut = nullptr;
+  const ParallelOptions* parallel = nullptr;
 };
+
+/// Counts one emitted tuple for the operator that owns `ctx` — the streaming
+/// equivalent of the materializing evaluator's per-node
+/// `stats_.tuples_produced += out.size()`. Every cursor funnels its
+/// emissions through it (Evaluator::CountProduced also attributes the tuple
+/// to the profiled operator in scope), which makes it the universal
+/// per-tuple cancellation point.
+inline void CountProducedTuple(ExecContext& ctx) {
+  ctx.ev->CountProduced(1);
+  ctx.ev->CheckInterrupt();
+}
 
 /// Builds the cursor tree for `op`. `ctx` must outlive the cursor.
 CursorPtr MakeCursor(const AlgebraOp& op, ExecContext& ctx);
@@ -146,7 +160,8 @@ CursorPtr MakeCursorOver(const AlgebraOp& op, ExecContext& ctx,
 
 /// Pull-runs `op` to exhaustion, discarding root tuples (Ξ side effects
 /// accumulate on the evaluator's output stream). Clears the CSE cache first,
-/// mirroring Evaluator::Eval. Returns the number of root tuples.
+/// mirroring Evaluator::Eval. Returns the number of root tuples. A thrown
+/// error closes the root cursor before it propagates.
 ///
 /// `spool` carries the run's memory budget (nal/spool.h). When null, the
 /// run uses a local context with SpoolContext::ResolveBudgetBytes(0) — the

@@ -144,9 +144,9 @@ class Evaluator {
   obs::TraceLog* trace() const { return trace_; }
 
   /// THE count site: every tuple any operator of any executor emits funnels
-  /// through here (probe::CountProducedTuple per streamed tuple, EvalOp per
-  /// materialized batch), which is what lets profiling attribute rows to
-  /// the operator in scope exactly — per-operator rows partition
+  /// through here (CountProducedTuple in cursor.h per streamed tuple, EvalOp
+  /// per materialized batch), which is what lets profiling attribute rows
+  /// to the operator in scope exactly — per-operator rows partition
   /// tuples_produced and match across executors by construction.
   void CountProduced(uint64_t n) {
     stats_.tuples_produced += n;
@@ -165,8 +165,8 @@ class Evaluator {
 
   /// Cancellation point: throws engine::Error{kCancelled|kDeadlineExceeded}
   /// once the run's token trips; near-free otherwise. Called per operator
-  /// evaluation, per predicate, and — via probe::CountProducedTuple — per
-  /// produced tuple, which bounds the interval between checks on every
+  /// evaluation, per predicate, and — via CountProducedTuple (cursor.h) —
+  /// per produced tuple, which bounds the interval between checks on every
   /// executor (see src/nal/README.md, "Query lifecycle").
   void CheckInterrupt() {
     if (control_ != nullptr) control_->Poll();

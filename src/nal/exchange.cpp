@@ -38,12 +38,12 @@ unsigned ResolveThreads(unsigned requested) {
 
 }  // namespace
 
-// Budget-aware degree of parallelism. Workers share the run's accountant
-// for anything they would buffer, but each worker also carries in-flight
-// state the accountant never sees — its dispatch-window chunk and result
-// packet. Clamping the worker count to budget / kMinWorkerBudgetBytes
-// keeps that uncharged per-worker footprint proportional to the budget,
-// so a high `threads` request cannot over-commit it.
+// Budget-aware degree of parallelism. Workers buffer nothing the run's
+// accountant sees, but each carries in-flight state — its dispatch-window
+// chunk and result packet. Clamping the worker count to budget /
+// kMinWorkerBudgetBytes keeps that uncharged per-worker footprint
+// proportional to the budget, so a high `threads` request cannot
+// over-commit it.
 unsigned ResolveParallelThreads(unsigned threads, uint64_t budget_bytes) {
   unsigned dop = ResolveThreads(threads);
   if (budget_bytes != 0) {
@@ -86,32 +86,17 @@ class PartitionCursor final : public Cursor {
   size_t pos_ = 0;
 };
 
-/// A worker's private SpoolContext: its own temp-file directory (spool
-/// files stay worker-private) sharing the run's global MemoryBudget
-/// accountant, cancellation token, fault injector and grace row hints.
-/// Workers inherit the run's fault injector, not the ambient one: the
-/// worker contexts are built on the consumer thread, but must fault (or
-/// not) with the run they belong to.
-std::unique_ptr<SpoolContext> MakeWorkerSpool(const ExecContext& run) {
-  auto spool = std::make_unique<SpoolContext>(run.spool->budget());
-  spool->set_control(run.ev->control());
-  spool->set_injector(run.spool->injector());
-  spool->set_row_hints(run.spool->row_hints());
-  return spool;
-}
-
 /// One worker's clone of the partitionable segment: a private Evaluator
 /// (own EvalStats, own scratch caches, same store and path mode) driving a
-/// private cursor chain over the shared plan nodes, with a private
-/// SpoolContext (MakeWorkerSpool). Heap-allocated and never moved, because
-/// ctx points into the object.
+/// private cursor chain over the shared plan nodes. Its ExecContext carries
+/// no SpoolContext (see ExecContext::spool). Heap-allocated and never
+/// moved, because ctx points into the object.
 struct WorkerPipeline {
   std::unique_ptr<Evaluator> ev;
   Tuple env;  ///< the top-level empty outer binding
   ExecContext ctx;
   PartitionCursor* leaf = nullptr;  ///< borrowed from `pipeline`
   CursorPtr pipeline;
-  std::unique_ptr<SpoolContext> spool;
   /// Worker-private profile clone (merged by MergeCursor::Close alongside
   /// the stats fold); null when the run is not profiling.
   std::unique_ptr<obs::ProfileCollector> profile;
@@ -169,8 +154,8 @@ void RunChunkTask(const std::shared_ptr<ExchangeState>& state, uint64_t ticket,
       wp->pipeline->Close();
     } catch (...) {
       // A failed chunk still runs the full cleanup path: the exception
-      // unwound through the cursor chain's RAII (spool files, budget
-      // charges), and the packet/idle bookkeeping below closes normally.
+      // unwound through the cursor chain's RAII, and the packet/idle
+      // bookkeeping below closes normally.
       error = std::current_exception();
       packet.clear();
       state->abort.store(true, std::memory_order_release);
@@ -230,14 +215,7 @@ class MergeCursor final : public Cursor {
         wp->ev->set_profile(wp->profile.get());
       }
       wp->ev->set_trace(ctx_.ev->trace());
-      // Workers reserve against the SAME accountant as the consumer (the
-      // MemoryBudget is thread-safe), so one limit bounds the whole run —
-      // the consumer pipeline, which runs every breaker, is not throttled
-      // to a fraction of it. (A worker segment holds only per-tuple
-      // operators, so worker charges are theoretical until segments ever
-      // gain buffering operators.)
-      wp->spool = MakeWorkerSpool(ctx_);
-      wp->ctx = ExecContext{wp->ev.get(), &wp->env, nullptr, wp->spool.get()};
+      wp->ctx = ExecContext{wp->ev.get(), &wp->env};
       auto leaf = std::make_unique<PartitionCursor>();
       wp->leaf = leaf.get();
       CursorPtr chain = std::move(leaf);
@@ -447,61 +425,8 @@ std::optional<PartitionPoint> FindPartitionPoint(const AlgebraOp& root) {
   return point;
 }
 
-namespace {
-
-template <typename Emit>
-uint64_t RunParallel(Evaluator& ev, const AlgebraOp& op,
-                     const ParallelOptions& options, StreamStats* stream,
-                     SpoolContext* spool, Emit&& emit) {
-  xml::StoreReadLease lease(ev.store());
-  ev.ClearCse();
-  // One accountant carries the whole limit; the exchange's worker contexts
-  // share it (MakeWorkerSpool), so the consumer pipeline — which runs every
-  // pipeline breaker — sees the full budget while the global bound still
-  // holds across every participant.
-  std::optional<SpoolContext> local_spool;
-  Tuple env;
-  ExecContext ctx{&ev, &env, stream, &RunSpool(spool, &local_spool, ev)};
-  std::optional<PartitionPoint> point = FindPartitionPoint(op);
-  if (point.has_value()) {
-    ctx.exchange_op = point->top;
-    const PartitionPoint* pp = &*point;
-    ctx.make_exchange = [pp, &options](ExecContext& c) -> CursorPtr {
-      return std::make_unique<MergeCursor>(*pp, c, options);
-    };
-  }
-  CursorPtr root = MakeCursor(op, ctx);
-  uint64_t count = 0;
-  Tuple t;
-  try {
-    root->Open();
-    while (root->Next(&t)) {
-      emit(std::move(t));
-      ++count;
-    }
-  } catch (...) {
-    root->Close();
-    throw;
-  }
-  root->Close();
-  return count;
-}
-
-}  // namespace
-
-uint64_t DrainParallel(Evaluator& ev, const AlgebraOp& op,
-                       const ParallelOptions& options, StreamStats* stream,
-                       SpoolContext* spool) {
-  return RunParallel(ev, op, options, stream, spool, [](Tuple&&) {});
-}
-
-Sequence ExecuteParallel(Evaluator& ev, const AlgebraOp& op,
-                         const ParallelOptions& options, StreamStats* stream,
-                         SpoolContext* spool) {
-  Sequence out;
-  RunParallel(ev, op, options, stream, spool,
-              [&out](Tuple&& t) { out.Append(std::move(t)); });
-  return out;
+CursorPtr MakeExchangeCursor(const PartitionPoint& cut, ExecContext& ctx) {
+  return std::make_unique<MergeCursor>(cut, ctx, *ctx.parallel);
 }
 
 }  // namespace nalq::nal

@@ -5,7 +5,7 @@
 // streaming operators (σ, χ, Υ, μ, Π-keep/drop — see IsPartitionableOp)
 // sitting above an expanding producer. The producer subtree runs serially on
 // the consumer thread and its tuple stream is split into chunks ("morsels");
-// each chunk becomes a task on the work-stealing scheduler (scheduler.h)
+// each chunk becomes a task on the scheduler's FIFO queue (scheduler.h)
 // that runs the chunk through a per-worker clone of the operator run — its
 // own cursor chain over the shared plan, driven by its own Evaluator — and
 // publishes the resulting packet under the chunk's ticket. The MergeCursor
@@ -25,6 +25,8 @@
 //
 // Pipeline breakers never join a segment: they stay above the exchange on
 // the consumer thread, where the spool layer bounds them at any budget.
+// Workers therefore carry no SpoolContext, and only the consumer thread
+// submits tasks.
 //
 // Shared read paths that make this safe: the store's build-once index latch
 // (xml/store.h), the node string-value memo (xml/node.h: a hit is one
@@ -80,22 +82,24 @@ unsigned ResolveParallelThreads(unsigned threads, uint64_t budget_bytes);
 /// back to serial streaming.
 std::optional<PartitionPoint> FindPartitionPoint(const AlgebraOp& root);
 
+/// The exchange cursor spanning `cut`, run with `*ctx.parallel`: what
+/// MakeCursor builds at the cut's top (ExecContext::cut).
+CursorPtr MakeExchangeCursor(const PartitionPoint& cut, ExecContext& ctx);
+
 /// Pull-runs `op` with the partitionable segment executed in parallel,
-/// discarding root tuples — the parallel counterpart of DrainStreaming.
-/// Byte-identical output and identical (merged) EvalStats at any `threads`
-/// and any memory budget. Falls back to serial streaming when no partition
-/// point exists.
+/// discarding root tuples — the parallel counterpart of DrainStreaming, and
+/// the same run loop (cursor.cpp). Byte-identical output and identical
+/// (merged) EvalStats at any `threads` and any memory budget. Falls back to
+/// serial streaming when no partition point exists.
 ///
 /// `spool` carries the run's memory budget and grace row hints exactly as
 /// for DrainStreaming (null: a local context from
-/// SpoolContext::ResolveBudgetBytes(0)). Its one MemoryBudget accountant
-/// bounds every participant: the consumer pipeline (which runs every
-/// pipeline breaker) and all worker pipelines reserve against it, so the
-/// global bound holds without throttling the breakers to a fraction of it.
-/// Worker spool files live in worker-private directories, and under a
-/// finite budget the effective degree of parallelism is clamped (see
-/// kMinWorkerBudgetBytes) so a high thread count cannot over-commit it
-/// through per-worker in-flight state.
+/// SpoolContext::ResolveBudgetBytes(0)). Every pipeline breaker runs on the
+/// consumer thread and charges its one MemoryBudget accountant, so the
+/// breakers see the whole limit. Workers buffer nothing the accountant
+/// sees; under a finite budget the effective degree of parallelism is
+/// clamped (see kMinWorkerBudgetBytes) so a high thread count cannot
+/// over-commit it through per-worker in-flight chunks.
 uint64_t DrainParallel(Evaluator& ev, const AlgebraOp& op,
                        const ParallelOptions& options = {},
                        StreamStats* stream = nullptr,

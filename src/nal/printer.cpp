@@ -1,5 +1,6 @@
 #include "nal/printer.h"
 
+#include <initializer_list>
 #include <sstream>
 
 namespace nalq::nal {
@@ -23,9 +24,7 @@ std::string ProgramString(const XiProgram& program) {
   for (const XiCommand& c : program) {
     if (!first) out += ";";
     if (c.is_literal) {
-      std::string text = c.text;
-      // Compact whitespace for readability.
-      out += "\"" + text + "\"";
+      out += "\"" + c.text + "\"";
     } else {
       out += c.expr->DebugString();
     }
@@ -67,12 +66,16 @@ std::string OpHeadline(const AlgebraOp& op) {
     case OpKind::kMap:
       os << "Map[" << op.attr.str() << " := " << op.expr->DebugString() << "]";
       break;
+    // The ⊥-tuple flag shows only where it differs from the operator's
+    // usual form: Υ drops a tuple whose range is empty, the paper's μ pads
+    // it.
     case OpKind::kUnnestMap:
       os << "UnnestMap[" << op.attr.str() << " := " << op.expr->DebugString()
-         << "]";
+         << (op.outer ? "; outer" : "") << "]";
       break;
     case OpKind::kUnnest:
-      os << (op.distinct ? "UnnestD[" : "Unnest[") << op.attr.str() << "]";
+      os << (op.distinct ? "UnnestD[" : "Unnest[") << op.attr.str()
+         << (op.outer ? "" : "; inner") << "]";
       break;
     case OpKind::kCross:
       os << "Cross";
@@ -101,7 +104,13 @@ std::string OpHeadline(const AlgebraOp& op) {
          << JoinSymbols(op.right_attrs) << "; " << op.agg.DebugString() << "]";
       break;
     case OpKind::kSort:
-      os << "Sort[" << JoinSymbols(op.attrs) << "]";
+      os << "Sort[";
+      for (size_t i = 0; i < op.attrs.size(); ++i) {
+        if (i != 0) os << ",";
+        os << op.attrs[i].str();
+        if (i < op.sort_desc.size() && op.sort_desc[i] != 0) os << " desc";
+      }
+      os << "]";
       break;
     case OpKind::kXiSimple:
       os << "Xi[" << ProgramString(op.s1) << "]";
@@ -138,11 +147,16 @@ void PrintRec(const AlgebraOp& op, int depth, std::string* out) {
         *out += "(nested in subscript)\n";
         PrintRec(*cur->alg, depth + 2, out);
       }
+      if (cur->agg.filter != nullptr) stack.push_back(cur->agg.filter.get());
       for (const ExprPtr& c : cur->children) stack.push_back(c.get());
     }
   };
   print_nested(op.pred);
   print_nested(op.expr);
+  print_nested(op.agg.filter);
+  for (const XiProgram* program : {&op.s1, &op.s2, &op.s3}) {
+    for (const XiCommand& c : *program) print_nested(c.expr);
+  }
 }
 
 }  // namespace

@@ -20,40 +20,33 @@ Scheduler& Scheduler::Global() {
 }
 
 Scheduler::Scheduler(unsigned initial_threads) {
-  workers_.reserve(kMaxThreads);
-  threads_.reserve(kMaxThreads);
   EnsureThreads(initial_threads == 0 ? 1 : initial_threads);
 }
 
 Scheduler::~Scheduler() {
   {
-    std::lock_guard<std::mutex> lock(pool_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  idle_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
 void Scheduler::EnsureThreads(unsigned n) {
   n = std::min(n, kMaxThreads);
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  while (count_.load(std::memory_order_relaxed) < n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  while (threads_.size() < n) {
     if (int injected = FaultInjector::Current().MaybeFail(
             FaultSite::kSchedulerWorkerStart)) {
       throw engine::Error(engine::ErrorCode::kBudgetExhausted,
                           "scheduler: cannot start worker thread", injected,
                           {}, "scheduler.worker_start");
     }
-    workers_.push_back(std::make_unique<Worker>());
-    size_t self = workers_.size() - 1;
-    // Publish the new slot before the thread (or any Submit) can index it.
-    count_.store(workers_.size(), std::memory_order_release);
     try {
-      threads_.emplace_back([this, self] { WorkerLoop(self); });
+      threads_.emplace_back([this] { WorkerLoop(); });
     } catch (const std::system_error& e) {
-      // The slot stays published (already-running threads may be indexing
-      // it, and its deque is stealable), but the pool stops growing. The
-      // caller sees a structured resource error.
+      // The pool stops growing; the threads already running keep serving
+      // the queue. The caller sees a structured resource error.
       throw engine::Error(engine::ErrorCode::kBudgetExhausted,
                           "scheduler: cannot start worker thread",
                           e.code().value(), {}, "scheduler.worker_start");
@@ -61,66 +54,31 @@ void Scheduler::EnsureThreads(unsigned n) {
   }
 }
 
+unsigned Scheduler::thread_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<unsigned>(threads_.size());
+}
+
 void Scheduler::Submit(std::function<void()> task) {
-  size_t n = count_.load(std::memory_order_acquire);
-  size_t target = next_.fetch_add(1, std::memory_order_relaxed) % n;
   {
-    std::lock_guard<std::mutex> lock(workers_[target]->mu);
-    workers_[target]->tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
   }
-  // The notify pairs with the idle wait below; taking pool_mu_ here closes
-  // the window where a worker checks the deques, finds them empty, and
-  // sleeps just as this task arrives.
-  { std::lock_guard<std::mutex> lock(pool_mu_); }
-  idle_cv_.notify_one();
+  cv_.notify_one();
 }
 
-bool Scheduler::TryPop(size_t self, std::function<void()>* task) {
-  size_t n = count_.load(std::memory_order_acquire);
-  {
-    Worker& own = *workers_[self];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      *task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  for (size_t i = 1; i < n; ++i) {
-    Worker& victim = *workers_[(self + i) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      *task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Scheduler::HasWork() {
-  size_t n = count_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    std::lock_guard<std::mutex> lock(workers_[i]->mu);
-    if (!workers_[i]->tasks.empty()) return true;
-  }
-  return false;
-}
-
-void Scheduler::WorkerLoop(size_t self) {
-  std::function<void()> task;
+void Scheduler::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    if (TryPop(self, &task)) {
-      task();
-      task = nullptr;
-      executed_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(pool_mu_);
-    if (stop_) return;
-    idle_cv_.wait(lock, [this] { return stop_ || HasWork(); });
-    if (stop_) return;
+    cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+    if (tasks_.empty()) return;  // stopping, and the queue is drained
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    lock.unlock();
+    task();
+    task = nullptr;  // release the task's captures outside the lock
+    executed_.fetch_add(1, std::memory_order_relaxed);
+    lock.lock();
   }
 }
 

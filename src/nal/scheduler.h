@@ -1,11 +1,9 @@
-// Work-stealing thread pool for the parallel executor (exchange.h).
+// Thread pool for the parallel executor (exchange.h).
 //
-// A small, process-wide pool of worker threads, each with its own task
-// deque. Submitted tasks are distributed round-robin across the deques;
-// a worker pops its own deque LIFO (cache-warm, newest first) and, when
-// empty, steals the OLDEST task from a sibling — the classic work-stealing
-// discipline that keeps coarse-grained morsel tasks balanced without a
-// central queue bottleneck.
+// A small, process-wide pool of worker threads that take tasks from one
+// FIFO queue, in submission order. Only exchange consumers submit, and a
+// consumer waits for its oldest ticket first, so the oldest task is the one
+// to start.
 //
 // Tasks must be self-contained units of work: they may take mutexes and
 // signal condition variables, but must never block waiting on another
@@ -22,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -40,56 +37,33 @@ class Scheduler {
   /// parallelism before submitting work.
   void EnsureThreads(unsigned n);
 
-  /// Enqueues `task` for execution on some pool thread.
+  /// Enqueues `task` at the back of the queue.
   void Submit(std::function<void()> task);
 
-  unsigned thread_count() const {
-    return static_cast<unsigned>(count_.load(std::memory_order_acquire));
-  }
-  /// Tasks a worker took from a sibling's deque (observability for tests).
-  uint64_t steal_count() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
+  unsigned thread_count() const;
   /// Tasks executed in total.
   uint64_t task_count() const {
     return executed_.load(std::memory_order_relaxed);
   }
 
-  /// Growing past this many threads is clamped (also the reserve() bound
-  /// that keeps worker slots at stable addresses while the pool grows).
+  /// Growing past this many threads is clamped.
   static constexpr unsigned kMaxThreads = 256;
 
   explicit Scheduler(unsigned initial_threads);
+  /// Runs every queued task, then joins the threads.
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
  private:
-  struct Worker {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t self);
-  /// Pops one task: own deque back (LIFO), else steal a sibling's front
-  /// (FIFO). Returns false when every deque is empty.
-  bool TryPop(size_t self, std::function<void()>* task);
-  bool HasWork();
-
-  // Worker slots are heap-allocated and the vector pre-reserved, so worker
-  // threads may index workers_[0..count_) without synchronizing against
-  // pool growth.
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<size_t> count_{0};
-  std::vector<std::thread> threads_;
-
-  std::mutex pool_mu_;  ///< guards growth, shutdown and the idle wait
-  std::condition_variable idle_cv_;
+  mutable std::mutex mu_;  ///< guards tasks_, stop_ and threads_
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;
   bool stop_ = false;
-
-  std::atomic<size_t> next_{0};  ///< round-robin submit target
-  std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> executed_{0};
+  std::vector<std::thread> threads_;  ///< after what the threads use
 };
 
 }  // namespace nalq::nal

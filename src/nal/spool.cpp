@@ -8,8 +8,10 @@
 #include <cstring>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -18,11 +20,11 @@
 #endif
 
 #include "engine/error.h"
+#include "nal/analysis.h"
 #include "nal/codec.h"
 #include "nal/env_knobs.h"
 #include "nal/fault_injection.h"
 #include "nal/physical.h"
-#include "nal/probe_loops.h"
 #include "xml/store.h"
 
 namespace nalq::nal {
@@ -341,15 +343,8 @@ std::string AutoSpoolDir() {
 
 }  // namespace
 
-SpoolContext::SpoolContext(MemoryBudget& shared, std::string dir)
-    : budget_(&shared),
-      injector_(&FaultInjector::Current()),
-      dir_(std::move(dir)),
-      owns_dir_(dir_.empty()) {}
-
 SpoolContext::SpoolContext(uint64_t budget_bytes, std::string dir)
-    : own_budget_(std::make_unique<MemoryBudget>(budget_bytes)),
-      budget_(own_budget_.get()),
+    : budget_(budget_bytes),
       injector_(&FaultInjector::Current()),
       dir_(std::move(dir)),
       owns_dir_(dir_.empty()) {}
@@ -1025,8 +1020,6 @@ uint64_t ExternalSorter::memory_records() const {
 
 namespace {
 
-using probe::CountProducedTuple;
-
 inline SpillStats* StatsOf(ExecContext& ctx) {
   return &ctx.ev->stats().spill;
 }
@@ -1153,6 +1146,18 @@ class SpoolBufferCursor final : public Cursor {
 // Unary Γ
 // ---------------------------------------------------------------------------
 
+/// One routed '='-Γ input record: the tuple, the group key it was routed
+/// by, and its global position — `seq` over input tuples, `ordinal` over
+/// that tuple's keys (a sequence-valued key fans one tuple into several
+/// groups). The (seq, ordinal) of a group's first member is the group's
+/// serial first-occurrence rank.
+struct GammaRecord {
+  uint64_t seq = 0;
+  uint32_t ordinal = 0;
+  Key key;
+  Tuple tuple;
+};
+
 class SpillGroupUnaryCursor final : public Cursor {
  public:
   SpillGroupUnaryCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr input)
@@ -1190,8 +1195,6 @@ class SpillGroupUnaryCursor final : public Cursor {
 
  private:
   // ---- Γ over = : grace partitions + first-occurrence order restoration --
-
-  using GammaRecord = probe::GammaRecord;
 
   static void EncodeGamma(const GammaRecord& r, std::string* out) {
     PutU64(out, r.seq);
@@ -1237,7 +1240,16 @@ class SpillGroupUnaryCursor final : public Cursor {
     });
 
     if (!spilled_) {
-      gamma_.Build(input_seq_, op_.left_attrs, store);
+      // '='-bucketing in first-occurrence key order (ΠD).
+      for (uint32_t i = 0; i < input_seq_.size(); ++i) {
+        MakeKeysInto(input_seq_[i], op_.left_attrs, store, &keys);
+        if (keys.size() > 1) multi_key_ = true;
+        for (Key& k : keys) {
+          auto [it, inserted] = buckets_.try_emplace(k);
+          if (inserted) order_.push_back(k);
+          it->second.push_back(i);
+        }
+      }
       if (ctx_.stream != nullptr) {
         stream_charged_ = input_seq_.size();
         ctx_.stream->OnBuffer(stream_charged_);
@@ -1335,17 +1347,57 @@ class SpillGroupUnaryCursor final : public Cursor {
         records.push_back(std::move(rec));
       }
     }
-    probe::AggregateGammaPartition(
-        records, op_, ctx_,
-        [&](uint64_t first_seq, uint32_t first_ordinal, Tuple result) {
-          sorter_->Add({Value(static_cast<int64_t>(first_seq)),
-                        Value(static_cast<int64_t>(first_ordinal))},
-                       (*emit_seq)++, std::move(result));
-        });
+    // Bucket by the routed key — never a recomputed one, which would
+    // resurrect other partitions' groups — in first-occurrence order, and
+    // tag each group with its first member's (seq, ordinal). Group members
+    // are moved out of `records`.
+    struct Group {
+      const GammaRecord* first;
+      Sequence members;
+    };
+    std::unordered_map<Key, size_t, KeyHash> index;
+    std::vector<Group> groups;
+    for (GammaRecord& r : records) {
+      auto [it, inserted] = index.try_emplace(r.key, groups.size());
+      if (inserted) groups.push_back(Group{&r, {}});
+      groups[it->second].members.Append(std::move(r.tuple));
+    }
+    for (Group& g : groups) {
+      sorter_->Add({Value(static_cast<int64_t>(g.first->seq)),
+                    Value(static_cast<int64_t>(g.first->ordinal))},
+                   (*emit_seq)++,
+                   GroupResult(g.first->key, std::move(g.members)));
+    }
   }
 
+  /// Emits the next '='-group: unless a sequence-valued key fanned a tuple
+  /// into several buckets, each input tuple belongs to exactly one group
+  /// and is handed over by move.
   bool NextEqInMemory(Tuple* out) {
-    return probe::NextEqGammaGroup(gamma_, input_seq_, op_, ctx_, out);
+    if (next_key_ >= order_.size()) return false;
+    const Key& key = order_[next_key_++];
+    Sequence group;
+    for (uint32_t pos : buckets_[key]) {
+      if (multi_key_) {
+        group.Append(input_seq_[pos]);
+      } else {
+        group.Append(std::move(input_seq_[pos]));
+      }
+    }
+    *out = GroupResult(key, std::move(group));
+    CountProducedTuple(ctx_);
+    return true;
+  }
+
+  /// One Γ output tuple: the group key's attributes plus g = f(group).
+  Tuple GroupResult(const Key& key, Sequence group) {
+    Tuple result;
+    for (size_t j = 0; j < op_.left_attrs.size(); ++j) {
+      result.Set(op_.left_attrs[j], key.values[j]);
+    }
+    result.Set(op_.attr,
+               ctx_.ev->ApplyAgg(op_.agg, std::move(group), *ctx_.env));
+    return result;
   }
 
   // ---- θ-grouping: spooled input, rescanned per key ----------------------
@@ -1358,34 +1410,48 @@ class SpillGroupUnaryCursor final : public Cursor {
     DrainInto(*input_, [&](Tuple t) {
       MakeKeysInto(t, op_.left_attrs, store, &keys);
       for (Key& k : keys) {
-        if (seen.insert(k).second) gamma_.order.push_back(k);
+        if (seen.insert(k).second) order_.push_back(k);
       }
       theta_spool_->Append(std::move(t));
     });
     theta_spool_->FinishWrites();
-    gamma_.next_key = 0;
     if (ctx_.stream != nullptr) {
       stream_charged_ = theta_spool_->memory_size();
       ctx_.stream->OnBuffer(stream_charged_);
     }
   }
 
+  /// Emits the next θ-group (group for key v = σ_{v θ A}(e)).
   bool NextTheta(Tuple* out) {
-    return probe::NextThetaGammaGroup(
-        gamma_.order, &gamma_.next_key, op_, ctx_,
-        [&](auto&& fn) {
-          if (!theta_spool_->spilled()) {
-            // By reference: K keys over N tuples copy only the matches.
-            for (const Tuple& u : theta_spool_->memory()) fn(u);
-            return;
-          }
-          TupleSpool::Reader reader = theta_spool_->NewReader();
-          Tuple u;
-          // Rvalue: each deserialized tuple is fresh, so a match is moved
-          // into the group (u is reassigned by the next Next()).
-          while (reader.Next(&u)) fn(std::move(u));
-        },
-        out);
+    if (next_key_ >= order_.size()) return false;
+    const Key& key = order_[next_key_++];
+    if (op_.left_attrs.size() != 1) {
+      throw engine::Error(engine::ErrorCode::kPlanError,
+                          "theta-grouping requires a single attribute", 0, {},
+                          "GroupUnary");
+    }
+    auto in_group = [&](const Tuple& u) {
+      return ctx_.ev->GeneralCompare(op_.theta, key.values[0],
+                                     u.Get(op_.left_attrs[0]));
+    };
+    Sequence group;
+    if (!theta_spool_->spilled()) {
+      // By reference: K keys over N tuples copy only the matches.
+      for (const Tuple& u : theta_spool_->memory()) {
+        if (in_group(u)) group.Append(u);
+      }
+    } else {
+      TupleSpool::Reader reader = theta_spool_->NewReader();
+      Tuple u;
+      // Each decoded tuple is fresh, so a match is moved into the group
+      // (u is reassigned by the next Next()).
+      while (reader.Next(&u)) {
+        if (in_group(u)) group.Append(std::move(u));
+      }
+    }
+    *out = GroupResult(key, std::move(group));
+    CountProducedTuple(ctx_);
+    return true;
   }
 
   const AlgebraOp& op_;
@@ -1395,8 +1461,16 @@ class SpillGroupUnaryCursor final : public Cursor {
   ChargeGuard charge_;
 
   bool spilled_ = false;
-  Sequence input_seq_;       // in-memory mode
-  probe::GammaBuckets gamma_;  // eq buckets; θ mode reuses order/next_key
+  Sequence input_seq_;  // in-memory mode
+  /// Distinct keys in first-occurrence order (ΠD): the in-RAM '=' groups
+  /// and the θ groups.
+  std::vector<Key> order_;
+  size_t next_key_ = 0;
+  /// In-RAM '=' buckets: input positions per key. A sequence-valued key
+  /// put some tuple into several buckets, so group members must be copied,
+  /// not moved.
+  std::unordered_map<Key, std::vector<uint32_t>, KeyHash> buckets_;
+  bool multi_key_ = false;
   uint64_t stream_charged_ = 0;
 
   PartitionSet partitions_;
@@ -1410,6 +1484,72 @@ class SpillGroupUnaryCursor final : public Cursor {
 // Joins (⋈ / × / ⋉ / ▷ / outer / binary Γ)
 // ---------------------------------------------------------------------------
 
+/// In-RAM build side of the hybrid join: the buffered right input, the
+/// equality conjuncts the hash path probes — a '='-nest-join's attribute
+/// lists, with no residual — the index over them, and the outer join's ⊥
+/// padding and default.
+struct JoinBuild {
+  explicit JoinBuild(const AlgebraOp& op) {
+    switch (op.kind) {
+      case OpKind::kJoin:
+      case OpKind::kSemiJoin:
+      case OpKind::kAntiJoin:
+      case OpKind::kOuterJoin:
+        equi = ExtractEquiPredicate(op.pred, OutputAttrs(*op.child(0)).attrs,
+                                    OutputAttrs(*op.child(1)).attrs);
+        break;
+      case OpKind::kGroupBinary:
+        if (op.theta == CmpOp::kEq) {
+          equi = EquiPredicate{op.left_attrs, op.right_attrs, nullptr};
+        }
+        break;
+      default:  // ×: no predicate, nested loop by definition
+        break;
+    }
+    if (op.kind == OpKind::kOuterJoin) {
+      for (Symbol a : OutputAttrs(*op.child(1)).attrs) {
+        if (a != op.attr) null_attrs.push_back(a);
+      }
+    }
+  }
+
+  /// Post-build checks and constants, in the serial Open order: a θ
+  /// nest-join needs a single attribute, and the outer join's default is
+  /// evaluated on the empty binding.
+  void Finish(const AlgebraOp& op, ExecContext& ctx) {
+    if (op.kind == OpKind::kGroupBinary && op.theta != CmpOp::kEq &&
+        op.left_attrs.size() != 1) {
+      throw engine::Error(engine::ErrorCode::kPlanError,
+                          "theta nest-join requires a single attribute", 0, {},
+                          "GroupBinary");
+    }
+    if (op.kind == OpKind::kOuterJoin) {
+      dflt = op.expr != nullptr ? ctx.ev->EvalExpr(*op.expr, Tuple(), *ctx.env)
+                                : Value::Null();
+    }
+  }
+
+  Sequence right;
+  std::optional<EquiPredicate> equi;
+  HashIndex index;
+  std::vector<Symbol> null_attrs;  ///< outer join
+  Value dflt;                      ///< outer join
+};
+
+/// The hybrid join. Each join kind has one probe loop, over the current
+/// left tuple's *candidates*; once the build side is in, the mode fixes
+/// where they come from:
+///   kIndex       — HashIndex::LookupInto positions over the in-RAM build
+///                  side (equality conjuncts, build fitted the budget);
+///   kScan        — every tuple of the in-RAM build side, in order;
+///   kSpooledScan — every tuple of the spooled build side, through one
+///                  reader rewound per left tuple;
+///   kMerge       — the restoration merge's deduplicated (lseq, rpos)
+///                  candidates of the grace join (equality conjuncts, build
+///                  overflowed the budget).
+/// A candidate must still pass the test of its source: in the two equality
+/// sources the residual of the equality conjuncts, in a scan the whole
+/// predicate (nothing for ×) — and for binary Γ in a scan the θ comparison.
 class SpillJoinCursor final : public Cursor {
  public:
   SpillJoinCursor(const AlgebraOp& op, ExecContext& ctx, CursorPtr left,
@@ -1420,42 +1560,144 @@ class SpillJoinCursor final : public Cursor {
         right_(std::move(right)),
         budget_(BreakerBudget(op, ctx)),
         charge_(&budget_),
-        build_(op) {}
+        build_(op) {
+    if (build_.equi.has_value()) {
+      pred_ = build_.equi->residual.get();
+    } else if (op.kind != OpKind::kCross) {
+      pred_ = op.pred.get();
+    }
+  }
 
   void Open() override {
     OpenOnce(&opened_);
     left_->Open();
     BuildRight();
     build_.Finish(op_, ctx_);
-    if (mode_ == Mode::kSpilledEqui) DrainLeftAndProbe();
+    if (mode_ == Mode::kMerge) DrainLeftAndProbe();
   }
 
   bool Next(Tuple* out) override {
-    switch (mode_) {
-      case Mode::kInMemory:
-      case Mode::kSpilledLoop:
-        // In-memory and spooled-nested-loop probes share the probe loops
-        // (nal/probe_loops.h); the access methods below read mode_.
-        return loops_.Next(*this, out);
-      case Mode::kSpilledEqui:
-        return NextSpilledEqui(out);
-      case Mode::kBuilding:
-        break;
+    switch (op_.kind) {
+      case OpKind::kCross:
+      case OpKind::kJoin:
+      case OpKind::kOuterJoin:
+        return NextJoin(out);
+      case OpKind::kSemiJoin:
+      case OpKind::kAntiJoin:
+        return NextSemiAnti(out);
+      case OpKind::kGroupBinary:
+        return NextGroupBinary(out);
+      default:
+        throw std::logic_error("SpillJoinCursor: not a join-family operator");
+    }
+  }
+
+  void Close() override {
+    left_->Close();
+    if (ctx_.stream != nullptr) ctx_.stream->OnRelease(stream_charged_);
+    stream_charged_ = 0;
+  }
+
+ private:
+  enum class Mode { kBuilding, kIndex, kScan, kSpooledScan, kMerge };
+
+  // ---- probe loops: one per join kind, over the mode's candidates --------
+
+  /// ×, ⋈ and the outer join: every combination that passes, then — for the
+  /// outer join — the ⊥-padded left tuple if none did.
+  bool NextJoin(Tuple* out) {
+    while (true) {
+      if (!have_left_) {
+        if (!NextLeft()) return false;
+        have_left_ = true;
+        matched_ = false;
+      }
+      const Tuple* r = nullptr;
+      while (NextCandidate(&r)) {
+        Tuple combined = cur_left_.Concat(*r);
+        if (pred_ == nullptr ||
+            ctx_.ev->EvalPred(*pred_, combined, *ctx_.env)) {
+          matched_ = true;
+          *out = std::move(combined);
+          CountProducedTuple(ctx_);
+          return true;
+        }
+      }
+      have_left_ = false;
+      if (op_.kind == OpKind::kOuterJoin && !matched_) {
+        *out = cur_left_.Concat(Tuple::Nulls(build_.null_attrs));
+        out->Set(op_.attr, build_.dflt);
+        CountProducedTuple(ctx_);
+        return true;
+      }
+    }
+  }
+
+  /// ⋉ and ▷: the left tuple on a (mis)match. The test stops at the first
+  /// match, and the merge source drops the rest of that left tuple's
+  /// candidates unevaluated.
+  bool NextSemiAnti(Tuple* out) {
+    const bool anti = op_.kind == OpKind::kAntiJoin;
+    while (NextLeft()) {
+      bool matched = false;
+      const Tuple* r = nullptr;
+      while (!matched && NextCandidate(&r)) {
+        matched = pred_ == nullptr ||
+                  ctx_.ev->EvalPred(*pred_, cur_left_.Concat(*r), *ctx_.env);
+      }
+      SkipCandidates();
+      if (matched != anti) {
+        *out = std::move(cur_left_);
+        CountProducedTuple(ctx_);
+        return true;
+      }
     }
     return false;
   }
 
-  // ---- probe::JoinProbeLoops access policy (nal/probe_loops.h) -----------
-
-  ExecContext& ctx() { return ctx_; }
-  const AlgebraOp& op() const { return op_; }
-  bool LeftNext(Tuple* out) { return left_->Next(out); }
-  bool use_index() const {
-    return mode_ == Mode::kInMemory && build_.equi.has_value();
+  /// Binary Γ (nest-join): one output tuple per left tuple, carrying the
+  /// aggregate of its group. Decoded candidates are moved into the group;
+  /// only build tuples that stay in RAM are copied.
+  bool NextGroupBinary(Tuple* out) {
+    if (!NextLeft()) return false;
+    Sequence group;
+    const Tuple* r = nullptr;
+    while (NextCandidate(&r)) {
+      if (op_.theta != CmpOp::kEq &&
+          !ctx_.ev->GeneralCompare(op_.theta, cur_left_.Get(op_.left_attrs[0]),
+                                   r->Get(op_.right_attrs[0]))) {
+        continue;
+      }
+      if (r == &cand_) {
+        group.Append(std::move(cand_));
+      } else {
+        group.Append(*r);
+      }
+    }
+    cur_left_.Set(op_.attr,
+                  ctx_.ev->ApplyAgg(op_.agg, std::move(group), *ctx_.env));
+    *out = std::move(cur_left_);
+    CountProducedTuple(ctx_);
+    return true;
   }
-  const probe::JoinBuild& build() const { return build_; }
-  void ScanRestart() {
-    if (mode_ == Mode::kInMemory) {
+
+  // ---- candidate sources -------------------------------------------------
+
+  /// Moves to the next left tuple and points the mode's source at its
+  /// candidates. False at the end of the left input.
+  bool NextLeft() {
+    if (mode_ == Mode::kMerge) {
+      if (!left_reader_->Next(&cur_left_)) return false;
+      cur_lseq_ = next_lseq_++;
+      have_last_ = false;
+      return true;
+    }
+    if (!left_->Next(&cur_left_)) return false;
+    if (mode_ == Mode::kIndex) {
+      build_.index.LookupInto(cur_left_, build_.equi->left_attrs,
+                              ctx_.ev->store(), &key_scratch_, &lookup_);
+      lookup_pos_ = 0;
+    } else if (mode_ == Mode::kScan) {
       scan_pos_ = 0;
     } else if (scan_reader_.has_value()) {
       // One cached handle, rewound per left tuple — N fopen/fclose pairs
@@ -1464,25 +1706,37 @@ class SpillJoinCursor final : public Cursor {
     } else {
       scan_reader_.emplace(right_spool_->NewReader());
     }
-  }
-  bool ScanNext(const Tuple** r) {
-    if (mode_ == Mode::kInMemory) {
-      if (scan_pos_ >= build_.right.size()) return false;
-      *r = &build_.right[scan_pos_++];
-      return true;
-    }
-    if (!scan_reader_->Next(&scan_tuple_)) return false;
-    *r = &scan_tuple_;
     return true;
   }
-  void Close() override {
-    left_->Close();
-    if (ctx_.stream != nullptr) ctx_.stream->OnRelease(stream_charged_);
-    stream_charged_ = 0;
+
+  /// Points `*r` at the current left tuple's next candidate; false when it
+  /// has none left. A decoded candidate lands in cand_, which the probe
+  /// loops may move from.
+  bool NextCandidate(const Tuple** r) {
+    switch (mode_) {
+      case Mode::kIndex:
+        if (lookup_pos_ >= lookup_.size()) return false;
+        *r = &build_.right[lookup_[lookup_pos_++]];
+        return true;
+      case Mode::kScan:
+        if (scan_pos_ >= build_.right.size()) return false;
+        *r = &build_.right[scan_pos_++];
+        return true;
+      case Mode::kSpooledScan:
+        if (!scan_reader_->Next(&cand_)) return false;
+        *r = &cand_;
+        return true;
+      case Mode::kMerge:
+        if (!TakeCandidate(&cand_)) return false;
+        *r = &cand_;
+        return true;
+      case Mode::kBuilding:
+        break;
+    }
+    return false;
   }
 
- private:
-  enum class Mode { kBuilding, kInMemory, kSpilledLoop, kSpilledEqui };
+  // ---- build side ----------------------------------------------------------
 
   std::span<const Symbol> build_attrs() const {
     return build_.equi->right_attrs;
@@ -1506,13 +1760,17 @@ class SpillJoinCursor final : public Cursor {
     }
     right_->Close();
     if (mode_ == Mode::kBuilding) {
-      mode_ = Mode::kInMemory;
-      build_.IndexRight(ctx_.ev->store());
+      if (build_.equi.has_value()) {
+        mode_ = Mode::kIndex;
+        build_.index.Build(build_.right, build_attrs(), ctx_.ev->store());
+      } else {
+        mode_ = Mode::kScan;
+      }
       if (ctx_.stream != nullptr) {
         stream_charged_ = build_.right.size();
         ctx_.stream->OnBuffer(stream_charged_);
       }
-    } else if (mode_ == Mode::kSpilledLoop) {
+    } else if (mode_ == Mode::kSpooledScan) {
       right_spool_->FinishWrites();
     } else {
       for (auto& part : build_parts_) part->FinishWrites();
@@ -1521,7 +1779,7 @@ class SpillJoinCursor final : public Cursor {
 
   void SwitchToSpill() {
     if (build_.equi.has_value()) {
-      mode_ = Mode::kSpilledEqui;
+      mode_ = Mode::kMerge;
       // Admission policy: expected build volume = optimizer row hint for
       // this breaker × the average resident tuple size observed up to the
       // overflow (see GracePartitionCount).
@@ -1535,12 +1793,9 @@ class SpillJoinCursor final : public Cursor {
                               ctx_.spool->RowHint(&op_) * avg));
       for (Tuple& u : build_.right) RouteBuild(std::move(u));
     } else {
-      mode_ = Mode::kSpilledLoop;
+      mode_ = Mode::kSpooledScan;
       right_spool_.emplace(ctx_.spool, budget_, StatsOf(ctx_));
-      for (Tuple& u : build_.right) {
-        right_spool_->Append(std::move(u));
-        ++rpos_next_;  // keep the arrival count (unused in loop mode)
-      }
+      for (Tuple& u : build_.right) right_spool_->Append(std::move(u));
     }
     build_.right.Clear();
     charge_.ReleaseAll();
@@ -1550,9 +1805,8 @@ class SpillJoinCursor final : public Cursor {
   /// distinct key partition of the tuple; keyless tuples are unreachable by
   /// any probe and keep only their position number.
   void RouteBuild(Tuple t) {
-    if (mode_ == Mode::kSpilledLoop) {
+    if (mode_ == Mode::kSpooledScan) {
       right_spool_->Append(std::move(t));
-      ++rpos_next_;
       return;
     }
     uint64_t rpos = rpos_next_++;
@@ -1565,7 +1819,7 @@ class SpillJoinCursor final : public Cursor {
     for (size_t p : part_scratch_) build_parts_[p]->Append(scratch_);
   }
 
-  // ---- spilled equi: probe routing, partition joins, order restoration --
+  // ---- kMerge: probe routing, partition joins, order restoration --------
 
   void DrainLeftAndProbe() {
     const xml::Store& store = ctx_.ev->store();
@@ -1734,99 +1988,12 @@ class SpillJoinCursor final : public Cursor {
     return false;
   }
 
-  /// Drops the rest of the current left tuple's candidates without looking
-  /// at them (semi/anti short-circuit parity: the in-memory probe stops
-  /// evaluating the residual after the first match).
+  /// Drops the rest of the current left tuple's merge candidates without
+  /// looking at them (⋉/▷ short-circuit parity: the index source stops
+  /// evaluating the residual after the first match). A no-op in the other
+  /// modes, whose candidates restart with the next left tuple.
   void SkipCandidates() {
     while (cand_valid_ && cand_lseq_ == cur_lseq_) AdvanceCandidate();
-  }
-
-  bool NextSpilledEqui(Tuple* out) {
-    const bool anti = op_.kind == OpKind::kAntiJoin;
-    const Expr* residual = build_.equi->residual.get();
-    while (true) {
-      if (!have_left_) {
-        if (!left_reader_->Next(&cur_left_)) return false;
-        cur_lseq_ = next_lseq_++;
-        have_left_ = true;
-        matched_ = false;
-        have_last_ = false;
-        group_.Clear();
-      }
-      Tuple right;
-      switch (op_.kind) {
-        case OpKind::kJoin: {
-          while (TakeCandidate(&right)) {
-            Tuple combined = cur_left_.Concat(right);
-            if (residual == nullptr ||
-                ctx_.ev->EvalPred(*residual, combined, *ctx_.env)) {
-              *out = std::move(combined);
-              CountProducedTuple(ctx_);
-              return true;
-            }
-          }
-          have_left_ = false;
-          break;
-        }
-        case OpKind::kSemiJoin:
-        case OpKind::kAntiJoin: {
-          while (!matched_ && TakeCandidate(&right)) {
-            if (residual == nullptr ||
-                ctx_.ev->EvalPred(*residual, cur_left_.Concat(right),
-                                  *ctx_.env)) {
-              matched_ = true;
-            }
-          }
-          SkipCandidates();
-          bool emit = matched_ != anti;
-          Tuple l = std::move(cur_left_);
-          have_left_ = false;
-          if (emit) {
-            *out = std::move(l);
-            CountProducedTuple(ctx_);
-            return true;
-          }
-          break;
-        }
-        case OpKind::kOuterJoin: {
-          while (TakeCandidate(&right)) {
-            Tuple combined = cur_left_.Concat(right);
-            if (residual == nullptr ||
-                ctx_.ev->EvalPred(*residual, combined, *ctx_.env)) {
-              matched_ = true;
-              *out = std::move(combined);
-              CountProducedTuple(ctx_);
-              return true;
-            }
-          }
-          bool pad = !matched_;
-          Tuple l = std::move(cur_left_);
-          have_left_ = false;
-          if (pad) {
-            Tuple t = l.Concat(Tuple::Nulls(build_.null_attrs));
-            t.Set(op_.attr, build_.dflt);
-            *out = std::move(t);
-            CountProducedTuple(ctx_);
-            return true;
-          }
-          break;
-        }
-        case OpKind::kGroupBinary: {
-          while (TakeCandidate(&right)) group_.Append(std::move(right));
-          Tuple l = std::move(cur_left_);
-          have_left_ = false;
-          Value agg =
-              ctx_.ev->ApplyAgg(op_.agg, std::move(group_), *ctx_.env);
-          group_ = Sequence();
-          l.Set(op_.attr, std::move(agg));
-          *out = std::move(l);
-          CountProducedTuple(ctx_);
-          return true;
-        }
-        default:
-          return false;  // kCross never reaches the equi path
-      }
-    }
   }
 
   const AlgebraOp& op_;
@@ -1837,24 +2004,25 @@ class SpillJoinCursor final : public Cursor {
   ChargeGuard charge_;
 
   Mode mode_ = Mode::kBuilding;
-  probe::JoinBuild build_;  // in-memory mode buffers build_.right
+  JoinBuild build_;  // kIndex and kScan probe build_.right
+  const Expr* pred_ = nullptr;  // the test a non-Γ candidate must pass
   uint64_t rpos_next_ = 0;
   uint64_t stream_charged_ = 0;
 
-  // Probe state: loops_ for the shared in-memory/nested-loop paths,
-  // cur_left_/have_left_/matched_ for the spilled-equi restoration merge.
-  probe::JoinProbeLoops<SpillJoinCursor> loops_;
+  // Probe state.
   Tuple cur_left_;
-  bool have_left_ = false;
-  bool matched_ = false;
+  bool have_left_ = false;  // ×/⋈/outer: cur_left_ has candidates left
+  bool matched_ = false;    // outer join: some candidate passed
+  Tuple cand_;              // the decoded candidate (kSpooledScan, kMerge)
   std::vector<Key> key_scratch_;
   std::vector<size_t> part_scratch_;
-  size_t scan_pos_ = 0;
-  Tuple scan_tuple_;
-  std::optional<TupleSpool> right_spool_;
+  std::vector<uint32_t> lookup_;  // kIndex
+  size_t lookup_pos_ = 0;
+  size_t scan_pos_ = 0;  // kScan
+  std::optional<TupleSpool> right_spool_;  // kSpooledScan
   std::optional<TupleSpool::Reader> scan_reader_;
 
-  // Spilled-equi state.
+  // kMerge state.
   PartitionSet build_parts_;
   PartitionSet probe_parts_;
   std::optional<TupleSpool> left_spool_;
@@ -1868,7 +2036,6 @@ class SpillJoinCursor final : public Cursor {
   Tuple cand_tuple_;
   bool have_last_ = false;
   uint64_t last_rpos_ = 0;
-  Sequence group_;
   std::string scratch_;
   bool opened_ = false;
 };

@@ -10,9 +10,9 @@
 //     breaker charges for what it keeps resident and releases when it
 //     spills or closes (per-breaker reservations against one global limit);
 //   * SpoolContext — per-run spool configuration: the budget plus lazy
-//     creation and RAII cleanup of a private temp-file directory. Parallel
-//     workers get private child contexts (own directory, sharing the run's
-//     accountant), so spool files are worker-private by construction;
+//     creation and RAII cleanup of a private temp-file directory. Only the
+//     run's consumer thread uses it: every breaker runs there, and exchange
+//     workers carry none;
 //   * a Tuple/Value codec — length-prefixed binary encoding of every Value
 //     kind (nested sequences included) over the process-stable Symbol ids
 //     and NodeRefs, so runs of tuples round-trip through temp files;
@@ -110,25 +110,21 @@ class MemoryBudget {
 /// anything left in it) by the destructor; every spool file additionally
 /// removes itself when its owner dies, so both the success and the
 /// thrown-error path leave no files behind (asserted by
-/// tests/spool_test.cpp). A SpoolContext is used by one executor thread;
-/// parallel workers each get their own.
+/// tests/spool_test.cpp). A SpoolContext is used by the one thread that
+/// runs a run's breakers — the consumer thread; exchange workers carry
+/// none (ExecContext::spool).
 class SpoolContext {
  public:
   /// `budget_bytes` of 0 means unlimited: nothing spills, and the temp
   /// directory is never created. `dir` overrides the automatic temp
   /// directory (tests).
   explicit SpoolContext(uint64_t budget_bytes, std::string dir = {});
-  /// Worker form: shares `shared` — the run's global accountant — instead
-  /// of owning a budget, while keeping its own (worker-private) temp
-  /// directory. `shared` must outlive this context. Used by the exchange
-  /// so one limit truly bounds the whole parallel run.
-  explicit SpoolContext(MemoryBudget& shared, std::string dir = {});
   ~SpoolContext();
   SpoolContext(const SpoolContext&) = delete;
   SpoolContext& operator=(const SpoolContext&) = delete;
 
-  MemoryBudget& budget() { return *budget_; }
-  bool enabled() const { return budget_->limited(); }
+  MemoryBudget& budget() { return budget_; }
+  bool enabled() const { return budget_.limited(); }
 
   /// Fresh file path inside the spool directory (created on first call).
   std::string NewFilePath();
@@ -159,9 +155,6 @@ class SpoolContext {
   void set_row_hints(const std::map<const AlgebraOp*, double>* hints) {
     row_hints_ = hints;
   }
-  const std::map<const AlgebraOp*, double>* row_hints() const {
-    return row_hints_;
-  }
   /// Estimated input rows for `op`, or 0 when unknown.
   double RowHint(const AlgebraOp* op) const {
     if (row_hints_ == nullptr) return 0.0;
@@ -170,11 +163,9 @@ class SpoolContext {
   }
 
   /// Fault injector for this run's spool sites (nal/fault_injection.h).
-  /// Captured as FaultInjector::Current() at construction — so a
+  /// Captured as FaultInjector::Current() at construction, so a
   /// ScopedFaultInjector alive on the constructing thread scopes faults to
-  /// exactly this run — and copied onto worker contexts by the exchange.
-  /// Never null.
-  void set_injector(FaultInjector* injector) { injector_ = injector; }
+  /// exactly this run. Never null.
   FaultInjector* injector() const { return injector_; }
 
   /// The budget a run executes under: `explicit_bytes` when non-zero, else
@@ -186,11 +177,10 @@ class SpoolContext {
   static uint64_t ResolveBudgetBytes(uint64_t explicit_bytes);
 
  private:
-  std::unique_ptr<MemoryBudget> own_budget_;  ///< null in the worker form
-  MemoryBudget* budget_;
+  MemoryBudget budget_;
   const std::map<const AlgebraOp*, double>* row_hints_ = nullptr;
   QueryControl* control_ = nullptr;
-  FaultInjector* injector_;  ///< set by both constructors, never null
+  FaultInjector* const injector_;
   std::string dir_;
   bool created_ = false;
   bool owns_dir_ = true;

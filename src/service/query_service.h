@@ -16,8 +16,8 @@
 // Threading model. Execute() is safe from any number of threads. A query
 // runs on its caller's thread after admission — the service adds no runner
 // pool of its own; parallelism inside a run still comes from the one
-// process-wide work-stealing scheduler (nal/scheduler.h), bounded per
-// query by the granted worker cap. Admission state (the reservation
+// process-wide FIFO scheduler (nal/scheduler.h), bounded per query by the
+// granted worker cap. Admission state (the reservation
 // ledger, the FIFO queue, the plan cache) lives behind one mutex; waits
 // tick every ~10ms so a queued query observes RequestCancel and deadline
 // expiry promptly.

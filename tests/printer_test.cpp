@@ -65,6 +65,52 @@ TEST(PrinterTest, NestedSubscriptAlgebraIsRendered) {
   EXPECT_NE(out.find("a = 1"), std::string::npos);
 }
 
+TEST(PrinterTest, UnusualUnnestFlagsAndDescendingKeysAreVisible) {
+  // Plans that differ only in these fields are different plans
+  // (StructurallyEqual), so they must print differently.
+  Sequence rows;
+  rows.Append(T({{"a", I(1)}}));
+  AlgebraPtr t = Table(rows);
+  EXPECT_EQ(OpHeadline(*Unnest(Symbol("g"), t->Clone())), "Unnest[g]");
+  EXPECT_EQ(OpHeadline(*Unnest(Symbol("g"), t->Clone(), true, false)),
+            "UnnestD[g; inner]");
+  AlgebraPtr upsilon = UnnestMap(Symbol("m"), MakeAttrRef(Symbol("a")),
+                                 t->Clone());
+  EXPECT_EQ(OpHeadline(*upsilon), "UnnestMap[m := a]");
+  upsilon->outer = true;
+  EXPECT_EQ(OpHeadline(*upsilon), "UnnestMap[m := a; outer]");
+  EXPECT_EQ(OpHeadline(*SortBy({Symbol("a"), Symbol("b")}, t->Clone())),
+            "Sort[a,b]");
+  EXPECT_EQ(OpHeadline(*SortByDir({Symbol("a"), Symbol("b")}, {0, 1},
+                                  t->Clone())),
+            "Sort[a,b desc]");
+}
+
+TEST(PrinterTest, NestedAlgebraInAggregateFilterAndXiIsRendered) {
+  Sequence rows;
+  rows.Append(T({{"a", I(1)}}));
+  auto nested = [&](int64_t v) {
+    return MakeNestedAlg(Select(
+        MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("a")), MakeConst(I(v))),
+        Table(rows)));
+  };
+  AggSpec agg = AggCount();
+  agg.filter = MakeFnCall("exists", {nested(7)});
+  AlgebraPtr gamma = GroupUnary(Symbol("g"), CmpOp::kEq, {Symbol("a")},
+                                std::move(agg), Table(rows));
+  std::string out = PrintPlan(*gamma);
+  EXPECT_NE(out.find("(nested in subscript)"), std::string::npos) << out;
+  EXPECT_NE(out.find("a = 7"), std::string::npos) << out;
+
+  XiCommand command;
+  command.is_literal = false;
+  command.expr = nested(8);
+  AlgebraPtr xi = XiSimple({command}, Table(rows));
+  out = PrintPlan(*xi);
+  EXPECT_NE(out.find("(nested in subscript)"), std::string::npos) << out;
+  EXPECT_NE(out.find("a = 8"), std::string::npos) << out;
+}
+
 TEST(PrinterTest, CseIdIsVisible) {
   Sequence rows;
   rows.Append(T({{"a", I(1)}}));

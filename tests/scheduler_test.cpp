@@ -1,10 +1,11 @@
-// Unit tests for the work-stealing thread pool (src/nal/scheduler.h).
+// Unit tests for the FIFO thread pool (src/nal/scheduler.h).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <vector>
 
 #include "nal/scheduler.h"
 
@@ -52,8 +53,8 @@ TEST(SchedulerTest, EnsureThreadsGrowsAndNeverShrinks) {
   pool.EnsureThreads(1);  // no shrink
   EXPECT_GE(pool.thread_count(), before + 3);
 
-  // The grown pool still runs everything (including tasks submitted from a
-  // pool thread itself, the self-deque LIFO path).
+  // The grown pool still runs everything, including tasks submitted from a
+  // pool thread itself.
   Latch latch(20);
   for (int i = 0; i < 10; ++i) {
     pool.Submit([&] {
@@ -85,7 +86,36 @@ TEST(SchedulerTest, CountersAreMonotone) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_GE(pool.task_count(), executed_before + 50);
-  EXPECT_GE(pool.steal_count(), 0u);
+}
+
+TEST(SchedulerTest, OneThreadStartsTasksInSubmissionOrder) {
+  // An exchange consumer waits for its oldest ticket first, so queued
+  // tasks must start oldest first.
+  std::vector<int> started;
+  std::mutex mu;
+  Latch blocker_started(1);
+  Latch release(1);
+  Latch done(6);
+  {
+    Scheduler pool(1);
+    pool.Submit([&] {
+      blocker_started.CountDown();
+      release.Wait();
+    });
+    blocker_started.Wait();
+    for (int i = 0; i < 6; ++i) {
+      pool.Submit([&, i] {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          started.push_back(i);
+        }
+        done.CountDown();
+      });
+    }
+    release.CountDown();
+    done.Wait();
+  }
+  EXPECT_EQ(started, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 }  // namespace

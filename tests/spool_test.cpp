@@ -316,19 +316,44 @@ TEST_F(SpoolOperatorTest, EquiJoinAcrossBudgets) {
 }
 
 TEST_F(SpoolOperatorTest, EquiJoinWithResidualPredicate) {
-  Sequence lhs = rng_.Make({"A", "B"}, 150, 4);
-  Sequence rhs = rng_.Make({"C", "D"}, 150, 4);
   // A = C ∧ B != D: hash on the equality, residual evaluated per match —
   // under spilling the residual runs after the restoration merge, and the
-  // predicate_evals count must still match exactly.
-  ExprPtr pred = MakeAnd(
-      MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("A")), MakeAttrRef(Symbol("C"))),
-      MakeCmp(CmpOp::kNe, MakeAttrRef(Symbol("B")),
-              MakeAttrRef(Symbol("D"))));
-  AlgebraPtr plan =
-      Join(std::move(pred), Table(std::move(lhs)), Table(std::move(rhs)));
-  SpillStats spill = ExpectBudgetedAgrees(store_, plan, 2048);
-  EXPECT_GT(spill.spill_runs, 0u);
+  // predicate_evals count must still match exactly. ⋉ and ▷ stop at the
+  // first match, so the merge must drop the rest of that left tuple's
+  // candidates unevaluated.
+  for (int kind = 0; kind < 4; ++kind) {
+    // ⋈ keeps its original size; the other kinds use smaller relations.
+    const size_t rows = kind == 0 ? 150 : 60;
+    Sequence lhs = rng_.Make({"A", "B"}, rows, 4);
+    Sequence rhs = rng_.Make({"C", "D"}, rows, 4);
+    ExprPtr pred = MakeAnd(
+        MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("A")),
+                MakeAttrRef(Symbol("C"))),
+        MakeCmp(CmpOp::kNe, MakeAttrRef(Symbol("B")),
+                MakeAttrRef(Symbol("D"))));
+    AlgebraPtr plan;
+    switch (kind) {
+      case 0:
+        plan = Join(std::move(pred), Table(std::move(lhs)),
+                    Table(std::move(rhs)));
+        break;
+      case 1:
+        plan = SemiJoin(std::move(pred), Table(std::move(lhs)),
+                        Table(std::move(rhs)));
+        break;
+      case 2:
+        plan = AntiJoin(std::move(pred), Table(std::move(lhs)),
+                        Table(std::move(rhs)));
+        break;
+      default:
+        plan = OuterJoin(std::move(pred), Symbol("D"), MakeConst(I(0)),
+                         Table(std::move(lhs)), Table(std::move(rhs)));
+        break;
+    }
+    SCOPED_TRACE("kind=" + std::to_string(kind));
+    SpillStats spill = ExpectBudgetedAgrees(store_, plan, 2048);
+    EXPECT_GT(spill.spill_runs, 0u);
+  }
 }
 
 TEST_F(SpoolOperatorTest, MultiValuedKeysJoinSemiAntiOuter) {
@@ -368,7 +393,7 @@ TEST_F(SpoolOperatorTest, MultiValuedKeysJoinSemiAntiOuter) {
 }
 
 TEST_F(SpoolOperatorTest, NonEquiJoinsUseSpooledNestedLoop) {
-  for (int kind = 0; kind < 3; ++kind) {
+  for (int kind = 0; kind < 5; ++kind) {
     Sequence lhs = rng_.Make({"A"}, 50, 6);
     Sequence rhs = rng_.Make({"C"}, 45, 6);
     ExprPtr pred = MakeCmp(CmpOp::kLt, MakeAttrRef(Symbol("A")),
@@ -383,8 +408,16 @@ TEST_F(SpoolOperatorTest, NonEquiJoinsUseSpooledNestedLoop) {
         plan = SemiJoin(std::move(pred), Table(std::move(lhs)),
                         Table(std::move(rhs)));
         break;
-      default:
+      case 2:
         plan = Cross(Table(std::move(lhs)), Table(std::move(rhs)));
+        break;
+      case 3:
+        plan = AntiJoin(std::move(pred), Table(std::move(lhs)),
+                        Table(std::move(rhs)));
+        break;
+      default:
+        plan = OuterJoin(std::move(pred), Symbol("C"), MakeConst(I(0)),
+                         Table(std::move(lhs)), Table(std::move(rhs)));
         break;
     }
     SCOPED_TRACE("kind=" + std::to_string(kind));
