@@ -186,7 +186,10 @@ class Engine {
   /// Evaluates a plan, returning the constructed result and statistics.
   /// `threads` is the degree of parallelism under ExecMode::kParallel
   /// (0 = one worker per hardware core) and ignored by the serial modes;
-  /// output and stats are independent of the worker count.
+  /// output and stats are independent of the worker count. Every mode runs
+  /// one plan shape, the one compilation produces (nal::CheckPlanShape): a
+  /// hand-built plan with a Ξ below its root or in a subscript, or a cse_id
+  /// in a subscript, throws engine::Error(kPlanError) before any work.
   ///
   /// `memory_budget_bytes` bounds what the executor's pipeline breakers
   /// keep resident (nal/spool.h): hash build sides grace-partition to temp
@@ -197,8 +200,8 @@ class Engine {
   /// supplies a default. The budget applies to the streaming and parallel
   /// executors; the materializing evaluator (a differential reference)
   /// ignores it, as do the RAM-resident exceptions documented in
-  /// src/nal/README.md (CSE caches, XiGroup group construction, ΠD's
-  /// distinct-key set, and breakers whose own subscripts write Ξ output).
+  /// src/nal/README.md (CSE caches, XiGroup group construction and ΠD's
+  /// distinct-key set).
   /// Under kParallel one shared accountant bounds the consumer and all
   /// workers, and the worker count is clamped so uncharged per-worker state
   /// cannot over-commit it (nal/exchange.h).

@@ -82,8 +82,7 @@ using XiProgram = std::vector<XiCommand>;
 /// alternatives of one query share subtrees with each other and with the
 /// nested plan. Within one plan no operator or expression node is reachable
 /// twice: profiles, estimates and spool hints key per-plan state by node
-/// address. Code that must write to a plan (ShareCommonSubexpressions'
-/// cse_id) writes to its own Clone().
+/// address. Code that must write to a plan writes to its own Clone().
 struct AlgebraOp {
   OpKind kind = OpKind::kSingleton;
   std::vector<AlgebraPtr> children;
@@ -113,14 +112,29 @@ struct AlgebraOp {
 
   /// Common-subexpression id: operators sharing a non-negative cse_id are
   /// evaluated once per top-level Eval() (the "save scanning the same
-  /// document twice" effect of Eqv. 8/9, Sec. 4). Only valid on
-  /// env-independent subtrees.
+  /// document twice" effect of Eqv. 8/9, Sec. 4). Compilation never sets
+  /// it; hand-built plans may, outside subscript algebra (CheckPlanShape).
   int cse_id = -1;
 
   /// Deep copy, for code that writes to its copy.
   AlgebraPtr Clone() const;
   const AlgebraPtr& child(size_t i) const { return children[i]; }
 };
+
+/// Calls `fn` on every non-null subscript expression of `op` (not its input
+/// subtrees), in PrintPlan's order: pred, expr, agg.filter, then the
+/// non-literal commands of s1, s2 and s3.
+template <typename Fn>
+void ForEachSubscript(const AlgebraOp& op, const Fn& fn) {
+  for (const ExprPtr* e : {&op.pred, &op.expr, &op.agg.filter}) {
+    if (*e != nullptr) fn(**e);
+  }
+  for (const XiProgram* program : {&op.s1, &op.s2, &op.s3}) {
+    for (const XiCommand& c : *program) {
+      if (!c.is_literal && c.expr != nullptr) fn(*c.expr);
+    }
+  }
+}
 
 // ---- structural identity ---------------------------------------------
 

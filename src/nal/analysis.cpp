@@ -1,6 +1,9 @@
 #include "nal/analysis.h"
 
 #include <algorithm>
+#include <string>
+
+#include "engine/error.h"
 
 namespace nalq::nal {
 
@@ -213,20 +216,43 @@ SymbolSet FreeVars(const AlgebraOp& op) {
     AttrInfo info = OutputAttrs(*c);
     bound.insert(info.attrs.begin(), info.attrs.end());
   }
-  auto add_expr = [&](const ExprPtr& e) {
-    if (e == nullptr) return;
-    SymbolSet f = FreeVarsExpr(*e, bound);
+  ForEachSubscript(op, [&](const Expr& e) {
+    SymbolSet f = FreeVarsExpr(e, bound);
     free.insert(f.begin(), f.end());
-  };
-  add_expr(op.pred);
-  add_expr(op.expr);
-  add_expr(op.agg.filter);
-  for (const XiProgram* program : {&op.s1, &op.s2, &op.s3}) {
-    for (const XiCommand& c : *program) {
-      if (!c.is_literal) add_expr(c.expr);
-    }
-  }
+  });
   return free;
 }
+
+namespace {
+
+[[noreturn]] void ShapeError(const std::string& message) {
+  throw engine::Error(engine::ErrorCode::kPlanError, message, 0, {},
+                      "plan.shape");
+}
+
+void CheckShape(const AlgebraOp& op, bool is_root, bool in_subscript);
+
+void CheckShapeExpr(const Expr& e) {
+  if (e.alg != nullptr) CheckShape(*e.alg, false, true);
+  if (e.agg.filter != nullptr) CheckShapeExpr(*e.agg.filter);
+  for (const ExprPtr& c : e.children) CheckShapeExpr(*c);
+}
+
+void CheckShape(const AlgebraOp& op, bool is_root, bool in_subscript) {
+  if ((op.kind == OpKind::kXiSimple || op.kind == OpKind::kXiGroup) &&
+      !is_root) {
+    ShapeError(in_subscript ? "result construction inside a subscript"
+                            : "result construction below the plan root");
+  }
+  if (in_subscript && op.cse_id >= 0) {
+    ShapeError("shared subexpression inside a subscript");
+  }
+  ForEachSubscript(op, CheckShapeExpr);
+  for (const AlgebraPtr& c : op.children) CheckShape(*c, false, in_subscript);
+}
+
+}  // namespace
+
+void CheckPlanShape(const AlgebraOp& root) { CheckShape(root, true, false); }
 
 }  // namespace nalq::nal

@@ -38,6 +38,13 @@ SymbolSet FreeVars(const AlgebraOp& op);
 /// from the operator's input.
 SymbolSet FreeVarsExpr(const Expr& e, const SymbolSet& bound);
 
+/// The plan shape every executor runs: at most one Ξ (XiSimple or XiGroup),
+/// at the root, and no Ξ and no cse_id >= 0 in algebra nested inside a
+/// subscript. The translator emits only this shape. Anything else throws
+/// engine::Error(kPlanError) with context "plan.shape"; the executors call
+/// this before any work.
+void CheckPlanShape(const AlgebraOp& root);
+
 /// Convenience set helpers.
 bool Disjoint(const SymbolSet& a, const SymbolSet& b);
 bool Subset(const SymbolSet& a, const SymbolSet& b);

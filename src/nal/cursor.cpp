@@ -32,107 +32,6 @@ Sequence Materialize(Cursor& c) {
   return out;
 }
 
-// True if evaluating the subtree / expression can write to the Ξ output
-// stream (used to decide whether a cursor must buffer an input to keep
-// output writes in evaluator order). Walks expression subscripts too: a Ξ
-// can hide inside a nested algebra expression.
-bool ContainsXi(const AlgebraOp& op);
-
-bool ContainsXiExpr(const Expr& e) {
-  if (e.alg != nullptr && ContainsXi(*e.alg)) return true;
-  if (e.agg.filter != nullptr && ContainsXiExpr(*e.agg.filter)) return true;
-  for (const ExprPtr& child : e.children) {
-    if (ContainsXiExpr(*child)) return true;
-  }
-  return false;
-}
-
-bool ContainsXiProgram(const XiProgram& program) {
-  for (const XiCommand& c : program) {
-    if (c.expr != nullptr && ContainsXiExpr(*c.expr)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-// This is the single place that enumerates every subscript slot of an
-// operator; the full subtree walks build on it, so a future subscript field
-// only needs to be added here.
-bool SubscriptsContainXi(const AlgebraOp& op) {
-  if (op.pred != nullptr && ContainsXiExpr(*op.pred)) return true;
-  if (op.expr != nullptr && ContainsXiExpr(*op.expr)) return true;
-  if (op.agg.filter != nullptr && ContainsXiExpr(*op.agg.filter)) return true;
-  return ContainsXiProgram(op.s1) || ContainsXiProgram(op.s2) ||
-         ContainsXiProgram(op.s3);
-}
-
-namespace {
-
-bool ContainsXi(const AlgebraOp& op) {
-  if (op.kind == OpKind::kXiSimple || op.kind == OpKind::kXiGroup) return true;
-  if (SubscriptsContainXi(op)) return true;
-  for (const AlgebraPtr& child : op.children) {
-    if (ContainsXi(*child)) return true;
-  }
-  return false;
-}
-
-// True if any operator in the subtree (or in algebra nested inside its
-// subscript expressions) carries a CSE id. A per-worker evaluation of such
-// a node would populate the worker's private CSE cache instead of the
-// shared one — diverging both work and the merged stats from a serial run.
-bool ContainsCse(const AlgebraOp& op);
-
-bool ContainsCseExpr(const Expr& e) {
-  if (e.alg != nullptr && ContainsCse(*e.alg)) return true;
-  if (e.agg.filter != nullptr && ContainsCseExpr(*e.agg.filter)) return true;
-  for (const ExprPtr& child : e.children) {
-    if (ContainsCseExpr(*child)) return true;
-  }
-  return false;
-}
-
-bool ContainsCseProgram(const XiProgram& program) {
-  for (const XiCommand& c : program) {
-    if (c.expr != nullptr && ContainsCseExpr(*c.expr)) return true;
-  }
-  return false;
-}
-
-// Subscript-only form, mirroring SubscriptsContainXi.
-bool SubscriptsContainCse(const AlgebraOp& op) {
-  if (op.pred != nullptr && ContainsCseExpr(*op.pred)) return true;
-  if (op.expr != nullptr && ContainsCseExpr(*op.expr)) return true;
-  if (op.agg.filter != nullptr && ContainsCseExpr(*op.agg.filter)) return true;
-  return ContainsCseProgram(op.s1) || ContainsCseProgram(op.s2) ||
-         ContainsCseProgram(op.s3);
-}
-
-bool ContainsCse(const AlgebraOp& op) {
-  if (op.cse_id >= 0) return true;
-  if (SubscriptsContainCse(op)) return true;
-  for (const AlgebraPtr& child : op.children) {
-    if (ContainsCse(*child)) return true;
-  }
-  return false;
-}
-
-/// Left input of a binary operator. The materializing evaluator runs the
-/// left child to completion before the right one; the streaming cursors
-/// build the right (hash) side in Open and pull the left lazily afterwards.
-/// That flip is observable only when BOTH subtrees write to the Ξ output
-/// stream, in which case the left is buffered up front (its Open precedes
-/// the right-side build) to restore the evaluator's write order. The buffer
-/// is spool-backed (nal/spool.h), so the pinned stream can exceed RAM.
-CursorPtr MakeLeftCursor(const AlgebraOp& op, ExecContext& ctx) {
-  CursorPtr left = MakeCursor(*op.child(0), ctx);
-  if (ContainsXi(*op.child(0)) && ContainsXi(*op.child(1))) {
-    return MakeSpoolBufferCursor(ctx, std::move(left));
-  }
-  return left;
-}
-
 // ---------------------------------------------------------------------------
 // Pipelining cursors
 // ---------------------------------------------------------------------------
@@ -468,8 +367,7 @@ class XiGroupCursor final : public Cursor {
 
 /// Wraps the operator cursor of a node with cse_id >= 0: on first Open the
 /// node is computed once (through its own counting cursor tree) and stored in
-/// the evaluator's CSE cache; every consumer — including nested subscript
-/// evaluations going through Evaluator::EvalOp — then streams from the
+/// the evaluator's CSE cache; every other consumer then streams from the
 /// cached sequence without re-computing or re-counting, exactly like the
 /// materializing evaluator's cache-hit path.
 class CseCursor final : public Cursor {
@@ -527,22 +425,15 @@ CursorPtr MakeOpCursor(const AlgebraOp& op, ExecContext& ctx) {
     case OpKind::kAntiJoin:
     case OpKind::kOuterJoin:
     case OpKind::kGroupBinary:
-      return MakeSpillJoinCursor(op, ctx, MakeLeftCursor(op, ctx),
+      return MakeSpillJoinCursor(op, ctx, MakeCursor(*op.child(0), ctx),
                                  MakeCursor(*op.child(1), ctx));
     case OpKind::kGroupUnary:
       return MakeSpillGroupUnaryCursor(op, ctx, MakeCursor(*op.child(0), ctx));
     case OpKind::kSort:
       return MakeSpillSortCursor(op, ctx, MakeCursor(*op.child(0), ctx));
-    case OpKind::kXiSimple: {
-      // A Ξ below would interleave its output writes with ours under
-      // tuple-at-a-time pulls; buffering the input restores the
-      // materializing evaluator's "child first, then us" write order.
-      CursorPtr input = MakeCursor(*op.child(0), ctx);
-      if (ContainsXi(*op.child(0))) {
-        input = MakeSpoolBufferCursor(ctx, std::move(input));
-      }
-      return std::make_unique<XiSimpleCursor>(op, ctx, std::move(input));
-    }
+    case OpKind::kXiSimple:
+      return std::make_unique<XiSimpleCursor>(op, ctx,
+                                              MakeCursor(*op.child(0), ctx));
     case OpKind::kXiGroup:
       return std::make_unique<XiGroupCursor>(op, ctx,
                                              MakeCursor(*op.child(0), ctx));
@@ -640,7 +531,7 @@ CursorPtr MakeCursor(const AlgebraOp& op, ExecContext& ctx) {
     // processing is folded in from the worker collectors at Close).
     return MaybeProfileCursor(op, ctx, MakeExchangeCursor(*ctx.cut, ctx));
   }
-  if (op.cse_id >= 0 && ctx.env->empty()) {
+  if (op.cse_id >= 0) {
     return MaybeProfileCursor(op, ctx,
                               std::make_unique<CseCursor>(op, ctx));
   }
@@ -661,12 +552,9 @@ bool IsPartitionableOp(const AlgebraOp& op) {
     default:
       return false;
   }
-  // The node itself must not be shared (CSE computes once per run), and its
-  // subscripts must neither write to the Ξ output stream (workers have no
-  // output ordering) nor evaluate CSE-carrying algebra (workers have
-  // private caches).
-  return op.cse_id < 0 && !SubscriptsContainXi(op) &&
-         !SubscriptsContainCse(op);
+  // The node itself must not be shared: CSE computes once per run. Its
+  // subscripts hold neither Ξ nor a cse_id (CheckPlanShape).
+  return op.cse_id < 0;
 }
 
 CursorPtr MakeCursorOver(const AlgebraOp& op, ExecContext& ctx,
@@ -704,6 +592,7 @@ namespace {
 uint64_t RunCursors(Evaluator& ev, const AlgebraOp& op,
                     const ParallelOptions* parallel, StreamStats* stream,
                     SpoolContext* spool, Sequence* out) {
+  CheckPlanShape(op);
   xml::StoreReadLease lease(ev.store());
   ev.ClearCse();
   std::optional<SpoolContext> local_spool;

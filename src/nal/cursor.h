@@ -9,15 +9,17 @@
 //   * Γ group construction — unary Γ and the group-detecting Ξ bucket their
 //                       whole input by key,
 //   * CSE nodes       — a shared subtree is computed once and its result
-//                       re-read, which requires the result to exist,
-//   * Ξ over Ξ        — a Ξ cursor buffers its input iff the subtree below
-//                       it contains another Ξ, so interleaving pulls can
-//                       never reorder writes on the shared output stream.
+//                       re-read, which requires the result to exist.
 //
 // Everything else (σ, Π, χ, Υ, μ, the probe side of every join, Ξ) streams.
-// Sort, the join family, unary Γ and the order-pinning buffer have one
-// implementation each, the hybrid cursors of nal/spool.h: they buffer in
-// RAM while the run's memory budget allows and spill once it binds.
+// Sort, the join family and unary Γ have one implementation each, the
+// hybrid cursors of nal/spool.h: they buffer in RAM while the run's memory
+// budget allows and spill once it binds.
+//
+// Plan shape: a run starts with CheckPlanShape (analysis.h), so the only Ξ
+// is the root's and no subscript algebra writes output or carries a cse_id.
+// Every write to the output stream therefore happens at the root, in root
+// order, whatever order the breakers below pull their inputs in.
 //
 // Order preservation: probes run in left-input order and hash buckets keep
 // positions in right-input order (physical.h), exactly like the materializing
@@ -139,17 +141,13 @@ inline void CountProducedTuple(ExecContext& ctx) {
 /// Builds the cursor tree for `op`. `ctx` must outlive the cursor.
 CursorPtr MakeCursor(const AlgebraOp& op, ExecContext& ctx);
 
-/// True if `op`'s own subscripts (predicate, expressions, aggregate filter,
-/// Ξ programs — not its input subtrees) can write to the Ξ output stream,
-/// including through algebra nested inside them.
-bool SubscriptsContainXi(const AlgebraOp& op);
-
 /// True if `op`'s cursor processes input tuples one at a time with no state
-/// spanning tuples, no CSE caching and no Ξ output writes — anywhere,
-/// including algebra nested in its subscript expressions. Exactly these
-/// operators may be instantiated once per worker over a partition of their
-/// input without changing output bytes or merged EvalStats (exchange.h):
-/// σ, χ, Υ, μ/μD and Π in keep/drop/rename form.
+/// spanning tuples and no CSE caching: σ, χ, Υ, μ/μD and Π in
+/// keep/drop/rename form, without a cse_id. In a plan that passed
+/// CheckPlanShape their subscripts write no Ξ output and share nothing, so
+/// exactly these operators may be instantiated once per worker over a
+/// partition of their input without changing output bytes or merged
+/// EvalStats (exchange.h).
 bool IsPartitionableOp(const AlgebraOp& op);
 
 /// Builds the operator cursor for the unary, partitionable `op` reading
@@ -159,9 +157,10 @@ CursorPtr MakeCursorOver(const AlgebraOp& op, ExecContext& ctx,
                          CursorPtr input);
 
 /// Pull-runs `op` to exhaustion, discarding root tuples (Ξ side effects
-/// accumulate on the evaluator's output stream). Clears the CSE cache first,
-/// mirroring Evaluator::Eval. Returns the number of root tuples. A thrown
-/// error closes the root cursor before it propagates.
+/// accumulate on the evaluator's output stream). Checks the plan's shape
+/// (CheckPlanShape) and clears the CSE cache first, mirroring
+/// Evaluator::Eval. Returns the number of root tuples. A thrown error closes
+/// the root cursor before it propagates.
 ///
 /// `spool` carries the run's memory budget (nal/spool.h). When null, the
 /// run uses a local context with SpoolContext::ResolveBudgetBytes(0) — the

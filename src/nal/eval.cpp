@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "engine/error.h"
@@ -362,6 +361,15 @@ Value Evaluator::AggEmptyValue(const AggSpec& agg) {
   }
 }
 
+void ThrowThetaArityError(const AlgebraOp& op) {
+  engine::Error error(engine::ErrorCode::kPlanError,
+                      op.kind == OpKind::kGroupUnary
+                          ? "theta-grouping requires a single attribute"
+                          : "theta nest-join requires a single attribute");
+  error.set_op_if_empty(std::string(OpKindName(op.kind)));
+  throw error;
+}
+
 // Keep in step with EvalFnCall below: every built-in it implements except
 // distinct-values.
 bool ReturnsAtMostOneItem(const std::string& fn) {
@@ -384,7 +392,9 @@ Value Evaluator::EvalFnCall(const Expr& e, const Tuple& local,
     std::string name = arg(0).ToString(store_);
     std::optional<xml::DocId> id = store_.Find(name);
     if (!id.has_value()) {
-      throw std::runtime_error("document not found in store: " + name);
+      throw engine::Error(engine::ErrorCode::kPlanError,
+                          "document not found in store: " + name, 0, {},
+                          "eval.doc");
     }
     return Value(xml::NodeRef{*id, store_.document(*id).root()});
   }
@@ -454,7 +464,8 @@ Value Evaluator::EvalFnCall(const Expr& e, const Tuple& local,
     for (size_t i = 0; i < e.children.size(); ++i) out += arg(i).ToString(store_);
     return Value(out);
   }
-  throw std::runtime_error("unknown function: " + fn);
+  throw engine::Error(engine::ErrorCode::kPlanError, "unknown function: " + fn,
+                      0, {}, "eval.fn");
 }
 
 Value Evaluator::EvalPathExpr(const Expr& e, const Tuple& local,
@@ -507,7 +518,7 @@ Sequence Evaluator::EvalOp(const AlgebraOp& op, const Tuple& env) {
   // tuple, so a runaway nested-loop plan in the materializing evaluator
   // polls here even when its operators produce nothing.
   CheckInterrupt();
-  if (op.cse_id >= 0 && env.empty()) {
+  if (op.cse_id >= 0) {
     if (const Sequence* cached = CseFind(op.cse_id)) return *cached;
   }
   // Profile scope (obs/profile.h): a tracked plan node attributes its
@@ -592,7 +603,7 @@ Sequence Evaluator::EvalOp(const AlgebraOp& op, const Tuple& env) {
       break;
   }
   CountProduced(out.size());
-  if (op.cse_id >= 0 && env.empty()) {
+  if (op.cse_id >= 0) {
     // Move into the cache, hand the caller a copy: one copy on the cold
     // path instead of two.
     return CseStore(op.cse_id, std::move(out));
@@ -911,11 +922,7 @@ Sequence Evaluator::EvalGroupUnary(const AlgebraOp& op, const Tuple& env) {
       }
     } else {
       // θ-grouping: group for key v = σ_{v θ A}(e).
-      if (op.left_attrs.size() != 1) {
-        throw engine::Error(engine::ErrorCode::kPlanError,
-                            "theta-grouping requires a single attribute", 0,
-                            {}, "GroupUnary");
-      }
+      if (op.left_attrs.size() != 1) ThrowThetaArityError(op);
       for (const Tuple& u : input) {
         if (GeneralCompare(op.theta, key.values[0], u.Get(op.left_attrs[0]))) {
           group.Append(u);
@@ -953,11 +960,7 @@ Sequence Evaluator::EvalGroupBinary(const AlgebraOp& op, const Tuple& env) {
     }
     return out;
   }
-  if (op.left_attrs.size() != 1) {
-    throw engine::Error(engine::ErrorCode::kPlanError,
-                        "theta nest-join requires a single attribute", 0, {},
-                        "GroupBinary");
-  }
+  if (op.left_attrs.size() != 1) ThrowThetaArityError(op);
   for (Tuple& l : left) {
     Sequence group;
     for (const Tuple& r : right) {

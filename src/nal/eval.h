@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "nal/algebra.h"
+#include "nal/analysis.h"
 #include "nal/physical.h"
 #include "nal/query_control.h"
 #include "obs/profile.h"
@@ -85,9 +86,11 @@ class Evaluator {
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  /// Evaluates `op` with no outer bindings. Clears the common-subexpression
-  /// cache first (each top-level run re-reads the documents).
+  /// Evaluates `op` with no outer bindings. Checks the plan's shape
+  /// (CheckPlanShape) and clears the common-subexpression cache first (each
+  /// top-level run re-reads the documents).
   Sequence Eval(const AlgebraOp& op) {
+    CheckPlanShape(op);
     xml::StoreReadLease lease(store_);  // single-writer contract (store.h)
     ClearCse();
     return EvalOp(op, Tuple());
@@ -189,7 +192,7 @@ class Evaluator {
                     const Tuple& env);
 
   // Common-subexpression cache access, shared with the streaming executor so
-  // both execution paths (and nested subscript evaluations) see one cache.
+  // both execution paths see one cache.
   const Sequence* CseFind(int id) const {
     auto it = cse_cache_.find(id);
     return it == cse_cache_.end() ? nullptr : &it->second;
@@ -244,6 +247,11 @@ void FlattenToItems(const Value& v, ItemSeq* out);
 
 /// Effective boolean value per the XQuery rules the paper assumes.
 bool EffectiveBooleanValue(const Value& v);
+
+/// θ-grouping (unary Γ) and the θ nest-join (binary Γ) compare a single
+/// attribute: throws their engine::Error(kPlanError), with op() naming
+/// `op`'s kind, on every executor.
+[[noreturn]] void ThrowThetaArityError(const AlgebraOp& op);
 
 /// True iff the built-in `fn` of Evaluator::EvalFnCall returns at most one
 /// item per call: the document node, or one atomic value or null.

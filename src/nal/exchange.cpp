@@ -61,9 +61,9 @@ bool IsExpanding(const AlgebraOp& op) {
 }
 
 /// The leaf of a worker's cursor chain: replays the tuples of the chunk
-/// currently assigned to the pipeline. Like the order-pinning buffer it
-/// re-emits already-counted tuples (the producer's operator counted them),
-/// so Next never touches tuples_produced.
+/// currently assigned to the pipeline. It re-emits already-counted tuples
+/// (the producer's operator counted them), so Next never touches
+/// tuples_produced.
 class PartitionCursor final : public Cursor {
  public:
   void Reset(std::vector<Tuple> tuples) {

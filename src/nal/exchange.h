@@ -14,10 +14,11 @@
 //
 // Determinism guarantees, at any worker count and chunk size:
 //   * output bytes — the worker segment never writes to the Ξ output stream
-//     (enforced by IsPartitionableOp), everything above the exchange runs on
-//     the consumer thread in merge order, and the producer subtree runs
-//     serially on the consumer thread too, so every output write happens in
-//     the serial order;
+//     (the run checked CheckPlanShape, so the only Ξ is the root, which no
+//     segment contains), everything above the exchange runs on the consumer
+//     thread in merge order, and the producer subtree runs serially on the
+//     consumer thread too, so every output write happens in the serial
+//     order;
 //   * merged EvalStats — every per-worker counter counts per-tuple events
 //     exactly once, so the fold of worker stats into the main evaluator at
 //     Close (EvalStats::operator+=) reproduces the serial totals.

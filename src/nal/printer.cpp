@@ -1,6 +1,5 @@
 #include "nal/printer.h"
 
-#include <initializer_list>
 #include <sstream>
 
 namespace nalq::nal {
@@ -136,9 +135,8 @@ void PrintRec(const AlgebraOp& op, int depth, std::string* out) {
   }
   // Also show nested algebra inside subscripts — the whole point of the
   // unnesting story is where these live.
-  auto print_nested = [&](const ExprPtr& e) {
-    if (e == nullptr) return;
-    std::vector<const Expr*> stack = {e.get()};
+  ForEachSubscript(op, [&](const Expr& e) {
+    std::vector<const Expr*> stack = {&e};
     while (!stack.empty()) {
       const Expr* cur = stack.back();
       stack.pop_back();
@@ -150,13 +148,7 @@ void PrintRec(const AlgebraOp& op, int depth, std::string* out) {
       if (cur->agg.filter != nullptr) stack.push_back(cur->agg.filter.get());
       for (const ExprPtr& c : cur->children) stack.push_back(c.get());
     }
-  };
-  print_nested(op.pred);
-  print_nested(op.expr);
-  print_nested(op.agg.filter);
-  for (const XiProgram* program : {&op.s1, &op.s2, &op.s3}) {
-    for (const XiCommand& c : *program) print_nested(c.expr);
-  }
+  });
 }
 
 }  // namespace

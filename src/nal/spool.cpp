@@ -632,10 +632,8 @@ class ChargeGuard {
 
 class TupleSpool {
  public:
-  /// Buffers against `budget` — the run's accountant, or for a breaker
-  /// that must not spill one that never binds (BreakerBudget).
-  TupleSpool(SpoolContext* ctx, MemoryBudget& budget, SpillStats* stats)
-      : ctx_(ctx), stats_(stats), charge_(&budget) {}
+  TupleSpool(SpoolContext* ctx, SpillStats* stats)
+      : ctx_(ctx), stats_(stats), charge_(&ctx->budget()) {}
 
   void Append(Tuple t) {
     if (file_ == nullptr) {
@@ -1031,18 +1029,6 @@ void OpenOnce(bool* opened) {
   *opened = true;
 }
 
-/// The accountant a breaker buffers against. A Ξ in the breaker's own
-/// subscripts (never produced by the translator, but expressible) pins the
-/// interleaving of subscript evaluation with input pulls, which the spilled
-/// modes' deferred evaluation would reorder — such a breaker keeps
-/// buffering in RAM past the limit, against an accountant that never binds.
-MemoryBudget& BreakerBudget(const AlgebraOp& op, ExecContext& ctx) {
-  static MemoryBudget unlimited(0);
-  return ctx.spool->enabled() && SubscriptsContainXi(op)
-             ? unlimited
-             : ctx.spool->budget();
-}
-
 /// Drains `input` Materialize-style (Open / Next* / Close) into `sink`.
 template <typename Sink>
 void DrainInto(Cursor& input, Sink&& sink) {
@@ -1103,46 +1089,6 @@ class SpillSortCursor final : public Cursor {
 };
 
 // ---------------------------------------------------------------------------
-// Order-pinning buffer
-// ---------------------------------------------------------------------------
-
-class SpoolBufferCursor final : public Cursor {
- public:
-  SpoolBufferCursor(ExecContext& ctx, CursorPtr input)
-      : ctx_(ctx), input_(std::move(input)) {}
-
-  void Open() override {
-    OpenOnce(&opened_);
-    spool_.emplace(ctx_.spool, ctx_.spool->budget(), StatsOf(ctx_));
-    DrainInto(*input_, [&](Tuple t) { spool_->Append(std::move(t)); });
-    spool_->FinishWrites();
-    if (ctx_.stream != nullptr) {
-      stream_charged_ = spool_->memory_size();
-      ctx_.stream->OnBuffer(stream_charged_);
-    }
-    reader_.emplace(spool_->NewReader(/*consume=*/true));
-  }
-
-  bool Next(Tuple* out) override {
-    // Replays already-counted tuples: no tuples_produced.
-    return reader_->Next(out);
-  }
-
-  void Close() override {
-    if (ctx_.stream != nullptr) ctx_.stream->OnRelease(stream_charged_);
-    stream_charged_ = 0;
-  }
-
- private:
-  ExecContext& ctx_;
-  CursorPtr input_;
-  std::optional<TupleSpool> spool_;
-  std::optional<TupleSpool::Reader> reader_;
-  uint64_t stream_charged_ = 0;
-  bool opened_ = false;
-};
-
-// ---------------------------------------------------------------------------
 // Unary Γ
 // ---------------------------------------------------------------------------
 
@@ -1164,7 +1110,7 @@ class SpillGroupUnaryCursor final : public Cursor {
       : op_(op),
         ctx_(ctx),
         input_(std::move(input)),
-        budget_(BreakerBudget(op, ctx)),
+        budget_(ctx.spool->budget()),
         charge_(&budget_) {}
 
   void Open() override {
@@ -1404,7 +1350,7 @@ class SpillGroupUnaryCursor final : public Cursor {
 
   void OpenTheta() {
     const xml::Store& store = ctx_.ev->store();
-    theta_spool_.emplace(ctx_.spool, budget_, StatsOf(ctx_));
+    theta_spool_.emplace(ctx_.spool, StatsOf(ctx_));
     std::vector<Key> keys;
     std::unordered_set<Key, KeyHash> seen;
     DrainInto(*input_, [&](Tuple t) {
@@ -1425,11 +1371,7 @@ class SpillGroupUnaryCursor final : public Cursor {
   bool NextTheta(Tuple* out) {
     if (next_key_ >= order_.size()) return false;
     const Key& key = order_[next_key_++];
-    if (op_.left_attrs.size() != 1) {
-      throw engine::Error(engine::ErrorCode::kPlanError,
-                          "theta-grouping requires a single attribute", 0, {},
-                          "GroupUnary");
-    }
+    if (op_.left_attrs.size() != 1) ThrowThetaArityError(op_);
     auto in_group = [&](const Tuple& u) {
       return ctx_.ev->GeneralCompare(op_.theta, key.values[0],
                                      u.Get(op_.left_attrs[0]));
@@ -1519,9 +1461,7 @@ struct JoinBuild {
   void Finish(const AlgebraOp& op, ExecContext& ctx) {
     if (op.kind == OpKind::kGroupBinary && op.theta != CmpOp::kEq &&
         op.left_attrs.size() != 1) {
-      throw engine::Error(engine::ErrorCode::kPlanError,
-                          "theta nest-join requires a single attribute", 0, {},
-                          "GroupBinary");
+      ThrowThetaArityError(op);
     }
     if (op.kind == OpKind::kOuterJoin) {
       dflt = op.expr != nullptr ? ctx.ev->EvalExpr(*op.expr, Tuple(), *ctx.env)
@@ -1558,7 +1498,7 @@ class SpillJoinCursor final : public Cursor {
         ctx_(ctx),
         left_(std::move(left)),
         right_(std::move(right)),
-        budget_(BreakerBudget(op, ctx)),
+        budget_(ctx.spool->budget()),
         charge_(&budget_),
         build_(op) {
     if (build_.equi.has_value()) {
@@ -1794,7 +1734,7 @@ class SpillJoinCursor final : public Cursor {
       for (Tuple& u : build_.right) RouteBuild(std::move(u));
     } else {
       mode_ = Mode::kSpooledScan;
-      right_spool_.emplace(ctx_.spool, budget_, StatsOf(ctx_));
+      right_spool_.emplace(ctx_.spool, StatsOf(ctx_));
       for (Tuple& u : build_.right) right_spool_->Append(std::move(u));
     }
     build_.right.Clear();
@@ -1823,7 +1763,7 @@ class SpillJoinCursor final : public Cursor {
 
   void DrainLeftAndProbe() {
     const xml::Store& store = ctx_.ev->store();
-    left_spool_.emplace(ctx_.spool, budget_, StatsOf(ctx_));
+    left_spool_.emplace(ctx_.spool, StatsOf(ctx_));
     probe_parts_ = MakePartitionSet(ctx_.spool, StatsOf(ctx_),
                                     build_parts_.size());
     uint64_t lseq = 0;
@@ -2107,11 +2047,6 @@ CursorPtr MakeSpillJoinCursor(const AlgebraOp& op, ExecContext& ctx,
   return Annotate(std::string(OpKindName(op.kind)),
                   std::make_unique<SpillJoinCursor>(op, ctx, std::move(left),
                                                     std::move(right)));
-}
-
-CursorPtr MakeSpoolBufferCursor(ExecContext& ctx, CursorPtr input) {
-  return Annotate("SpoolBuffer",
-                  std::make_unique<SpoolBufferCursor>(ctx, std::move(input)));
 }
 
 }  // namespace nalq::nal

@@ -21,12 +21,12 @@
 //     as the order-restoration sort of the grace joins and the grouped-Γ
 //     output (records carry a (key, seq) pair the merge orders by);
 //   * the hybrid breaker cursors — the only implementation of Sort, the
-//     join family (×/⋈/⋉/▷/outer join/binary Γ), unary Γ and the
-//     order-pinning buffer. Each buffers in RAM while the budget allows and
-//     grace-partitions / external-sorts once it binds, with the same output
-//     bytes and EvalStats either way — asserted differentially against
-//     Evaluator::Eval by tests/spool_test.cpp. Under an unlimited budget
-//     nothing can spill, so the breakers do not even size their tuples.
+//     join family (×/⋈/⋉/▷/outer join/binary Γ) and unary Γ. Each buffers
+//     in RAM while the budget allows and grace-partitions / external-sorts
+//     once it binds, with the same output bytes and EvalStats either way —
+//     asserted differentially against Evaluator::Eval by
+//     tests/spool_test.cpp. Under an unlimited budget nothing can spill, so
+//     the breakers do not even size their tuples.
 //
 // Order preservation under spilling: grace hash builds partition both sides
 // by join-key hash, join each partition pair (recursively re-partitioning a
@@ -36,10 +36,10 @@
 // left-input order, bucket positions ascending), with duplicate pairs from
 // multi-valued keys dropped at the merge — mirroring LookupInto's
 // sort+unique. Residual predicates are evaluated after the restoration
-// merge, in final output order, so predicate counts and Ξ-visible effects
-// match the in-memory run. Γ tags each group with the sequence number of
-// its first member (its first-occurrence rank) and restores the group
-// output order the same way.
+// merge, in final output order, so predicate counts match the in-memory
+// run (no subscript writes Ξ output: the run checked CheckPlanShape). Γ
+// tags each group with the sequence number of its first member (its
+// first-occurrence rank) and restores the group output order the same way.
 #ifndef NALQ_NAL_SPOOL_H_
 #define NALQ_NAL_SPOOL_H_
 
@@ -262,10 +262,8 @@ class ExternalSorter {
 };
 
 // ---------------------------------------------------------------------------
-// Hybrid breaker cursors (built by cursor.cpp). A breaker whose own
-// subscripts contain Ξ (SubscriptsContainXi) buffers in RAM past the limit
-// instead of spilling: the spilled modes' deferred evaluation would reorder
-// its subscript writes.
+// Hybrid breaker cursors (built by cursor.cpp). Each charges the run's one
+// accountant, SpoolContext::budget().
 // ---------------------------------------------------------------------------
 
 /// Grace admission policy: the level-0 partition count a spilling breaker
@@ -297,11 +295,6 @@ CursorPtr MakeSpillGroupUnaryCursor(const AlgebraOp& op, ExecContext& ctx,
 /// without an equality conjunct.
 CursorPtr MakeSpillJoinCursor(const AlgebraOp& op, ExecContext& ctx,
                               CursorPtr left, CursorPtr right);
-
-/// Order-pinning buffer: drains its input on Open into RAM under the
-/// budget, overflowing to a spool file, and replays it in order. It
-/// re-emits already-counted tuples, so it counts nothing itself.
-CursorPtr MakeSpoolBufferCursor(ExecContext& ctx, CursorPtr input);
 
 }  // namespace nalq::nal
 

@@ -119,8 +119,8 @@ class CardinalityEstimator {
 
   const xml::Store& store_;
   const CostModel& model_;
-  /// Common subexpressions (rewrite::ShareCommonSubexpressions) are
-  /// evaluated once per run; later occurrences cost only a re-read.
+  /// Nodes sharing a cse_id are evaluated once per run; later occurrences
+  /// cost only a re-read.
   std::map<int, OpEstimate> cse_cache_;
   /// e[a'] inner-item profiles keyed by the BindTuples expression node,
   /// carried from EstimateExpr to the enclosing χ.

@@ -1,7 +1,5 @@
 #include "rewrite/unnester.h"
 
-#include <atomic>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace nalq::rewrite {
@@ -19,20 +17,11 @@ using nal::SymbolSet;
 /// expressions, aggregate filters, Ξ programs).
 SymbolSet SubscriptRefs(const AlgebraOp& op) {
   SymbolSet out;
-  auto add = [&](const nal::ExprPtr& e) {
-    if (e == nullptr) return;
+  nal::ForEachSubscript(op, [&](const nal::Expr& e) {
     std::vector<Symbol> refs;
-    nal::CollectFreeAttrs(*e, &refs);
+    nal::CollectFreeAttrs(e, &refs);
     out.insert(refs.begin(), refs.end());
-  };
-  add(op.pred);
-  add(op.expr);
-  add(op.agg.filter);
-  for (const nal::XiProgram* program : {&op.s1, &op.s2, &op.s3}) {
-    for (const nal::XiCommand& c : *program) {
-      if (!c.is_literal) add(c.expr);
-    }
-  }
+  });
   for (Symbol s : op.attrs) out.insert(s);
   for (const auto& [to, from] : op.renames) out.insert(from);
   for (Symbol s : op.left_attrs) out.insert(s);
@@ -210,49 +199,6 @@ Alternative Unnester::Best(const nal::AlgebraPtr& plan) {
                                             : current.rule + "," + best.rule;
   }
   return current;
-}
-
-nal::AlgebraPtr ShareCommonSubexpressions(const nal::AlgebraPtr& plan) {
-  // Writes cse_id, so it works on its own deep copy.
-  AlgebraPtr copy = plan->Clone();
-  // Group structurally equal subtrees, in order of first appearance.
-  std::vector<std::vector<AlgebraOp*>> groups;
-  std::unordered_map<const AlgebraOp*, size_t, nal::StructuralOpHash,
-                     nal::StructuralOpEqual>
-      group_of;
-  std::vector<AlgebraOp*> stack = {copy.get()};
-  while (!stack.empty()) {
-    AlgebraOp* cur = stack.back();
-    stack.pop_back();
-    bool has_scan = false;
-    std::vector<const AlgebraOp*> probe = {cur};
-    while (!probe.empty()) {
-      const AlgebraOp* p = probe.back();
-      probe.pop_back();
-      if (p->kind == OpKind::kUnnestMap) has_scan = true;
-      for (const AlgebraPtr& c : p->children) probe.push_back(c.get());
-    }
-    if (has_scan && nal::FreeVars(*cur).empty()) {
-      auto [it, added] = group_of.emplace(cur, groups.size());
-      if (added) groups.emplace_back();
-      groups[it->second].push_back(cur);
-    }
-    for (const AlgebraPtr& c : cur->children) stack.push_back(c.get());
-  }
-  static std::atomic<int> next_id{1000};
-  for (const std::vector<AlgebraOp*>& nodes : groups) {
-    if (nodes.size() < 2) continue;
-    // Skip nodes nested inside an already-shared group member (their parent
-    // cache entry covers them).
-    bool already = false;
-    for (AlgebraOp* node : nodes) {
-      if (node->cse_id >= 0) already = true;
-    }
-    if (already) continue;
-    int id = next_id.fetch_add(1);
-    for (AlgebraOp* node : nodes) node->cse_id = id;
-  }
-  return copy;
 }
 
 }  // namespace nalq::rewrite

@@ -54,12 +54,6 @@ class Unnester {
 /// Rule-name ranking used by Unnester::Best (smaller = better).
 int RulePriority(const std::string& rule);
 
-/// The paper's "factorize common subexpressions" at the algebra level:
-/// assigns a shared cse_id to structurally identical, env-independent
-/// subtrees that contain at least one document scan, so the evaluator
-/// computes them once per run. Returns a rewritten clone.
-nal::AlgebraPtr ShareCommonSubexpressions(const nal::AlgebraPtr& plan);
-
 }  // namespace nalq::rewrite
 
 #endif  // NALQ_REWRITE_UNNESTER_H_

@@ -29,6 +29,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "nal/analysis.h"
 #include "nal/printer.h"
 #include "test_util.h"
 #include "xquery/normalize.h"
@@ -168,6 +169,7 @@ class CorrelatedPathsTest : public ::testing::TestWithParam<DataSet> {
     for (const rewrite::Alternative& alt : q.alternatives) {
       rules->push_back(alt.rule);
       EXPECT_TRUE(testutil::NoNodeTwice(*alt.plan)) << alt.rule;
+      EXPECT_NO_THROW(nal::CheckPlanShape(*alt.plan)) << alt.rule;
       struct Run {
         engine::ExecMode mode;
         engine::PathMode path_mode;

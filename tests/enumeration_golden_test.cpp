@@ -23,6 +23,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "nal/analysis.h"
 #include "nal/printer.h"
 #include "rewrite/unnester.h"
 #include "test_util.h"
@@ -192,6 +193,8 @@ std::string Section(const engine::Engine& engine, const Shape& shape,
   for (const engine::CompiledQuery* q : {&cost, &priority}) {
     for (const rewrite::Alternative& alt : q->alternatives) {
       EXPECT_TRUE(NoNodeTwice(*alt.plan)) << shape.id << " " << alt.rule;
+      EXPECT_NO_THROW(nal::CheckPlanShape(*alt.plan))
+          << shape.id << " " << alt.rule;
     }
     EXPECT_TRUE(NoNodeTwice(*q->best.plan)) << shape.id << " " << q->best.rule;
   }

@@ -13,6 +13,7 @@
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
+#include "engine/error.h"
 #include "nal/cursor.h"
 #include "nal/eval.h"
 #include "nal/exchange.h"
@@ -153,15 +154,8 @@ TEST(PartitionPointTest, NoPartitionableRunMeansNoPoint) {
   EXPECT_FALSE(FindPartitionPoint(*plan).has_value());
 }
 
-TEST(PartitionPointTest, SubscriptXiAndDistinctAreNotPartitionable) {
+TEST(PartitionPointTest, DistinctIsNotPartitionable) {
   testutil::RandomRelation rng(4);
-  XiProgram s1;
-  s1.push_back(XiCommand::Literal("x"));
-  AlgebraPtr inner = XiSimple(std::move(s1), Table(rng.Make({"X"}, 4, 2)));
-  AlgebraPtr with_xi = Map(Symbol("M"), MakeNestedAlg(std::move(inner)),
-                           Table(rng.Make({"A"}, 8, 2)));
-  EXPECT_FALSE(IsPartitionableOp(*with_xi));
-
   AlgebraPtr distinct =
       ProjectDistinct({Symbol("A")}, Table(rng.Make({"A"}, 8, 2)));
   EXPECT_FALSE(IsPartitionableOp(*distinct));
@@ -294,23 +288,6 @@ TEST_F(ExchangeOperatorTest, SingleTupleProducer) {
   ExpectParallelAgreesAllConfigs(store_, plan);
 }
 
-TEST_F(ExchangeOperatorTest, NestedXiUnderAPartitionBoundary) {
-  // A Ξ hiding inside a χ subscript right above the expander: the op is
-  // not partitionable, so it must stay on the consumer thread and the
-  // output bytes must still match serial streaming exactly.
-  Sequence outer = rng_.MakeWithNested({"A"}, "G", Symbol("V"), 12, 3, 2);
-  Sequence inner = rng_.Make({"X"}, 3, 2);
-  XiProgram s1;
-  s1.push_back(XiCommand::Literal("i"));
-  AlgebraPtr xi_inner = XiSimple(std::move(s1), Table(std::move(inner)));
-  AlgebraPtr plan = Map(
-      Symbol("M"), MakeNestedAlg(std::move(xi_inner)),
-      Select(MakeCmp(CmpOp::kNe, MakeAttrRef(Symbol("V")), MakeConst(I(0))),
-             Unnest(Symbol("G"), Table(std::move(outer)))));
-  ASSERT_FALSE(IsPartitionableOp(*plan));
-  ExpectParallelAgreesAllConfigs(store_, plan);
-}
-
 TEST_F(ExchangeOperatorTest, NonPartitionablePlanFallsBackToSerial) {
   testutil::RandomRelation rng(5);
   Sequence rows = rng.Make({"A", "B"}, 20, 3);
@@ -340,7 +317,13 @@ TEST_F(ExchangeOperatorTest, ErrorInWorkerPropagates) {
   ParallelOptions options;
   options.threads = 3;
   options.chunk_tuples = 1;
-  EXPECT_THROW(ExecuteParallel(parallel, *plan, options), std::runtime_error);
+  try {
+    ExecuteParallel(parallel, *plan, options);
+    ADD_FAILURE() << "the run completed";
+  } catch (const engine::Error& e) {
+    EXPECT_EQ(e.code(), engine::ErrorCode::kPlanError) << e.what();
+    EXPECT_EQ(e.op(), "GroupUnary") << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

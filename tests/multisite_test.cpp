@@ -1,10 +1,13 @@
 // Multi-site unnesting and common-subexpression sharing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "datagen/datagen.h"
 #include "engine/engine.h"
-#include "nal/printer.h"
-#include "rewrite/unnester.h"
+#include "nal/cursor.h"
+#include "nal/exchange.h"
+#include "nal/spool.h"
 
 namespace nalq {
 namespace {
@@ -50,56 +53,91 @@ TEST_F(MultiSiteTest, TwoNestedBlocksBothUnnest) {
   EXPECT_GT(engine_.Run(q.nested_plan).stats.nested_alg_evals, 0u);
 }
 
-TEST_F(MultiSiteTest, ShareCommonSubexpressionsMarksDuplicates) {
-  // Hand-built plan with two identical document scans.
+/// Bench E4's single-scan plan (bench/bench_q4_exists_count.cpp): the
+/// books × authors scan feeds both the probe side of a semijoin and a
+/// counting Γ below its build side. With `shared`, one scan node with a
+/// cse_id feeds both sides; without, each side has its own copy.
+nal::AlgebraPtr SingleScanPlan(bool shared) {
   using nal::Symbol;
-  auto scan = [] {
+  Symbol b1("b1");
+  Symbol a1("a1");
+  Symbol b2("b2");
+  Symbol a2("a2");
+  auto make_scan = [&] {
     return nal::UnnestMap(
-        Symbol("t"),
-        nal::MakePath(
-            nal::MakeFnCall("doc", {nal::MakeConst(nal::Value("bib.xml"))}),
-            xml::Path::Parse("//book/title")),
-        nal::Singleton());
-  };
-  nal::AlgebraPtr plan = nal::Cross(
-      scan(), nal::ProjectRename({{Symbol("t2"), Symbol("t")}}, scan()));
-  nal::AlgebraPtr shared = rewrite::ShareCommonSubexpressions(plan);
-  // Both scan subtrees carry the same non-negative cse id.
-  int id_left = shared->child(0)->cse_id;
-  int id_right = shared->child(1)->child(0)->cse_id;
-  EXPECT_GE(id_left, 0);
-  EXPECT_EQ(id_left, id_right);
-  // Evaluation: one scan instead of two, same result as the unshared plan.
-  nal::Evaluator ev(engine_.store());
-  nal::Sequence unshared_result = ev.Eval(*plan);
-  uint64_t unshared_scans = ev.stats().doc_scans;
-  ev.stats().Reset();
-  nal::Sequence shared_result = ev.Eval(*shared);
-  uint64_t shared_scans = ev.stats().doc_scans;
-  EXPECT_TRUE(nal::SequencesEqual(unshared_result, shared_result));
-  EXPECT_EQ(shared_scans, unshared_scans / 2);
-}
-
-TEST_F(MultiSiteTest, ShareLeavesCorrelatedSubtreesAlone) {
-  using nal::Symbol;
-  // Subtrees referencing outer attributes must not be cached.
-  auto correlated = [] {
-    return nal::Select(
-        nal::MakeCmp(nal::CmpOp::kEq, nal::MakeAttrRef(Symbol("outer")),
-                     nal::MakeAttrRef(Symbol("t"))),
+        a1, nal::MakePath(nal::MakeAttrRef(b1), xml::Path::Parse("author")),
         nal::UnnestMap(
-            Symbol("t"),
+            b1,
             nal::MakePath(
                 nal::MakeFnCall("doc", {nal::MakeConst(nal::Value("bib.xml"))}),
-                xml::Path::Parse("//book/title")),
+                xml::Path::Parse("//book")),
             nal::Singleton()));
   };
-  nal::AlgebraPtr plan = nal::Cross(correlated(), correlated());
-  nal::AlgebraPtr shared = rewrite::ShareCommonSubexpressions(plan);
-  EXPECT_LT(shared->child(0)->cse_id, 0);
-  EXPECT_LT(shared->child(1)->cse_id, 0);
-  // The inner (uncorrelated) scans below the selects may still share.
-  EXPECT_GE(shared->child(0)->child(0)->cse_id, 0);
+  nal::AlgebraPtr scan = make_scan();
+  if (shared) scan->cse_id = 1;
+  nal::AggSpec count = nal::AggCount();
+  count.filter = nal::MakeFnCall(
+      "contains", {nal::MakeAttrRef(a2), nal::MakeConst(nal::Value("Suciu"))});
+  auto marked = nal::Select(
+      nal::MakeCmp(nal::CmpOp::kGt, nal::MakeAttrRef(Symbol("c")),
+                   nal::MakeConst(nal::Value(int64_t{0}))),
+      nal::GroupUnary(Symbol("c"), nal::CmpOp::kEq, {b2}, std::move(count),
+                      nal::ProjectRename({{b2, b1}, {a2, a1}},
+                                         shared ? scan : make_scan())));
+  auto semi = nal::SemiJoin(
+      nal::MakeCmp(nal::CmpOp::kEq, nal::MakeAttrRef(b1), nal::MakeAttrRef(b2)),
+      scan, marked);
+  return nal::XiSimple({nal::XiCommand::Literal("<book>"),
+                        nal::XiCommand::Var(a1),
+                        nal::XiCommand::Literal("</book>")},
+                       std::move(semi));
+}
+
+struct PlanRun {
+  std::string output;
+  nal::EvalStats stats;
+};
+
+bool SameNonSpillStats(const nal::EvalStats& a, const nal::EvalStats& b) {
+  return a.nested_alg_evals == b.nested_alg_evals &&
+         a.doc_scans == b.doc_scans &&
+         a.tuples_produced == b.tuples_produced &&
+         a.predicate_evals == b.predicate_evals &&
+         a.xpath.steps_evaluated == b.xpath.steps_evaluated &&
+         a.xpath.nodes_visited == b.xpath.nodes_visited;
+}
+
+TEST_F(MultiSiteTest, SharedScanRunsOnceOnEveryExecutor) {
+  const nal::AlgebraPtr shared = SingleScanPlan(true);
+  const nal::AlgebraPtr unshared = SingleScanPlan(false);
+  nal::Evaluator reference_ev(engine_.store());
+  reference_ev.Eval(*unshared);
+  const PlanRun reference{reference_ev.output(), reference_ev.stats()};
+  ASSERT_FALSE(reference.output.empty());
+  ASSERT_GT(reference.stats.doc_scans, 0u);
+
+  std::vector<PlanRun> runs;
+  for (uint64_t budget : {uint64_t{0}, uint64_t{1} << 20}) {
+    for (int executor = 0; executor < 3; ++executor) {
+      nal::Evaluator ev(engine_.store());
+      nal::SpoolContext spool(budget);
+      if (executor == 0) {
+        nal::DrainStreaming(ev, *shared, nullptr, &spool);
+      } else if (executor == 1) {
+        nal::ParallelOptions options;
+        options.threads = 4;
+        nal::DrainParallel(ev, *shared, options, nullptr, &spool);
+      } else {
+        ev.Eval(*shared);
+      }
+      runs.push_back({ev.output(), ev.stats()});
+    }
+  }
+  for (const PlanRun& run : runs) {
+    EXPECT_EQ(run.output, reference.output);
+    EXPECT_TRUE(SameNonSpillStats(run.stats, runs.front().stats));
+    EXPECT_EQ(run.stats.doc_scans * 2, reference.stats.doc_scans);
+  }
 }
 
 }  // namespace

@@ -533,6 +533,46 @@ TEST_F(ServiceTest, MalformedQueryReturnsStructuredError) {
   EXPECT_FALSE(r.error_what.empty());
 }
 
+// Query text naming a missing document or an unknown function fails with
+// kPlanError and its raising site on every executor, is counted as failed,
+// and leaves no spool directory behind.
+TEST_F(ServiceTest, MissingDocumentAndUnknownFunctionFailClosed) {
+  SetUpEngine(25);
+  std::set<std::string> dirs_before = SpoolDirsInTemp();
+  ServiceOptions opt;
+  opt.memory_budget_bytes = 1 << 20;
+  QueryService svc(engine_, opt);
+  const struct {
+    const char* text;
+    const char* context;
+  } cases[] = {
+      {R"(for $b in doc("nope.xml")//book return <b>{ $b/title }</b>)",
+       "eval.doc"},
+      {R"(for $b in doc("bib.xml")//book return <b>{ frobnicate($b) }</b>)",
+       "eval.fn"},
+  };
+  uint64_t failed = 0;
+  for (const auto& c : cases) {
+    for (engine::ExecMode mode :
+         {engine::ExecMode::kMaterializing, engine::ExecMode::kStreaming,
+          engine::ExecMode::kParallel}) {
+      QueryOptions qo;
+      qo.mode = mode;
+      qo.threads = 2;
+      QueryResult r = svc.Execute(c.text, qo);
+      EXPECT_FALSE(r.ok);
+      EXPECT_EQ(r.error_code, ErrorCode::kPlanError) << r.error_what;
+      EXPECT_NE(r.error_what.find(c.context), std::string::npos)
+          << r.error_what;
+      ++failed;
+    }
+  }
+  svc.Drain();
+  EXPECT_EQ(Count(svc, "nalq_queries_failed_total"), failed);
+  EXPECT_EQ(Outcomes(svc), failed);
+  EXPECT_EQ(SpoolDirsInTemp(), dirs_before);
+}
+
 // Satellite: a ScopedFaultInjector faults exactly one query's spool sites.
 // The faulted query fails with a structured kSpoolIo; a concurrent
 // neighbor on another thread — same service, same spilling pressure —

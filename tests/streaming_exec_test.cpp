@@ -244,25 +244,6 @@ TEST_F(StreamingOperatorTest, PipelineOfManyOperators) {
   ExpectExecutorsAgree(store_, plan);
 }
 
-TEST_F(StreamingOperatorTest, XiInBothJoinOperandsKeepsWriteOrder) {
-  // The materializing evaluator runs the left join input to completion
-  // before the right one, so a Ξ in each operand writes all its left output
-  // before any right output. The streaming executor builds the right (hash)
-  // side first and must buffer the left to keep the byte order.
-  Sequence lhs = rng_.Make({"A"}, 6, 3);
-  Sequence rhs = rng_.Make({"C"}, 5, 3);
-  XiProgram s1;
-  s1.push_back(XiCommand::Literal("L"));
-  XiProgram s2;
-  s2.push_back(XiCommand::Literal("R"));
-  AlgebraPtr plan =
-      Join(MakeCmp(CmpOp::kEq, MakeAttrRef(Symbol("A")),
-                   MakeAttrRef(Symbol("C"))),
-           XiSimple(std::move(s1), Table(std::move(lhs))),
-           XiSimple(std::move(s2), Table(std::move(rhs))));
-  ExpectExecutorsAgree(store_, plan);
-}
-
 // ---------------------------------------------------------------------------
 // Full-query differential tests (every plan alternative, both executors)
 // ---------------------------------------------------------------------------
