@@ -1,6 +1,5 @@
 #include "engine/engine.h"
 
-#include <filesystem>
 #include <map>
 #include <optional>
 
@@ -69,10 +68,6 @@ void Engine::PersistStore(const std::string& dir) const {
   storage::Persist(store_, dir);
 }
 
-std::string Engine::EnvStoreDir() {
-  return nal::EnvKnobString("NALQ_STORE_DIR");
-}
-
 CompiledQuery Engine::Compile(std::string_view query_text, PlanChoice choice,
                               uint64_t memory_budget_bytes) const {
   CompiledQuery out;
@@ -122,29 +117,8 @@ RunResult Engine::Run(const nal::AlgebraPtr& plan, ExecMode mode,
   evaluator.set_path_mode(path_mode == PathMode::kIndexed
                               ? xml::PathEvalMode::kIndexed
                               : xml::PathEvalMode::kScan);
-  // Observability wiring (src/obs/): an explicit instrumentation request
-  // wins; the environment knobs fill in what the caller left off, so
-  // NALQ_PROFILE=1 / NALQ_TRACE_DIR work on any existing call site. Both
-  // paths are validated before the run starts — a malformed knob is a
-  // kPlanError, never a silently un-profiled run.
-  const bool profiling = (instr != nullptr && instr->profile) ||
-                         nal::EnvKnobBool("NALQ_PROFILE");
+  const bool profiling = instr != nullptr && instr->profile;
   obs::TraceLog* trace = instr != nullptr ? instr->trace : nullptr;
-  std::optional<obs::TraceLog> own_trace;
-  std::string trace_dir;
-  if (trace == nullptr) {
-    trace_dir = nal::EnvKnobString("NALQ_TRACE_DIR");
-    if (!trace_dir.empty()) {
-      if (!std::filesystem::is_directory(trace_dir)) {
-        throw Error(ErrorCode::kPlanError,
-                    "malformed environment knob NALQ_TRACE_DIR=\"" +
-                        trace_dir + "\" (not a usable directory)",
-                    0, trace_dir, "engine");
-      }
-      own_trace.emplace();
-      trace = &*own_trace;
-    }
-  }
   evaluator.set_trace(trace);
   std::optional<obs::ProfileCollector> collector;
   std::map<const nal::AlgebraOp*, opt::OpEstimate> node_estimates;
@@ -161,24 +135,15 @@ RunResult Engine::Run(const nal::AlgebraPtr& plan, ExecMode mode,
     estimator.set_node_recorder(&node_estimates);
     estimator.EstimatePlan(*plan);
   }
-  // Lifecycle wiring: an explicit deadline wins, the NALQ_DEADLINE_MS
-  // environment default applies otherwise (mirroring the budget knob) — but
-  // never to a caller token that already carries a deadline: the query
-  // service arms its tokens at submission so one deadline spans queue wait
-  // plus run, and re-arming here would silently refund the queue time. A
-  // deadline without a caller token gets a run-local one; the token is
-  // shared by pointer with every executor thread (see nal/query_control.h).
+  // Lifecycle wiring: a deadline is armed on the caller's token, or on a
+  // run-local one when there is none; the token is shared by pointer with
+  // every executor thread (see nal/query_control.h). Without a deadline a
+  // caller's token keeps whatever it carries: the query service arms its
+  // tokens at submission so one deadline spans queue wait plus run.
   nal::QueryControl local_control;
-  uint64_t effective_deadline = deadline_ms;
-  if (effective_deadline == 0 &&
-      (control == nullptr || !control->has_deadline())) {
-    effective_deadline = nal::QueryControl::EnvDeadlineMs();
-  }
-  if (control == nullptr && effective_deadline != 0) {
-    control = &local_control;
-  }
-  if (control != nullptr && effective_deadline != 0) {
-    control->SetDeadlineMs(effective_deadline);
+  if (deadline_ms != 0) {
+    if (control == nullptr) control = &local_control;
+    control->SetDeadlineMs(deadline_ms);
   }
   evaluator.set_control(control);
   RunResult result;
@@ -228,12 +193,6 @@ RunResult Engine::Run(const nal::AlgebraPtr& plan, ExecMode mode,
     std::map<const nal::AlgebraOp*, double> est_rows;
     for (const auto& [op, e] : node_estimates) est_rows[op] = e.rows;
     result.profile = obs::BuildQueryProfile(*plan, *collector, &est_rows);
-  }
-  if (own_trace.has_value()) {
-    // Engine-owned trace: write it out here (the directory was validated
-    // above; a write failure is reported as an empty path by WriteFile and
-    // deliberately does not fail the query).
-    own_trace->WriteFile(trace_dir, "nalq-trace");
   }
   return result;
 }

@@ -69,17 +69,16 @@ struct CompiledQuery {
 };
 
 /// Opt-in observability for one run (src/obs/). Both members default to
-/// "off"; the NALQ_PROFILE / NALQ_TRACE_DIR environment knobs provide the
-/// same switches without touching call sites (Run ORs them in).
+/// "off".
 struct RunInstrumentation {
   /// Collect a per-operator QueryProfile (RunResult::profile). Never
   /// changes the run's output or EvalStats.
   bool profile = false;
-  /// Caller-owned span sink for lifecycle tracing, or null. When null but
-  /// NALQ_TRACE_DIR names a directory, Run uses a run-local log and writes
-  /// it there itself; a caller-provided log is never written by Run (the
-  /// caller — e.g. the query service, which owns spans for the whole
-  /// submit→merge lifecycle — decides where it goes).
+  /// Caller-owned span sink for lifecycle tracing, or null. Run records its
+  /// execute span (and the exchange its per-worker spans) into it and never
+  /// writes it out: the caller — e.g. the query service, which owns spans
+  /// for the whole submit→merge lifecycle — decides where it goes
+  /// (obs::TraceLog::WriteFile).
   obs::TraceLog* trace = nullptr;
 };
 
@@ -96,7 +95,7 @@ struct RunResult {
   /// harness compares against the optimizer's row estimate.
   uint64_t root_tuples = 0;
   /// Per-operator profile (enabled == false unless the run asked for one
-  /// via RunInstrumentation::profile or NALQ_PROFILE=1). Per-operator
+  /// via RunInstrumentation::profile). Per-operator
   /// `rows` partition stats.tuples_produced and are identical across
   /// executors and thread counts; est_rows carries the optimizer's
   /// node-level row estimates for drift analysis
@@ -162,11 +161,6 @@ class Engine {
   /// directory's previous contents openable. Indexes are not persisted.
   void PersistStore(const std::string& dir) const;
 
-  /// The NALQ_STORE_DIR environment knob (validated via nal/env_knobs.h),
-  /// or empty when unset — the directory the query service warm-attaches
-  /// at construction.
-  static std::string EnvStoreDir();
-
   /// Full compilation pipeline. Throws on parse/translate errors.
   ///
   /// Estimation reads the store's index and statistics, so Compile counts
@@ -209,17 +203,16 @@ class Engine {
   /// Lifecycle knobs (src/nal/README.md, "Query lifecycle & failure
   /// semantics"): `deadline_ms` bounds the run on the monotonic clock — on
   /// expiry the run unwinds with engine::Error(kDeadlineExceeded), all temp
-  /// files deleted and every budget byte released. 0 means no deadline
-  /// unless the NALQ_DEADLINE_MS environment variable supplies a default.
+  /// files deleted and every budget byte released. 0 means no deadline.
   /// `control` shares a caller-owned cancellation token with the run
   /// (RequestCancel from any thread aborts it with kCancelled); when null
-  /// but a deadline is active, Run wires an internal token. The token must
-  /// outlive the call; a deadline_ms is armed on whichever token is used.
+  /// but a deadline is given, Run wires an internal token. The token must
+  /// outlive the call; a non-zero deadline_ms is armed on whichever token
+  /// is used, and with 0 a caller's token keeps the deadline it carries.
   ///
   /// `instr` opts into per-operator profiling and lifecycle tracing (see
-  /// RunInstrumentation); the NALQ_PROFILE / NALQ_TRACE_DIR environment
-  /// knobs apply when it is null or leaves a switch off. Neither ever
-  /// changes the run's output bytes or EvalStats.
+  /// RunInstrumentation); null means neither. Neither ever changes the
+  /// run's output bytes or EvalStats.
   RunResult Run(const nal::AlgebraPtr& plan,
                 ExecMode mode = ExecMode::kStreaming,
                 PathMode path_mode = PathMode::kIndexed,

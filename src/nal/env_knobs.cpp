@@ -9,9 +9,9 @@
 
 namespace nalq::nal {
 
-uint64_t EnvKnobU64(const char* name, uint64_t fallback) {
+uint64_t EnvKnobU64(const char* name) {
   const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
+  if (s == nullptr || *s == '\0') return 0;
   // strtoull accepts leading whitespace, a sign, and hex prefixes, and it
   // wraps negatives; a knob wants none of that — digits only, fully
   // consumed.
@@ -35,24 +35,6 @@ uint64_t EnvKnobU64(const char* name, uint64_t fallback) {
         0, {}, "env_knobs");
   }
   return static_cast<uint64_t>(v);
-}
-
-bool EnvKnobBool(const char* name, bool fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  if (s[0] == '0' && s[1] == '\0') return false;
-  if (s[0] == '1' && s[1] == '\0') return true;
-  throw engine::Error(
-      engine::ErrorCode::kPlanError,
-      std::string("malformed environment knob ") + name + "=\"" + s +
-          "\" (expected 0 or 1)",
-      0, {}, "env_knobs");
-}
-
-std::string EnvKnobString(const char* name, std::string fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  return s;
 }
 
 }  // namespace nalq::nal

@@ -1,18 +1,19 @@
-// Centralized parsing for the NALQ_* environment knobs.
+// Validated parsing for the numeric NALQ_* environment variables.
 //
-// Every runtime knob with an environment default — NALQ_MEMORY_BUDGET_BYTES,
-// NALQ_DEADLINE_MS, the query-service knobs (NALQ_MAX_CONCURRENT,
-// NALQ_QUEUE_DEPTH, NALQ_QUEUE_DEADLINE_MS) — funnels through one validated
-// parser instead of a per-call-site strtoull. The contract:
+// Two run settings have an environment default, because something outside
+// the engine's own API sets them: NALQ_MEMORY_BUDGET_BYTES (CI re-runs every
+// suite under a 1 MB budget) and NALQ_STORE_CACHE_BYTES (the benchmark sizes
+// the store cache of the process it measures). Every other run setting is a
+// parameter or an options field only (src/engine/engine.h,
+// src/service/query_service.h). The contract:
 //
-//   * unset or empty       → the caller's fallback (the knob stays soft);
+//   * unset or empty       → 0, which both knobs read as "no limit";
 //   * a decimal integer    → its value;
 //   * anything else        → engine::Error(kPlanError) carrying the variable
-//                            name and the offending text. A typo'd knob used
-//                            to silently become 0 ("unlimited budget", "no
-//                            deadline") — the most dangerous possible
-//                            misread; now the first query that resolves the
-//                            knob fails loudly instead.
+//                            name and the offending text. Read as 0, a
+//                            typo'd knob would mean "unlimited budget" — the
+//                            most dangerous possible misread — so the first
+//                            query that resolves it fails loudly instead.
 //
 // NALQ_FAULT_SPEC keeps its own parser (fault_injection.cpp) and its own
 // deliberate ignore-on-malformed policy: the injector is a test harness, and
@@ -21,29 +22,15 @@
 #define NALQ_NAL_ENV_KNOBS_H_
 
 #include <cstdint>
-#include <string>
 
 namespace nalq::nal {
 
 /// Reads environment variable `name` as a non-negative decimal integer.
-/// Returns `fallback` when unset/empty; throws engine::Error(kPlanError)
-/// naming the variable and its malformed value otherwise. Reads the
-/// environment on every call — callers that want once-per-process semantics
-/// cache the result in a function-local static (the existing idiom).
-uint64_t EnvKnobU64(const char* name, uint64_t fallback = 0);
-
-/// Boolean knob, strictly "0" or "1" (NALQ_PROFILE and friends). Unset or
-/// empty returns `fallback`; anything else — including "true", "yes", "2" —
-/// throws engine::Error(kPlanError) naming the variable, for the same
-/// reason as the numeric knobs: a typo'd knob silently meaning "off" is the
-/// most dangerous possible misread.
-bool EnvKnobBool(const char* name, bool fallback = false);
-
-/// String knob (NALQ_TRACE_DIR). Unset or empty returns `fallback`; every
-/// non-empty value is returned verbatim — semantic validation (is this a
-/// usable directory?) is the consumer's job, which raises kPlanError naming
-/// the variable when it fails (engine/engine.cpp).
-std::string EnvKnobString(const char* name, std::string fallback = {});
+/// Returns 0 when unset/empty; throws engine::Error(kPlanError) naming the
+/// variable and its malformed value otherwise. Reads the environment on
+/// every call — callers that want once-per-process semantics cache the
+/// result in a function-local static (the existing idiom).
+uint64_t EnvKnobU64(const char* name);
 
 }  // namespace nalq::nal
 

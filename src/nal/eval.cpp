@@ -386,8 +386,17 @@ bool ReturnsAtMostOneItem(const std::string& fn) {
 
 Value Evaluator::EvalFnCall(const Expr& e, const Tuple& local,
                             const Tuple& env) {
-  auto arg = [&](size_t i) { return EvalExpr(*e.children[i], local, env); };
   const std::string& fn = e.fn;
+  // The parser accepts any argument count, so a built-in called with too
+  // few arguments fails here, with the unknown-function error.
+  auto arg = [&](size_t i) {
+    if (i >= e.children.size()) {
+      throw engine::Error(engine::ErrorCode::kPlanError,
+                          "too few arguments to function: " + fn, 0, {},
+                          "eval.fn");
+    }
+    return EvalExpr(*e.children[i], local, env);
+  };
   if (fn == "doc" || fn == "document") {
     std::string name = arg(0).ToString(store_);
     std::optional<xml::DocId> id = store_.Find(name);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <exception>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,31 +11,10 @@
 #include <utility>
 #include <vector>
 
-#include "nal/env_knobs.h"
 #include "nal/scheduler.h"
 #include "nal/spool.h"
 
 namespace nalq::nal {
-
-namespace {
-
-unsigned ResolveThreads(unsigned requested) {
-  if (requested != 0) return requested;
-  // NALQ_THREADS supplies the degree-of-parallelism default the same way
-  // NALQ_MEMORY_BUDGET_BYTES supplies the budget: unset/empty falls through
-  // to one worker per hardware core, a malformed value fails loudly with
-  // kPlanError (env_knobs.h) instead of silently becoming "serial". Read
-  // per call (not cached) so tests can vary it within one process.
-  uint64_t env = EnvKnobU64("NALQ_THREADS", 0);
-  if (env != 0) {
-    return static_cast<unsigned>(
-        std::min<uint64_t>(env, std::numeric_limits<unsigned>::max()));
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-}  // namespace
 
 // Budget-aware degree of parallelism. Workers buffer nothing the run's
 // accountant sees, but each carries in-flight state — its dispatch-window
@@ -45,7 +23,9 @@ unsigned ResolveThreads(unsigned requested) {
 // proportional to the budget, so a high `threads` request cannot
 // over-commit it.
 unsigned ResolveParallelThreads(unsigned threads, uint64_t budget_bytes) {
-  unsigned dop = ResolveThreads(threads);
+  unsigned dop = threads != 0
+                     ? threads
+                     : std::max(1u, std::thread::hardware_concurrency());
   if (budget_bytes != 0) {
     uint64_t cap = budget_bytes / kMinWorkerBudgetBytes;
     if (cap == 0) cap = 1;

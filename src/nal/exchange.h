@@ -54,8 +54,7 @@ struct PartitionPoint {
 
 struct ParallelOptions {
   /// Degree of parallelism (worker pipelines / concurrent chunk tasks).
-  /// 0 = the NALQ_THREADS environment knob, else one worker per hardware
-  /// core (ResolveParallelThreads).
+  /// 0 = one worker per hardware core (ResolveParallelThreads).
   unsigned threads = 0;
   /// Morsel size: the producer streams fixed-size chunks, dispatched
   /// round-robin — bounded memory, overlap of production and processing.
@@ -69,11 +68,10 @@ struct ParallelOptions {
 inline constexpr uint64_t kMinWorkerBudgetBytes = 256 * 1024;
 
 /// The effective degree of parallelism for a `threads` request: the request
-/// itself when non-zero, else the NALQ_THREADS environment knob (malformed
-/// values throw kPlanError — env_knobs.h), else one worker per hardware
-/// core. `budget_bytes` != 0 additionally applies the kMinWorkerBudgetBytes
-/// clamp. Exposed so the cost-driven placement chooser (opt/parallel.h)
-/// prices exactly the worker count the exchange would run.
+/// itself when non-zero, else one worker per hardware core. `budget_bytes`
+/// != 0 additionally applies the kMinWorkerBudgetBytes clamp. Exposed so
+/// the cost-driven placement chooser (opt/parallel.h) prices exactly the
+/// worker count the exchange would run.
 unsigned ResolveParallelThreads(unsigned threads, uint64_t budget_bytes);
 
 /// Finds the deepest maximal run of partitionable operators on the plan's

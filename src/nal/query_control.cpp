@@ -3,7 +3,6 @@
 #include <string>
 
 #include "engine/error.h"
-#include "nal/env_knobs.h"
 
 namespace nalq::nal {
 
@@ -23,11 +22,6 @@ void QueryControl::ThrowTripped(State s) {
   }
   throw engine::Error(engine::ErrorCode::kCancelled, "query cancelled", 0, {},
                       "QueryControl");
-}
-
-uint64_t QueryControl::EnvDeadlineMs() {
-  static const uint64_t cached = EnvKnobU64("NALQ_DEADLINE_MS", 0);
-  return cached;
 }
 
 }  // namespace nalq::nal

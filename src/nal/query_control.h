@@ -83,12 +83,6 @@ class QueryControl {
     }
   }
 
-  /// Deadline from the NALQ_DEADLINE_MS environment variable (0 when
-  /// unset/invalid), read once per process. Engine::Run/RunQuery fall back
-  /// to it when no explicit deadline_ms is supplied, mirroring
-  /// SpoolContext::ResolveBudgetBytes().
-  static uint64_t EnvDeadlineMs();
-
  private:
   /// Latched trip state. Tripping is first-wins: once set, later trips
   /// (including the other kind) are ignored, so every thread reports the

@@ -374,7 +374,7 @@ std::string SpoolContext::NewFilePath() {
 
 uint64_t SpoolContext::ResolveBudgetBytes(uint64_t explicit_bytes) {
   if (explicit_bytes != 0) return explicit_bytes;
-  static const uint64_t env = EnvKnobU64("NALQ_MEMORY_BUDGET_BYTES", 0);
+  static const uint64_t env = EnvKnobU64("NALQ_MEMORY_BUDGET_BYTES");
   return env;
 }
 

@@ -94,9 +94,6 @@ class Value {
   std::shared_ptr<const Sequence> SharedTuples() const {
     return std::get<std::shared_ptr<const Sequence>>(rep_);
   }
-  std::shared_ptr<const ItemSeq> SharedItems() const {
-    return std::get<std::shared_ptr<const ItemSeq>>(rep_);
-  }
 
   /// Number of items when viewed as a sequence; atomic values and nodes count
   /// as singletons, null as the empty sequence.

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "nal/env_knobs.h"
 #include "nal/spool.h"
 #include "obs/profile.h"
 
@@ -76,39 +75,19 @@ QueryService::QueryService(engine::Engine& engine, ServiceOptions options)
       run_seconds_(metrics_.GetHistogram("nalq_run_seconds")),
       query_seconds_(metrics_.GetHistogram("nalq_query_seconds")),
       grant_bytes_(metrics_.GetHistogram("nalq_grant_bytes")) {
-  using nal::EnvKnobU64;
   options_.memory_budget_bytes =
       nal::SpoolContext::ResolveBudgetBytes(options_.memory_budget_bytes);
   if (options_.max_concurrent == 0) {
-    options_.max_concurrent = static_cast<unsigned>(
-        EnvKnobU64("NALQ_MAX_CONCURRENT", 0));
-  }
-  if (options_.max_concurrent == 0) {
     options_.max_concurrent = std::max(1u, std::thread::hardware_concurrency());
   }
-  if (options_.queue_depth == 0) {
-    options_.queue_depth =
-        static_cast<unsigned>(EnvKnobU64("NALQ_QUEUE_DEPTH", 16));
-  }
-  if (options_.queue_deadline_ms == 0) {
-    options_.queue_deadline_ms = EnvKnobU64("NALQ_QUEUE_DEADLINE_MS", 1000);
-  }
-  env_deadline_ms_ = nal::QueryControl::EnvDeadlineMs();
-  if (options_.slow_query_ms == 0) {
-    options_.slow_query_ms = EnvKnobU64("NALQ_SLOW_QUERY_MS", 0);
-  }
-  if (options_.trace_dir.empty()) {
-    options_.trace_dir = nal::EnvKnobString("NALQ_TRACE_DIR");
-  }
+  if (options_.queue_depth == 0) options_.queue_depth = 16;
+  if (options_.queue_deadline_ms == 0) options_.queue_deadline_ms = 1000;
   if (!options_.trace_dir.empty() &&
       !std::filesystem::is_directory(options_.trace_dir)) {
     throw engine::Error(engine::ErrorCode::kPlanError,
-                        "malformed environment knob NALQ_TRACE_DIR=\"" +
-                            options_.trace_dir + "\" (not a usable directory)",
+                        "ServiceOptions::trace_dir \"" + options_.trace_dir +
+                            "\" is not a usable directory",
                         0, options_.trace_dir, "query_service");
-  }
-  if (options_.store_dir.empty()) {
-    options_.store_dir = engine::Engine::EnvStoreDir();
   }
   if (!options_.store_dir.empty() && engine_.store().size() == 0) {
     // Warm attach (cold start = the caller loading documents itself): the
@@ -325,14 +304,12 @@ QueryResult QueryService::Execute(const std::string& query_text,
   }
 
   // One deadline spans queue wait + run: arm the token now, before
-  // admission can block. Engine::Run sees the armed token and leaves it
-  // alone (it only applies the environment default to bare tokens).
+  // admission can block. Engine::Run gets no deadline of its own, so it
+  // leaves the armed token alone.
   nal::QueryControl local_control;
   nal::QueryControl* control = q.control != nullptr ? q.control
                                                     : &local_control;
-  const uint64_t deadline_ms =
-      q.deadline_ms != 0 ? q.deadline_ms : env_deadline_ms_;
-  if (deadline_ms != 0) control->SetDeadlineMs(deadline_ms);
+  if (q.deadline_ms != 0) control->SetDeadlineMs(q.deadline_ms);
 
   const auto queue_deadline =
       submit_time + std::chrono::milliseconds(options_.queue_deadline_ms);
@@ -359,9 +336,9 @@ QueryResult QueryService::Execute(const std::string& query_text,
   if (adm.degraded) degraded_.Add();
   grant_bytes_.Observe(static_cast<double>(adm.grant));
 
-  // Profiling is on when the caller asked, when NALQ_PROFILE=1 (the engine
-  // ORs that in), or when a slow-query threshold is armed — the profile
-  // must already exist by the time the threshold trips.
+  // Profiling is on when the caller asked or when a slow-query threshold
+  // is armed — the profile must already exist by the time the threshold
+  // trips.
   engine::RunInstrumentation instr;
   instr.profile = q.profile || options_.slow_query_ms != 0;
   instr.trace = trace_ptr;

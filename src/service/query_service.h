@@ -47,14 +47,13 @@
 // an exception, never an OOM. Degraded admissions also drop to one worker
 // thread, as do admissions made while anyone queues behind them.
 //
-// Deadlines compose with queue time: the effective deadline (per-query
-// option, else NALQ_DEADLINE_MS, read once at construction) is armed on the
-// run's QueryControl token at submission, so one budget of milliseconds
-// covers wait + run. A caller deadline that expires while queued returns
-// kDeadlineExceeded; the queue deadline (a service policy, default 1 s)
-// returns kAdmissionRejected; RequestCancel while queued returns
-// kCancelled. Engine::Run never re-arms a token that already carries a
-// deadline, so the environment default cannot silently refund queue time.
+// Deadlines compose with queue time: QueryOptions::deadline_ms is armed on
+// the run's QueryControl token at submission, so one budget of
+// milliseconds covers wait + run (Engine::Run is given no deadline of its
+// own and leaves the token as armed). A caller deadline that expires while
+// queued returns kDeadlineExceeded; the queue deadline (a service policy,
+// default 1 s) returns kAdmissionRejected; RequestCancel while queued
+// returns kCancelled.
 //
 // Plan cache. Keyed on (query text, plan choice) and validated against
 // Store::version() — every AddDocument / RegisterDtd bumps the version
@@ -95,44 +94,40 @@
 
 namespace nalq::service {
 
-/// Service-wide policy. Fields left at 0 resolve, in order, to the named
-/// environment knob and then the built-in default (resolution happens once
-/// in the constructor; malformed knob text throws engine::Error(kPlanError)
-/// — see nal/env_knobs.h).
+/// Service-wide policy. Fields left at 0 resolve to the named default
+/// once, in the constructor (QueryService::options() reads them back).
 struct ServiceOptions {
   /// Global memory budget partitioned across in-flight queries.
-  /// 0 -> NALQ_MEMORY_BUDGET_BYTES -> unlimited.
+  /// 0 -> NALQ_MEMORY_BUDGET_BYTES (malformed text throws
+  /// engine::Error(kPlanError), see nal/env_knobs.h) -> unlimited.
   uint64_t memory_budget_bytes = 0;
-  /// Maximum queries running at once. 0 -> NALQ_MAX_CONCURRENT ->
-  /// hardware_concurrency.
+  /// Maximum queries running at once. 0 -> hardware_concurrency.
   unsigned max_concurrent = 0;
   /// Maximum queued (admitted-pending) submissions beyond the running set;
-  /// a submission past this depth is shed immediately.
-  /// 0 -> NALQ_QUEUE_DEPTH -> 16.
+  /// a submission past this depth is shed immediately. 0 -> 16.
   unsigned queue_depth = 0;
   /// How long a submission may wait in the queue before it is shed with
-  /// kAdmissionRejected. 0 -> NALQ_QUEUE_DEADLINE_MS -> 1000.
+  /// kAdmissionRejected. 0 -> 1000.
   uint64_t queue_deadline_ms = 0;
   /// Persisted store directory to warm-attach at construction
   /// (Engine::AttachStore: documents page in lazily instead of being
   /// re-parsed from text; see src/storage/README.md). Only applied when
   /// the engine's store is still empty — an engine already holding
-  /// documents keeps them. Empty -> NALQ_STORE_DIR -> no attach. A
-  /// missing, corrupt or foreign-version store fails construction with
-  /// the structured store error (kStoreIo / kStoreCorrupt /
-  /// kStoreVersionMismatch) — fail closed at startup, not at first query.
+  /// documents keeps them. Empty -> no attach. A missing, corrupt or
+  /// foreign-version store fails construction with the structured store
+  /// error (kStoreIo / kStoreCorrupt / kStoreVersionMismatch) — fail
+  /// closed at startup, not at first query.
   std::string store_dir;
 
   // ---- observability (src/obs/) ------------------------------------------
   /// Queries whose end-to-end latency (queue wait + run) reaches this many
   /// milliseconds are appended — with their full per-operator profile — to
   /// the slow-query log. Arming this implies profiling for every query, so
-  /// the profile is there when the threshold trips.
-  /// 0 -> NALQ_SLOW_QUERY_MS -> off.
+  /// the profile is there when the threshold trips. 0 -> off.
   uint64_t slow_query_ms = 0;
   /// Directory for per-query Chrome trace_event JSON files (one file per
   /// query, covering submit -> compile -> admit -> execute plus per-worker
-  /// exchange spans). Must exist. Empty -> NALQ_TRACE_DIR -> tracing off.
+  /// exchange spans). Must exist. Empty -> tracing off.
   std::string trace_dir;
   /// Slow-query log file (JSON lines). Empty -> `<trace_dir>/
   /// nalq_slow_queries.jsonl`, or `./nalq_slow_queries.jsonl` when tracing
@@ -148,21 +143,19 @@ struct QueryOptions {
   /// Requested worker threads (parallel mode); degraded and contended
   /// admissions run with one.
   unsigned threads = 0;
-  /// Deadline covering queue wait + run; 0 = NALQ_DEADLINE_MS (read once
-  /// when the service is constructed) -> none.
+  /// Deadline covering queue wait + run; 0 = none.
   uint64_t deadline_ms = 0;
   /// Caller-owned cancellation token, honored while queued and while
   /// running; must outlive Execute(). Null = the service uses its own.
   nal::QueryControl* control = nullptr;
   /// Collect a per-operator profile for this query (QueryResult::
   /// profile_json). Never changes the output bytes; also switched on
-  /// globally by NALQ_PROFILE=1 or by arming ServiceOptions::slow_query_ms.
+  /// for every query by arming ServiceOptions::slow_query_ms.
   bool profile = false;
 };
 
-/// Structured outcome. Failures are results, not exceptions: Execute()
-/// only throws for misuse the engine would also throw for on a serial run
-/// (e.g. a malformed environment knob at construction).
+/// Structured outcome. Failures are results, not exceptions: every error
+/// raised while compiling, admitting or running a query comes back here.
 struct QueryResult {
   bool ok = false;
   std::string output;       ///< byte-identical to a serial Engine run
@@ -182,16 +175,17 @@ struct QueryResult {
   double run_seconds = 0.0;
 
   /// Per-operator profile tree as JSON (obs::QueryProfile::ToJson); empty
-  /// unless profiling was on for this query (QueryOptions::profile,
-  /// NALQ_PROFILE=1, or an armed slow-query threshold) and the run started.
+  /// unless profiling was on for this query (QueryOptions::profile or an
+  /// armed slow-query threshold) and the run started.
   std::string profile_json;
 };
 
 class QueryService {
  public:
-  /// `engine` must outlive the service. Resolves every 0-valued option
-  /// from the environment (throws engine::Error(kPlanError) on malformed
-  /// knob text, naming the variable and the offending value).
+  /// `engine` must outlive the service. Resolves every 0-valued option to
+  /// its default. Throws engine::Error(kPlanError) on a trace_dir that is
+  /// not a directory or a malformed NALQ_MEMORY_BUDGET_BYTES, and the
+  /// structured store error on a store_dir that cannot be attached.
   explicit QueryService(engine::Engine& engine, ServiceOptions options = {});
   ~QueryService();
   QueryService(const QueryService&) = delete;
@@ -260,8 +254,7 @@ class QueryService {
   obs::Counter& Outcome(const QueryResult& r);
 
   engine::Engine& engine_;
-  ServiceOptions options_;  ///< fully resolved (no zeros with env defaults)
-  uint64_t env_deadline_ms_ = 0;  ///< NALQ_DEADLINE_MS; 0 = none
+  ServiceOptions options_;  ///< fully resolved (no zeros with defaults)
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

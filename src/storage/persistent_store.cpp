@@ -538,7 +538,7 @@ void Persist(const xml::Store& store, const std::string& dir) {
                 "store.open_write");
   }
   // Persisting over the store's own attached source (warm attach →
-  // re-persist with one NALQ_STORE_DIR) must not delete the epoch that
+  // re-persist with one directory) must not delete the epoch that
   // source's in-memory manifest still references: the live attachment
   // would keep serving until the first eviction+refault, then fail with
   // kStoreIo on the vanished files. Detect it (inode-level where possible,

@@ -31,7 +31,7 @@
 //
 // Persisting into the directory a store's own attached source was opened
 // from (warm attach → re-persist, e.g. Engine::AttachStore then
-// Engine::PersistStore with one NALQ_STORE_DIR) is supported: Persist
+// Engine::PersistStore with one directory) is supported: Persist
 // detects it via DocumentSource::location() and skips stale-epoch removal
 // so the files of the epoch the live attachment reads survive — eviction
 // and refault keep working, and the next open picks up the new epoch. The

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <stdexcept>
+#include <string>
 
 namespace nalq::xml {
 
@@ -44,7 +45,7 @@ class ModelParser {
       m.kind = ContentModel::Kind::kAny;
       return m;
     }
-    ContentModel m = ParseGroup();
+    ContentModel m = ParseGroup(1);
     SkipWs();
     if (pos_ != in_.size()) Fail("trailing content-model text");
     return m;
@@ -76,14 +77,18 @@ class ModelParser {
     return 0;
   }
 
-  ContentModel ParseGroup() {
+  ContentModel ParseGroup(int depth) {
+    if (depth > kMaxContentModelDepth) {
+      Fail("groups nested deeper than " +
+           std::to_string(kMaxContentModelDepth) + " levels");
+    }
     SkipWs();
     if (pos_ >= in_.size() || in_[pos_] != '(') Fail("expected '('");
     ++pos_;
     std::vector<std::unique_ptr<ContentModel>> items;
     char separator = 0;
     for (;;) {
-      items.push_back(std::make_unique<ContentModel>(ParseItem()));
+      items.push_back(std::make_unique<ContentModel>(ParseItem(depth)));
       SkipWs();
       if (pos_ >= in_.size()) Fail("unterminated group");
       char c = in_[pos_];
@@ -121,9 +126,10 @@ class ModelParser {
     return group;
   }
 
-  ContentModel ParseItem() {
+  /// An item of a group at `depth`; a nested group is one level deeper.
+  ContentModel ParseItem(int depth) {
     SkipWs();
-    if (pos_ < in_.size() && in_[pos_] == '(') return ParseGroup();
+    if (pos_ < in_.size() && in_[pos_] == '(') return ParseGroup(depth + 1);
     if (StartsWith("#PCDATA")) {
       ContentModel m;
       m.kind = ContentModel::Kind::kPcdata;

@@ -53,12 +53,18 @@ struct ElementDecl {
   std::vector<std::string> attributes;  ///< declared attribute names
 };
 
+/// How deeply content-model groups may nest: the outermost "(...)" is
+/// level 1. Deeper groups fail Dtd::Parse before its recursive descent can
+/// exhaust the stack; 256 matches kMaxElementDepth (xml/parser.h).
+inline constexpr int kMaxContentModelDepth = 256;
+
 /// A parsed DTD plus derived structural facts.
 class Dtd {
  public:
   /// Parses the internal subset text (the part between '[' and ']' of a
   /// DOCTYPE, or a standalone sequence of declarations). Throws
-  /// std::invalid_argument on malformed declarations.
+  /// std::invalid_argument on malformed declarations, including content
+  /// models nested deeper than kMaxContentModelDepth.
   static Dtd Parse(std::string_view text);
 
   bool HasElement(std::string_view name) const;

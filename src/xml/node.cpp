@@ -156,27 +156,4 @@ size_t Document::CountElements(std::string_view tag) const {
   return count;
 }
 
-size_t Document::ApproximateSerializedBytes() const {
-  size_t bytes = 0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    switch (n.kind) {
-      case NodeKind::kElement:
-        // <tag></tag>
-        bytes += 2 * names_.Get(n.name).size() + 5;
-        break;
-      case NodeKind::kText:
-        bytes += texts_[n.text].size();
-        break;
-      case NodeKind::kAttribute:
-        // name="value"
-        bytes += names_.Get(n.name).size() + texts_[n.text].size() + 4;
-        break;
-      case NodeKind::kDocument:
-        break;
-    }
-  }
-  return bytes;
-}
-
 }  // namespace nalq::xml

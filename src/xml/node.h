@@ -133,9 +133,6 @@ class Document {
   const std::string& dtd_text() const { return dtd_text_; }
   void set_dtd_text(std::string dtd) { dtd_text_ = std::move(dtd); }
 
-  /// Approximate serialized size in bytes (used by the Fig. 6 bench).
-  size_t ApproximateSerializedBytes() const;
-
  private:
   NodeId NewNode(NodeKind kind, NodeId parent);
   void AppendChild(NodeId parent, NodeId child);

@@ -31,7 +31,7 @@ class Parser {
   void Parse() {
     SkipProlog();
     if (Eof()) Fail("empty document");
-    ParseElement(doc_->root());
+    ParseElement(doc_->root(), 1);
     SkipMisc();
     if (!Eof()) Fail("trailing content after root element");
   }
@@ -122,7 +122,12 @@ class Parser {
     return in_.substr(start, pos_ - start);
   }
 
-  void ParseElement(NodeId parent) {
+  /// Parses the element at nesting level `depth` (the root is 1).
+  void ParseElement(NodeId parent, int depth) {
+    if (depth > kMaxElementDepth) {
+      Fail("elements nested deeper than " + std::to_string(kMaxElementDepth) +
+           " levels");
+    }
     Expect('<');
     std::string_view tag = ParseName();
     NodeId el = doc_->AddElement(parent, tag);
@@ -183,7 +188,7 @@ class Parser {
         continue;
       }
       if (Peek() == '<') {
-        ParseElement(el);
+        ParseElement(el, depth + 1);
         continue;
       }
       // Character data.

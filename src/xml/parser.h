@@ -30,6 +30,11 @@ struct ParseOptions {
   bool strip_whitespace_text = true;
 };
 
+/// How deeply elements may nest: the root element is level 1. A deeper
+/// document fails with ParseError before the recursive descent can exhaust
+/// the stack; 256 is libxml2's default limit.
+inline constexpr int kMaxElementDepth = 256;
+
 /// Parses `input` into a Document named `doc_name`. Throws ParseError.
 Document ParseDocument(std::string doc_name, std::string_view input,
                        const ParseOptions& options = {});

@@ -1,6 +1,7 @@
 #include "xquery/parser.h"
 
 #include <cctype>
+#include <string>
 
 #include "xquery/lexer.h"
 
@@ -33,6 +34,26 @@ class Parser {
                      std::to_string(lex_.Peek().begin) + ")");
   }
 
+  /// One nesting level (kMaxQueryNesting) for the lifetime of a recursive
+  /// parse call. Past the limit the parse is abandoned, so the count the
+  /// throwing constructor leaves behind is never read.
+  class Nesting {
+   public:
+    Nesting(Parser* parser, size_t offset) : parser_(parser) {
+      if (++parser_->depth_ > kMaxQueryNesting) {
+        parser_->FailRaw("expression nested deeper than " +
+                             std::to_string(kMaxQueryNesting) + " levels",
+                         offset);
+      }
+    }
+    ~Nesting() { --parser_->depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser* parser_;
+  };
+
   Token Expect(TokKind kind, const char* what) {
     if (lex_.Peek().kind != kind) Fail(std::string("expected ") + what);
     return lex_.Next();
@@ -47,6 +68,7 @@ class Parser {
   }
 
   AstPtr ParseExprSingle() {
+    Nesting nesting(this, lex_.PeekBegin());
     if (lex_.PeekIsName("for") || lex_.PeekIsName("let")) return ParseFlwr();
     if (lex_.PeekIsName("some") || lex_.PeekIsName("every")) {
       return ParseQuantified();
@@ -350,6 +372,7 @@ class Parser {
       }
       case TokKind::kMinus: {
         // Unary minus: 0 - operand.
+        Nesting nesting(this, lex_.PeekBegin());
         lex_.Next();
         return MakeArithAst("-", MakeLiteral(nal::Value(int64_t{0})),
                             ParsePathExpr());
@@ -439,6 +462,7 @@ class Parser {
     ++*pos;  // consume '{'
     Parser subparser(in);
     subparser.lex_.ResetTo(*pos);
+    subparser.depth_ = depth_;
     AstPtr e = subparser.ParseExprSingle();
     if (subparser.lex_.Peek().kind != TokKind::kRBrace) {
       FailRaw("expected '}' after enclosed expression",
@@ -449,6 +473,7 @@ class Parser {
   }
 
   AstPtr ParseCtorAt(std::string_view in, size_t* pos) {
+    Nesting nesting(this, *pos);
     if (in[*pos] != '<') FailRaw("expected '<'", *pos);
     ++*pos;
     auto ctor = std::make_shared<Ast>();
@@ -560,6 +585,7 @@ class Parser {
   }
 
   Lexer lex_;
+  int depth_ = 0;  ///< open Nesting levels, enclosing parsers' included
 };
 
 }  // namespace

@@ -17,6 +17,13 @@ class ParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// How deeply a query's expressions may nest. The query is level 1, and
+/// each parenthesized or enclosed expression, function argument, clause
+/// operand, path predicate, unary minus and element constructor opens one
+/// more. Deeper text fails with ParseError before the recursive descent can
+/// exhaust the stack; 256 is also libxml2's default element-depth limit.
+inline constexpr int kMaxQueryNesting = 256;
+
 /// Parses a complete query expression. Throws ParseError / LexError.
 AstPtr ParseQuery(std::string_view text);
 

@@ -2,6 +2,9 @@
 // behind the paper's DTD-dependent side conditions.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "datagen/datagen.h"
 #include "xml/dtd.h"
 
@@ -164,6 +167,23 @@ TEST(ContentModelTest, EmptyAndAny) {
 TEST(ContentModelTest, MalformedModelThrows) {
   EXPECT_THROW(Dtd::Parse("<!ELEMENT r (a,>"), std::invalid_argument);
   EXPECT_THROW(Dtd::Parse("<!ELEMENT r (a | b, c)>"), std::invalid_argument);
+}
+
+// Content-model nesting is bounded (kMaxContentModelDepth, the outermost
+// group is level 1): at the bound the DTD parses; one level more, or far
+// more, fails with std::invalid_argument instead of overflowing the stack.
+std::string NestedGroups(int levels) {
+  return "<!ELEMENT r " + std::string(levels, '(') + "a" +
+         std::string(levels, ')') + ">";
+}
+
+TEST(ContentModelTest, GroupDepthBound) {
+  Dtd dtd = Dtd::Parse(NestedGroups(kMaxContentModelDepth));
+  EXPECT_TRUE(dtd.HasElement("r"));
+  for (int levels : {kMaxContentModelDepth + 1, 100'000}) {
+    EXPECT_THROW(Dtd::Parse(NestedGroups(levels)), std::invalid_argument)
+        << levels;
+  }
 }
 
 TEST(DtdTest, RecursiveDtdHandledConservatively) {

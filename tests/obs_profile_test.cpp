@@ -2,22 +2,16 @@
 // integration): the differential contract — profiling never changes output
 // bytes or EvalStats, and per-operator rows are byte-identical across the
 // streaming, materializing and parallel executors at any thread count —
-// plus the saturating merge units, the knob validation path, and the
-// engine-owned trace file.
+// plus the saturating merge units and the caller-owned trace log.
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
-#include "engine/error.h"
 #include "nal/algebra.h"
 #include "nal/expr.h"
 #include "obs/profile.h"
@@ -204,65 +198,22 @@ TEST(ObsProfileTest, ProfilingOffByDefault) {
   EXPECT_TRUE(r.profile.ToJson().empty());
 }
 
-TEST(ObsProfileTest, EnvKnobEnablesAndValidates) {
+// The caller owns the trace log: Run records its execute span (and the
+// exchange its worker spans) into it and leaves writing it to the caller.
+TEST(ObsProfileTest, CallerTraceLogRecordsExecuteSpan) {
   engine::Engine engine;
   LoadDocuments(&engine, 5);
   engine::CompiledQuery q = engine.Compile(kQ3);
-  ASSERT_EQ(setenv("NALQ_PROFILE", "1", 1), 0);
-  RunResult on = engine.Run(q.best.plan);
-  EXPECT_TRUE(on.profile.enabled);
-  ASSERT_EQ(setenv("NALQ_PROFILE", "yes", 1), 0);
-  try {
-    engine.Run(q.best.plan);
-    FAIL() << "malformed NALQ_PROFILE must throw";
-  } catch (const engine::Error& e) {
-    EXPECT_EQ(e.code(), engine::ErrorCode::kPlanError);
-    EXPECT_NE(std::string(e.what()).find("NALQ_PROFILE"), std::string::npos);
-  }
-  ASSERT_EQ(unsetenv("NALQ_PROFILE"), 0);
-  RunResult off = engine.Run(q.best.plan);
-  EXPECT_FALSE(off.profile.enabled);
-}
-
-TEST(ObsProfileTest, TraceDirKnobWritesChromeTrace) {
-  namespace fs = std::filesystem;
-  engine::Engine engine;
-  LoadDocuments(&engine, 5);
-  engine::CompiledQuery q = engine.Compile(kQ3);
-  fs::path dir = fs::temp_directory_path() /
-                 ("nalq-obs-test-" + std::to_string(getpid()));
-  fs::create_directories(dir);
-  ASSERT_EQ(setenv("NALQ_TRACE_DIR", dir.c_str(), 1), 0);
-  engine.Run(q.best.plan, ExecMode::kParallel, PathMode::kIndexed, 2);
-  ASSERT_EQ(unsetenv("NALQ_TRACE_DIR"), 0);
-  bool found = false;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    std::ifstream in(entry.path());
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (text.find("\"traceEvents\"") != std::string::npos &&
-        text.find("\"execute\"") != std::string::npos) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found) << "no trace file with an execute span in " << dir;
-  fs::remove_all(dir);
-}
-
-TEST(ObsProfileTest, TraceDirKnobRejectsNonDirectory) {
-  engine::Engine engine;
-  LoadDocuments(&engine, 3);
-  engine::CompiledQuery q = engine.Compile(kQ3);
-  ASSERT_EQ(setenv("NALQ_TRACE_DIR", "/nonexistent/nalq-no-such-dir", 1), 0);
-  try {
-    engine.Run(q.best.plan);
-    FAIL() << "non-directory NALQ_TRACE_DIR must throw";
-  } catch (const engine::Error& e) {
-    EXPECT_EQ(e.code(), engine::ErrorCode::kPlanError);
-    EXPECT_NE(std::string(e.what()).find("NALQ_TRACE_DIR"),
-              std::string::npos);
-  }
-  ASSERT_EQ(unsetenv("NALQ_TRACE_DIR"), 0);
+  obs::TraceLog log;
+  RunInstrumentation instr;
+  instr.trace = &log;
+  RunResult traced = engine.Run(q.best.plan, ExecMode::kParallel,
+                                PathMode::kIndexed, 2, 0, 0, nullptr, &instr);
+  EXPECT_EQ(traced.output, engine.Run(q.best.plan).output);
+  EXPECT_GE(log.span_count(), 1u);
+  const std::string json = log.ToChromeJson();
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"execute\""), std::string::npos) << json;
 }
 
 TEST(ObsProfileTest, OpMetricsMergeSaturates) {

@@ -1,6 +1,6 @@
 // Differential and unit suite for parallel runs over plans with pipeline
 // breakers: the cost-driven placement chooser, the row-hint grace-admission
-// policy, and the NALQ_THREADS knob. The breakers stay on the consumer
+// policy, and worker-count resolution. The breakers stay on the consumer
 // thread, above the exchange's per-tuple cut. The differential half re-runs
 // every plan alternative of the paper's Q1–Q6 at threads {1, 2, 4, hw} ×
 // budgets {unlimited, 1 MB} and asserts byte-identical Ξ output, identical
@@ -8,12 +8,10 @@
 // streaming — the cross-executor contract of src/nal/README.md.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 
 #include "datagen/datagen.h"
 #include "engine/engine.h"
-#include "engine/error.h"
 #include "nal/cursor.h"
 #include "nal/eval.h"
 #include "nal/exchange.h"
@@ -85,50 +83,15 @@ TEST(GracePartitionCountTest, EstimateSizesPartitionsToTheLoadLimit) {
 }
 
 // ---------------------------------------------------------------------------
-// NALQ_THREADS knob (nal/env_knobs.h via ResolveParallelThreads)
+// Worker-count resolution (ResolveParallelThreads)
 // ---------------------------------------------------------------------------
 
-class ThreadsKnobTest : public ::testing::Test {
- protected:
-  void TearDown() override { unsetenv("NALQ_THREADS"); }
-};
-
-TEST_F(ThreadsKnobTest, ExplicitRequestWins) {
-  setenv("NALQ_THREADS", "7", 1);
+TEST(ResolveThreadsTest, ExplicitRequestWins) {
   EXPECT_EQ(ResolveParallelThreads(3, 0), 3u);
 }
 
-TEST_F(ThreadsKnobTest, KnobAppliesWhenUnrequested) {
-  setenv("NALQ_THREADS", "7", 1);
-  EXPECT_EQ(ResolveParallelThreads(0, 0), 7u);
-}
-
-TEST_F(ThreadsKnobTest, UnsetFallsBackToHardware) {
-  unsetenv("NALQ_THREADS");
+TEST(ResolveThreadsTest, ZeroMeansOnePerHardwareCore) {
   EXPECT_EQ(ResolveParallelThreads(0, 0), Hardware());
-}
-
-TEST_F(ThreadsKnobTest, MalformedValueRaisesPlanError) {
-  setenv("NALQ_THREADS", "fast", 1);
-  try {
-    ResolveParallelThreads(0, 0);
-    FAIL() << "malformed NALQ_THREADS must not be silently clamped";
-  } catch (const engine::Error& e) {
-    EXPECT_EQ(e.code(), engine::ErrorCode::kPlanError);
-    EXPECT_NE(std::string(e.what()).find("NALQ_THREADS"), std::string::npos);
-  }
-}
-
-TEST_F(ThreadsKnobTest, MalformedValueFailsTheParallelRun) {
-  setenv("NALQ_THREADS", "2x", 1);
-  engine::Engine engine;
-  datagen::BibOptions bib;
-  bib.books = 5;
-  engine.AddDocument("bib.xml", datagen::GenerateBib(bib));
-  EXPECT_THROW(engine.RunQuery(R"(for $b in doc("bib.xml")//book
-                                  return $b/title)",
-                               engine::ExecMode::kParallel),
-               engine::Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datagen/datagen.h"
@@ -35,6 +36,7 @@
 #include "nal/fault_injection.h"
 #include "nal/query_control.h"
 #include "service/query_service.h"
+#include "xquery/parser.h"
 
 namespace nalq {
 namespace {
@@ -445,6 +447,48 @@ TEST_F(ServiceTest, DeadlineCoversQueueTime) {
   EXPECT_EQ(svc.reserved_bytes(), 0u);
 }
 
+// The deadline is armed once, at submission, on the query's token: the
+// run does not re-arm it when the query leaves the queue, so the queue
+// wait is not refunded.
+TEST_F(ServiceTest, DeadlineIsArmedOnceAtSubmission) {
+  SetUpEngine(300);
+  ServiceOptions opt;
+  opt.memory_budget_bytes = 1 << 20;
+  opt.max_concurrent = 1;
+  opt.queue_depth = 4;
+  opt.queue_deadline_ms = 60'000;
+  QueryService svc(engine_, opt);
+  QueryOptions nested;
+  nested.choice = engine::PlanChoice::kManual;
+  ASSERT_TRUE(svc.Execute(kQ1, nested).ok);
+  ASSERT_TRUE(svc.Execute(kQ3).ok);  // warm the waiter's cache entry too
+
+  std::atomic<bool> holder_done{false};
+  std::thread holder([&] {
+    EXPECT_TRUE(svc.Execute(kQ1, nested).ok);
+    holder_done = true;
+  });
+  while (svc.in_flight() == 0 && !holder_done) std::this_thread::yield();
+  nal::QueryControl control;
+  QueryOptions qo;
+  qo.control = &control;
+  qo.deadline_ms = 60'000;
+  const auto before = nal::QueryControl::Clock::now();
+  QueryResult r = svc.Execute(kQ3, qo);
+  holder.join();
+  ASSERT_TRUE(r.ok) << r.error_what;
+  EXPECT_EQ(r.output, reference_[2]);
+  ASSERT_TRUE(r.queued);
+  ASSERT_TRUE(control.has_deadline());
+  // Re-armed at run start, the deadline would lie a whole queue wait
+  // later than submission + deadline_ms.
+  const auto queue_wait =
+      std::chrono::duration_cast<nal::QueryControl::Clock::duration>(
+          std::chrono::duration<double>(r.queue_seconds));
+  EXPECT_LT(control.deadline(),
+            before + std::chrono::milliseconds(qo.deadline_ms) + queue_wait);
+}
+
 // RequestCancel reaches a query that is still queued for admission.
 TEST_F(ServiceTest, CancelWhileQueued) {
   SetUpEngine(300);
@@ -533,36 +577,53 @@ TEST_F(ServiceTest, MalformedQueryReturnsStructuredError) {
   EXPECT_FALSE(r.error_what.empty());
 }
 
-// Query text naming a missing document or an unknown function fails with
-// kPlanError and its raising site on every executor, is counted as failed,
-// and leaves no spool directory behind.
-TEST_F(ServiceTest, MissingDocumentAndUnknownFunctionFailClosed) {
+// Query text naming a missing document or an unknown function, or calling
+// a built-in with one argument too few, fails with kPlanError and its
+// raising site on every executor, through the engine and through the
+// service; the service counts it as failed, and no spool directory is left
+// behind.
+TEST_F(ServiceTest, MissingDocumentAndBadFunctionCallsFailClosed) {
   SetUpEngine(25);
   std::set<std::string> dirs_before = SpoolDirsInTemp();
   ServiceOptions opt;
   opt.memory_budget_bytes = 1 << 20;
   QueryService svc(engine_, opt);
-  const struct {
-    const char* text;
-    const char* context;
-  } cases[] = {
+  std::vector<std::pair<std::string, const char*>> cases = {
       {R"(for $b in doc("nope.xml")//book return <b>{ $b/title }</b>)",
        "eval.doc"},
       {R"(for $b in doc("bib.xml")//book return <b>{ frobnicate($b) }</b>)",
        "eval.fn"},
   };
+  for (const char* call :
+       {"doc()", "document()", "count()", "min()", "max()", "sum()", "avg()",
+        "decimal()", "number()", "contains($b/title)",
+        "starts-with($b/title)", "empty()", "exists()", "not()", "string()",
+        "string-length()", "distinct-values()"}) {
+    cases.emplace_back(
+        std::string(R"(for $b in doc("bib.xml")//book return <b>{ )") + call +
+            " }</b>",
+        "eval.fn");
+  }
   uint64_t failed = 0;
-  for (const auto& c : cases) {
+  for (const auto& [text, context] : cases) {
     for (engine::ExecMode mode :
          {engine::ExecMode::kMaterializing, engine::ExecMode::kStreaming,
           engine::ExecMode::kParallel}) {
+      try {
+        engine_.RunQuery(text, mode, engine::PathMode::kIndexed, 2);
+        ADD_FAILURE() << text << " ran";
+      } catch (const engine::Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kPlanError) << e.what();
+        EXPECT_NE(std::string(e.what()).find(context), std::string::npos)
+            << e.what();
+      }
       QueryOptions qo;
       qo.mode = mode;
       qo.threads = 2;
-      QueryResult r = svc.Execute(c.text, qo);
+      QueryResult r = svc.Execute(text, qo);
       EXPECT_FALSE(r.ok);
       EXPECT_EQ(r.error_code, ErrorCode::kPlanError) << r.error_what;
-      EXPECT_NE(r.error_what.find(c.context), std::string::npos)
+      EXPECT_NE(r.error_what.find(context), std::string::npos)
           << r.error_what;
       ++failed;
     }
@@ -571,6 +632,37 @@ TEST_F(ServiceTest, MissingDocumentAndUnknownFunctionFailClosed) {
   EXPECT_EQ(Count(svc, "nalq_queries_failed_total"), failed);
   EXPECT_EQ(Outcomes(svc), failed);
   EXPECT_EQ(SpoolDirsInTemp(), dirs_before);
+}
+
+// Query text nested past the parser's bound (xquery::kMaxQueryNesting)
+// fails with kPlanError instead of overflowing the stack; at the bound the
+// whole pipeline runs it.
+TEST_F(ServiceTest, DeeplyNestedQueryTextFailsClosed) {
+  SetUpEngine(25);
+  QueryService svc(engine_, ServiceOptions{});
+  // The query, the return clause, the constructor and its enclosed
+  // expression are four levels; each string() call adds one.
+  auto nested_calls = [](int calls) {
+    std::string arg = "$b/title";
+    for (int i = 0; i < calls; ++i) arg = "string(" + arg + ")";
+    return R"(for $b in doc("bib.xml")//book return <b>{ )" + arg + " }</b>";
+  };
+  QueryResult at_bound =
+      svc.Execute(nested_calls(xquery::kMaxQueryNesting - 4));
+  ASSERT_TRUE(at_bound.ok) << at_bound.error_what;
+  EXPECT_EQ(at_bound.output, svc.Execute(nested_calls(1)).output);
+  QueryResult past = svc.Execute(nested_calls(xquery::kMaxQueryNesting - 3));
+  EXPECT_FALSE(past.ok);
+  EXPECT_EQ(past.error_code, ErrorCode::kPlanError) << past.error_what;
+  for (int levels : {xquery::kMaxQueryNesting + 1, 100'000}) {
+    const std::string parens =
+        std::string(levels - 1, '(') + "1" + std::string(levels - 1, ')');
+    QueryResult r = svc.Execute(parens);
+    EXPECT_FALSE(r.ok) << levels;
+    EXPECT_EQ(r.error_code, ErrorCode::kPlanError) << r.error_what;
+    EXPECT_NE(r.error_what.find("nested deeper"), std::string::npos)
+        << r.error_what;
+  }
 }
 
 // Satellite: a ScopedFaultInjector faults exactly one query's spool sites.
@@ -701,38 +793,30 @@ TEST_F(ServiceTest, MixedWorkloadSoak) {
   EXPECT_GT(Count(svc, "nalq_queries_completed_total"), 0u);
 }
 
-// Satellite: malformed NALQ_* knob text raises kPlanError naming the
-// variable and the offending value instead of silently becoming 0.
-TEST(EnvKnobTest, MalformedKnobRaisesPlanError) {
-  setenv("NALQ_QUEUE_DEPTH", "12abc", 1);
+// ServiceOptions fields left at 0 resolve to their documented defaults;
+// explicit values win.
+TEST(ServiceOptionsTest, ZeroFieldsResolveToDefaults) {
   engine::Engine engine;
-  try {
-    QueryService svc(engine, ServiceOptions{});
-    unsetenv("NALQ_QUEUE_DEPTH");
-    FAIL() << "malformed NALQ_QUEUE_DEPTH was accepted";
-  } catch (const engine::Error& e) {
-    unsetenv("NALQ_QUEUE_DEPTH");
-    EXPECT_EQ(e.code(), ErrorCode::kPlanError);
-    EXPECT_NE(std::string(e.what()).find("NALQ_QUEUE_DEPTH"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("12abc"), std::string::npos);
-  }
-}
-
-// Valid and unset knobs resolve as documented.
-TEST(EnvKnobTest, WellFormedKnobsResolve) {
-  setenv("NALQ_QUEUE_DEPTH", "7", 1);
-  engine::Engine engine;
-  QueryService svc(engine, ServiceOptions{});
-  EXPECT_EQ(svc.options().queue_depth, 7u);
-  unsetenv("NALQ_QUEUE_DEPTH");
+  ServiceOptions zeros;
+  zeros.memory_budget_bytes = 1 << 20;  // explicit: independent of the env
+  QueryService svc(engine, zeros);
+  EXPECT_EQ(svc.options().max_concurrent,
+            std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(svc.options().queue_depth, 16u);
+  EXPECT_EQ(svc.options().queue_deadline_ms, 1000u);
+  EXPECT_EQ(svc.options().slow_query_ms, 0u);
+  EXPECT_TRUE(svc.options().trace_dir.empty());
 
   ServiceOptions explicit_opt;
-  explicit_opt.queue_depth = 3;
+  explicit_opt.memory_budget_bytes = 1 << 20;
   explicit_opt.max_concurrent = 2;
+  explicit_opt.queue_depth = 3;
+  explicit_opt.queue_deadline_ms = 250;
   QueryService svc2(engine, explicit_opt);
-  EXPECT_EQ(svc2.options().queue_depth, 3u);
+  EXPECT_EQ(svc2.options().memory_budget_bytes, 1u << 20);
   EXPECT_EQ(svc2.options().max_concurrent, 2u);
+  EXPECT_EQ(svc2.options().queue_depth, 3u);
+  EXPECT_EQ(svc2.options().queue_deadline_ms, 250u);
 }
 
 }  // namespace

@@ -1083,20 +1083,20 @@ TEST(StorageCodecTest, HugeDeclaredCountFailsClosedWithoutAllocating) {
 }
 
 // ---------------------------------------------------------------------------
-// Service wiring: NALQ_STORE_DIR warm-attaches at construction; a bad
-// directory fails the service closed at startup.
+// Service wiring: ServiceOptions::store_dir warm-attaches at construction;
+// a bad directory fails the service closed at startup.
 
-TEST(StorageServiceTest, ServiceWarmAttachesFromEnvKnob) {
+TEST(StorageServiceTest, ServiceWarmAttachesFromStoreDir) {
   engine::Engine text_engine;
   LoadCorpus(&text_engine, 25);
   std::string reference = text_engine.RunQuery(kQueries[0]).output;
   TempDir dir;
   text_engine.PersistStore(dir.str());
 
-  ASSERT_EQ(::setenv("NALQ_STORE_DIR", dir.str().c_str(), 1), 0);
   engine::Engine warm;
-  service::QueryService svc(warm);
-  ASSERT_EQ(::unsetenv("NALQ_STORE_DIR"), 0);
+  service::ServiceOptions opts;
+  opts.store_dir = dir.str();
+  service::QueryService svc(warm, opts);
   EXPECT_EQ(warm.store().size(), 4u);
   service::QueryResult r = svc.Execute(kQueries[0]);
   ASSERT_TRUE(r.ok) << r.error_what;

@@ -2,6 +2,8 @@
 // store.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -155,6 +157,26 @@ TEST(SerializerTest, IndentedOutput) {
   std::string out = SerializeDocument(doc, options);
   EXPECT_NE(out.find("<a>\n"), std::string::npos);
   EXPECT_NE(out.find("  <b>x</b>\n"), std::string::npos);
+}
+
+// Element nesting is bounded (kMaxElementDepth, the root is level 1): at
+// the bound the document parses; one level more, or far more, fails with
+// ParseError instead of overflowing the stack.
+std::string NestedElements(int levels) {
+  std::string out;
+  for (int i = 0; i < levels; ++i) out += "<e>";
+  for (int i = 0; i < levels; ++i) out += "</e>";
+  return out;
+}
+
+TEST(ParserTest, ElementDepthBound) {
+  Document doc = ParseDocument("deep.xml", NestedElements(kMaxElementDepth));
+  EXPECT_EQ(doc.node_count(), static_cast<size_t>(kMaxElementDepth) + 1);
+  for (int levels : {kMaxElementDepth + 1, 100'000}) {
+    EXPECT_THROW(ParseDocument("deep.xml", NestedElements(levels)),
+                 ParseError)
+        << levels;
+  }
 }
 
 TEST(StoreTest, AddAndFindDocuments) {

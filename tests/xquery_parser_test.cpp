@@ -1,6 +1,8 @@
 // Lexer and parser tests for the XQuery subset.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xquery/lexer.h"
 #include "xquery/parser.h"
 
@@ -180,6 +182,45 @@ TEST(ParserTest, Errors) {
   EXPECT_THROW(ParseQuery("for $x in $d//a return <a></b>"), ParseError);
   EXPECT_THROW(ParseQuery("for $x in $d//a return $x extra"), ParseError);
   EXPECT_THROW(ParseQuery("some $x in $d//a"), ParseError);  // no satisfies
+}
+
+// Nesting is bounded (kMaxQueryNesting): at the bound the text parses; one
+// level more, or far more, fails with ParseError instead of overflowing the
+// stack. The query itself is level 1.
+std::string NestedParens(int levels) {
+  return std::string(levels - 1, '(') + "1" + std::string(levels - 1, ')');
+}
+std::string NestedCtors(int levels) {
+  std::string out;
+  for (int i = 1; i < levels; ++i) out += "<a>";
+  for (int i = 1; i < levels; ++i) out += "</a>";
+  return out;
+}
+
+TEST(ParserTest, NestingBound) {
+  EXPECT_NO_THROW(ParseQuery(NestedParens(kMaxQueryNesting)));
+  EXPECT_NO_THROW(ParseQuery(NestedCtors(kMaxQueryNesting)));
+  EXPECT_NO_THROW(
+      ParseQuery(std::string(kMaxQueryNesting - 1, '-') + "1"));
+  for (int levels : {kMaxQueryNesting + 1, 100'000}) {
+    EXPECT_THROW(ParseQuery(NestedParens(levels)), ParseError) << levels;
+    EXPECT_THROW(ParseQuery(NestedCtors(levels)), ParseError) << levels;
+    EXPECT_THROW(ParseQuery(std::string(levels - 1, '-') + "1"), ParseError)
+        << levels;
+  }
+  // An enclosed expression continues its constructor's count: k pairs of
+  // <a>{ ... }</a> around (1) reach level 2k + 2.
+  auto enclosed = [](int pairs, const std::string& inner) {
+    std::string out;
+    for (int i = 0; i < pairs; ++i) out += "<a>{";
+    out += inner;
+    for (int i = 0; i < pairs; ++i) out += "}</a>";
+    return out;
+  };
+  static_assert(kMaxQueryNesting % 2 == 0);
+  const int pairs = (kMaxQueryNesting - 2) / 2;
+  EXPECT_NO_THROW(ParseQuery(enclosed(pairs, "(1)")));
+  EXPECT_THROW(ParseQuery(enclosed(pairs, "((1))")), ParseError);
 }
 
 TEST(ParserTest, ToStringRoundTripsThroughParser) {
