@@ -2,9 +2,10 @@
 //
 // Measures the physical algorithms behind the plans: hash-based unary Γ
 // versus θ-grouping, hash semijoin versus the nested-loop definition,
-// value-deduplicating unnest (μD), descendant-axis XPath scans and the
-// order-preserving hash join. These are the design choices DESIGN.md calls
-// out (paper Sec. 2 "One word on implementation").
+// value-deduplicating unnest (μD), descendant-axis XPath scans, the
+// order-preserving hash join and the atomized-key probe under all the hash
+// operators. These are the design choices DESIGN.md calls out (paper Sec. 2
+// "One word on implementation").
 #include <benchmark/benchmark.h>
 
 #include "datagen/datagen.h"
@@ -175,6 +176,39 @@ void BM_DistinctValues(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DistinctValues)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_AtomizedKeyProbe(benchmark::State& state) {
+  // The atomize → hash → equals path every hash-based operator (Γ, the
+  // semijoin, the antijoin, the nest-join) keys on: build a HashIndex over
+  // the atomized //book/author nodes and probe it with every author.
+  engine::Engine* engine = BibEngine(static_cast<size_t>(state.range(0)));
+  const xml::Store& store = engine->store();
+  auto scan = nal::UnnestMap(
+      Symbol("a"),
+      nal::MakePath(
+          nal::MakeFnCall("doc", {nal::MakeConst(nal::Value("bib.xml"))}),
+          xml::Path::Parse("//book/author")),
+      nal::Singleton());
+  nal::Evaluator ev(store);
+  nal::Sequence authors = ev.Eval(*scan);
+  const Symbol attrs[] = {Symbol("a")};
+  std::vector<nal::Key> scratch;
+  std::vector<uint32_t> hits;
+  for (auto _ : state) {
+    xml::StoreReadLease lease(store);
+    nal::HashIndex index;
+    index.Build(authors, attrs, store);
+    size_t matches = 0;
+    for (const nal::Tuple& t : authors) {
+      index.LookupInto(t, attrs, store, &scratch, &hits);
+      matches += hits.size();
+    }
+    benchmark::DoNotOptimize(matches);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(authors.size()));
+}
+BENCHMARK(BM_AtomizedKeyProbe)->Arg(1000)->Arg(10000);
 
 }  // namespace
 

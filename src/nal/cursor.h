@@ -172,7 +172,8 @@ uint64_t DrainStreaming(Evaluator& ev, const AlgebraOp& op,
                         SpoolContext* spool = nullptr);
 
 /// Pull-runs `op` and collects the root output — the streaming counterpart
-/// of Evaluator::Eval, used by the differential tests.
+/// of Evaluator::Eval, used by the differential tests. The returned values
+/// may borrow atoms: see xml/store.h, borrowed atoms.
 Sequence ExecuteStreaming(Evaluator& ev, const AlgebraOp& op,
                           StreamStats* stream = nullptr,
                           SpoolContext* spool = nullptr);

@@ -428,15 +428,17 @@ Value Evaluator::EvalFnCall(const Expr& e, const Tuple& local,
     std::optional<double> d = arg(0).ToNumber(store_);
     return d.has_value() ? Value(*d) : Value::Null();
   }
-  if (fn == "contains") {
-    std::string s = arg(0).ToString(store_);
-    std::string sub = arg(1).ToString(store_);
-    return Value(s.find(sub) != std::string::npos);
-  }
-  if (fn == "starts-with") {
-    std::string s = arg(0).ToString(store_);
-    std::string prefix = arg(1).ToString(store_);
-    return Value(s.rfind(prefix, 0) == 0);
+  if (fn == "contains" || fn == "starts-with") {
+    // The operands stay alive while their string views are read: most are
+    // a node's atom or a string, compared without a copy.
+    Value a = arg(0);
+    Value b = arg(1);
+    std::string scratch_a;
+    std::string scratch_b;
+    std::string_view s = a.ToStringView(store_, &scratch_a);
+    std::string_view t = b.ToStringView(store_, &scratch_b);
+    return Value(fn == "contains" ? s.find(t) != std::string_view::npos
+                                  : s.starts_with(t));
   }
   if (fn == "empty") {
     ItemSeq items;
@@ -1018,7 +1020,7 @@ const std::string& Evaluator::RenderedNode(xml::NodeRef ref) const {
     if (doc.kind(ref.id) == xml::NodeKind::kElement) {
       xml::SerializeTo(doc, ref.id, &it->second);
     } else {
-      it->second = xml::EncodeEntities(*doc.SharedStringValue(ref.id));
+      it->second = xml::EncodeEntities(doc.AtomOf(ref.id).bytes);
     }
   }
   return it->second;

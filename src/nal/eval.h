@@ -88,7 +88,8 @@ class Evaluator {
 
   /// Evaluates `op` with no outer bindings. Checks the plan's shape
   /// (CheckPlanShape) and clears the common-subexpression cache first (each
-  /// top-level run re-reads the documents).
+  /// top-level run re-reads the documents). The returned values may borrow
+  /// atoms: see xml/store.h, borrowed atoms.
   Sequence Eval(const AlgebraOp& op) {
     CheckPlanShape(op);
     xml::StoreReadLease lease(store_);  // single-writer contract (store.h)

@@ -30,9 +30,9 @@
 // submits tasks.
 //
 // Shared read paths that make this safe: the store's build-once index latch
-// (xml/store.h), the node string-value memo (xml/node.h: a hit is one
-// acquire load, only a fill takes its mutex) and the per-thread scratch
-// buffers in xpath.cpp/physical.cpp.
+// (xml/store.h), the node atom table (xml/node.h: a hit is one acquire
+// load, only a fill takes its mutex) and the per-thread scratch buffers in
+// xpath.cpp/physical.cpp.
 #ifndef NALQ_NAL_EXCHANGE_H_
 #define NALQ_NAL_EXCHANGE_H_
 
@@ -105,7 +105,8 @@ uint64_t DrainParallel(Evaluator& ev, const AlgebraOp& op,
                        SpoolContext* spool = nullptr);
 
 /// Pull-runs `op` in parallel and collects the root output — the parallel
-/// counterpart of ExecuteStreaming, used by the differential tests.
+/// counterpart of ExecuteStreaming, used by the differential tests. The
+/// returned values may borrow atoms: see xml/store.h, borrowed atoms.
 Sequence ExecuteParallel(Evaluator& ev, const AlgebraOp& op,
                          const ParallelOptions& options = {},
                          StreamStats* stream = nullptr,

@@ -16,7 +16,8 @@ namespace nalq::nal::reference {
 /// Evaluates `op` by the textbook equations. Expression/aggregate semantics
 /// are shared with the production evaluator (`eval` supplies EvalExpr /
 /// ApplyAgg), so any divergence found by the comparison tests isolates a
-/// physical-algorithm bug.
+/// physical-algorithm bug. It holds no StoreReadLease; the returned values
+/// may borrow atoms: see xml/store.h, borrowed atoms.
 Sequence Eval(Evaluator& eval, const AlgebraOp& op, const Tuple& env);
 
 inline Sequence Eval(Evaluator& eval, const AlgebraOp& op) {

@@ -150,7 +150,7 @@ void EncodeValue(const Value& v, std::string* out) {
       return;
     }
     case ValueKind::kString: {
-      const std::string& s = v.AsString();
+      std::string_view s = v.AsString();
       PutU32(out, CheckedU32(s.size()));
       out->append(s);
       return;

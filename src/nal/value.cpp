@@ -1,7 +1,6 @@
 #include "nal/value.h"
 
 #include <cassert>
-#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -33,10 +32,9 @@ size_t Value::SequenceLength() const {
 
 Value Value::Atomize(const xml::Store& store) const {
   if (kind() == ValueKind::kNode) {
-    const xml::Document& doc = store.doc_of(AsNode());
-    // Repeated atomizations of one node share the document's memoized
-    // string — the hot path of key building and general comparisons.
-    return Value(doc.SharedStringValue(AsNode().id));
+    // Repeated atomizations of one node share its atom — the hot path of
+    // key building and general comparisons.
+    return Value(store.doc_of(AsNode()).AtomOf(AsNode().id));
   }
   if (kind() == ValueKind::kItemSeq) {
     // Atomize item-wise; a singleton sequence atomizes to its single item
@@ -71,11 +69,9 @@ std::string Value::ToString(const xml::Store& store) const {
       return os.str();
     }
     case ValueKind::kString:
-      return AsString();
-    case ValueKind::kNode: {
-      const xml::Document& doc = store.doc_of(AsNode());
-      return *doc.SharedStringValue(AsNode().id);
-    }
+      return std::string(AsString());
+    case ValueKind::kNode:
+      return std::string(store.doc_of(AsNode()).AtomOf(AsNode().id).bytes);
     case ValueKind::kItemSeq: {
       std::string out;
       bool first = true;
@@ -92,18 +88,23 @@ std::string Value::ToString(const xml::Store& store) const {
   return "";
 }
 
-std::optional<double> TryParseNumber(std::string_view s) {
-  // Trim XML whitespace.
-  size_t begin = s.find_first_not_of(" \t\n\r");
-  if (begin == std::string_view::npos) return std::nullopt;
-  size_t end = s.find_last_not_of(" \t\n\r");
-  s = s.substr(begin, end - begin + 1);
-  double out = 0;
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(first, last, out);
-  if (ec != std::errc() || ptr != last) return std::nullopt;
-  return out;
+std::string_view Value::ToStringView(const xml::Store& store,
+                                     std::string* scratch) const {
+  switch (kind()) {
+    case ValueKind::kString:
+      return AsString();
+    case ValueKind::kNode:
+      return store.doc_of(AsNode()).AtomOf(AsNode().id).bytes;
+    case ValueKind::kItemSeq:
+      if (AsItems().size() == 1) {
+        return AsItems()[0].ToStringView(store, scratch);
+      }
+      break;
+    default:
+      break;
+  }
+  *scratch = ToString(store);
+  return *scratch;
 }
 
 std::optional<double> Value::ToNumber(const xml::Store& store) const {
@@ -115,10 +116,10 @@ std::optional<double> Value::ToNumber(const xml::Store& store) const {
     case ValueKind::kBool:
       return AsBool() ? 1.0 : 0.0;
     case ValueKind::kString:
+      if (const xml::Atom* atom = borrowed()) return atom->number;
       return TryParseNumber(AsString());
     case ValueKind::kNode:
-      return TryParseNumber(
-          *store.doc_of(AsNode()).SharedStringValue(AsNode().id));
+      return store.doc_of(AsNode()).AtomOf(AsNode().id).number;
     case ValueKind::kItemSeq: {
       const ItemSeq& items = AsItems();
       if (items.size() == 1) return items[0].ToNumber(store);
@@ -149,11 +150,15 @@ bool Value::Equals(const Value& other) const {
     case ValueKind::kDouble:
       return AsDouble() == other.AsDouble();
     case ValueKind::kString: {
-      // Atomized node values share one allocation per node (the document's
-      // memoized string value), so identity settles most probe comparisons.
-      const std::string* a = &AsString();
-      const std::string* b = &other.AsString();
-      return a == b || *a == *b;
+      // Atomized node values share one atom per node, so identity settles
+      // most probe comparisons, and the cached hashes most of the rest.
+      const xml::Atom* a = borrowed();
+      const xml::Atom* b = other.borrowed();
+      if (a != nullptr && b != nullptr) {
+        if (a == b) return true;
+        if (a->hash != b->hash) return false;
+      }
+      return AsString() == other.AsString();
     }
     case ValueKind::kNode:
       return AsNode() == other.AsNode();
@@ -186,6 +191,7 @@ size_t Value::Hash() const {
     case ValueKind::kDouble:
       return std::hash<double>{}(AsDouble());
     case ValueKind::kString:
+      if (const xml::Atom* atom = borrowed()) return atom->hash;
       return std::hash<std::string_view>{}(AsString());
     case ValueKind::kNode:
       return xml::NodeRefHash{}(AsNode());
@@ -271,7 +277,7 @@ std::string Value::DebugString() const {
       return os.str();
     }
     case ValueKind::kString:
-      return "\"" + AsString() + "\"";
+      return "\"" + std::string(AsString()) + "\"";
     case ValueKind::kNode:
       return "node(" + std::to_string(AsNode().doc) + ":" +
              std::to_string(AsNode().id) + ")";

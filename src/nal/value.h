@@ -6,6 +6,14 @@
 // in the database", Sec. 1), sequences of items (XPath results, let-bound
 // item sequences) or nested sequences of tuples (group attributes created by
 // Γ and χ).
+//
+// A string is owned or borrowed, and both report ValueKind::kString with the
+// same bytes, hash, order and spool encoding. An owned string (a literal,
+// concat(), string(), a spool decode) shares one refcounted allocation. A
+// borrowed string is what atomizing a node yields: one pointer to the
+// node's xml::Atom, which carries the bytes, their hash and their numeric
+// parse, so Hash and ToNumber read a cached field and Equals settles equal
+// atoms by identity. Its lifetime: see xml/store.h, borrowed atoms.
 #ifndef NALQ_NAL_VALUE_H_
 #define NALQ_NAL_VALUE_H_
 
@@ -43,7 +51,8 @@ enum class ValueKind : uint8_t {
   kTupleSeq,
 };
 
-/// Immutable, cheaply copyable value (strings and sequences are shared).
+/// Immutable, cheaply copyable value (strings and sequences are shared or
+/// borrowed).
 class Value {
  public:
   Value() : rep_(std::monostate{}) {}
@@ -57,9 +66,6 @@ class Value {
   explicit Value(const char* s)
       : rep_(std::make_shared<const std::string>(s)) {}
   explicit Value(xml::NodeRef n) : rep_(n) {}
-  /// Shares an existing string allocation (e.g. a document's memoized node
-  /// string value) instead of copying it.
-  explicit Value(std::shared_ptr<const std::string> s) : rep_(std::move(s)) {}
   explicit Value(std::shared_ptr<const ItemSeq> items)
       : rep_(std::move(items)) {}
   explicit Value(std::shared_ptr<const Sequence> tuples)
@@ -69,7 +75,11 @@ class Value {
   static Value FromItems(ItemSeq items);
   static Value FromTuples(Sequence tuples);
 
-  ValueKind kind() const { return static_cast<ValueKind>(rep_.index()); }
+  ValueKind kind() const {
+    size_t index = rep_.index();
+    return index == kBorrowedIndex ? ValueKind::kString
+                                   : static_cast<ValueKind>(index);
+  }
   bool is_null() const { return kind() == ValueKind::kNull; }
   bool is_numeric() const {
     return kind() == ValueKind::kInt || kind() == ValueKind::kDouble;
@@ -81,7 +91,9 @@ class Value {
   bool AsBool() const { return std::get<bool>(rep_); }
   int64_t AsInt() const { return std::get<int64_t>(rep_); }
   double AsDouble() const { return std::get<double>(rep_); }
-  const std::string& AsString() const {
+  /// The bytes of an owned or a borrowed string.
+  std::string_view AsString() const {
+    if (const xml::Atom* atom = borrowed()) return atom->bytes;
     return *std::get<std::shared_ptr<const std::string>>(rep_);
   }
   xml::NodeRef AsNode() const { return std::get<xml::NodeRef>(rep_); }
@@ -99,12 +111,21 @@ class Value {
   /// as singletons, null as the empty sequence.
   size_t SequenceLength() const;
 
-  /// Atomization: nodes become their string value, everything atomic stays.
-  /// Sequences atomize item-wise (returned via out-param overload in expr).
+  /// Atomization: nodes become their string value, borrowed from the
+  /// node's atom (no copy); everything atomic stays. Sequences atomize
+  /// item-wise (returned via out-param overload in expr).
   Value Atomize(const xml::Store& store) const;
 
   /// String conversion (atomizing nodes through `store`).
   std::string ToString(const xml::Store& store) const;
+
+  /// ToString as a view, without a copy where the bytes already exist: a
+  /// string, a node's atom, or a one-item sequence of either. Anything else
+  /// (numbers, booleans, longer sequences) is rendered into `*scratch`,
+  /// which the view then points into. The view lives as long as this value
+  /// and `*scratch`.
+  std::string_view ToStringView(const xml::Store& store,
+                                std::string* scratch) const;
 
   /// Numeric conversion; nullopt if not convertible.
   std::optional<double> ToNumber(const xml::Store& store) const;
@@ -126,10 +147,22 @@ class Value {
   std::string DebugString() const;
 
  private:
+  /// A borrowed string (see the file comment); only Atomize makes one.
+  explicit Value(const xml::Atom& atom)
+      : rep_(std::in_place_index<kBorrowedIndex>, &atom) {}
+
+  const xml::Atom* borrowed() const {
+    const xml::Atom* const* atom = std::get_if<kBorrowedIndex>(&rep_);
+    return atom != nullptr ? *atom : nullptr;
+  }
+
+  /// Variant alternatives 0–7 are numbered as ValueKind; the borrowed
+  /// string comes last and reports kString.
+  static constexpr size_t kBorrowedIndex = 8;
   std::variant<std::monostate, bool, int64_t, double,
                std::shared_ptr<const std::string>, xml::NodeRef,
                std::shared_ptr<const ItemSeq>,
-               std::shared_ptr<const Sequence>>
+               std::shared_ptr<const Sequence>, const xml::Atom*>
       rep_;
 };
 
@@ -143,8 +176,9 @@ struct ValueEq {
 };
 
 /// Parses a string as a number if it looks like one (used when comparing
-/// untyped XML text against numeric literals, e.g. @year > 1993).
-std::optional<double> TryParseNumber(std::string_view s);
+/// untyped XML text against numeric literals, e.g. @year > 1993). The same
+/// function that fills a node atom's cached number (xml/node.h).
+using xml::TryParseNumber;
 
 }  // namespace nalq::nal
 

@@ -97,8 +97,10 @@ class StoreCodec {
       std::string_view blob);
 
   /// Footprint estimate charged to the residency account while the
-  /// document is materialized: node vector + texts + interner strings +
-  /// string-value memo slots.
+  /// document is materialized: node vector + texts + interner strings + a
+  /// flat 24 bytes per node for the atom table (xml/node.h: an 8-byte slot
+  /// per node plus the entries filled on use). The flat charge keeps the
+  /// estimate a function of the persisted document alone.
   static uint64_t ApproxResidentBytes(const xml::Document& doc);
 };
 

@@ -1,10 +1,25 @@
 #include "xml/node.h"
 
+#include <charconv>
+
 namespace nalq::xml {
 
+std::optional<double> TryParseNumber(std::string_view s) {
+  // Trim XML whitespace.
+  size_t begin = s.find_first_not_of(" \t\n\r");
+  if (begin == std::string_view::npos) return std::nullopt;
+  size_t end = s.find_last_not_of(" \t\n\r");
+  s = s.substr(begin, end - begin + 1);
+  double out = 0;
+  const char* first = s.data();
+  const char* last = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(first, last, out);
+  if (ec != std::errc() || ptr != last) return std::nullopt;
+  return out;
+}
+
 Document::Document(std::string name)
-    : name_(std::move(name)),
-      string_value_cache_(std::make_unique<StringValueCache>()) {
+    : name_(std::move(name)), atoms_(std::make_unique<AtomTable>()) {
   Node doc;
   doc.kind = NodeKind::kDocument;
   doc.subtree_end = 1;
@@ -114,36 +129,46 @@ std::string Document::StringValue(NodeId id) const {
 }
 
 void Document::PrepareSharedReads() const {
-  StringValueCache& cache = *string_value_cache_;
-  std::lock_guard<std::mutex> lock(cache.mu);
-  if (cache.slots.size() < nodes_.size()) cache.slots.resize(nodes_.size());
+  atoms_->slots = std::vector<std::atomic<const Atom*>>(nodes_.size());
 }
 
-std::shared_ptr<const std::string> Document::SharedStringValue(
-    NodeId id) const {
-  StringValueCache& cache = *string_value_cache_;
-  if (cache.slots.size() <= id) {
-    // Lazy growth for documents used outside a Store (single-threaded by
-    // the xml/store.h contract; the store sizes a document's memo once,
-    // before publication, so store-held documents never take this
-    // relocating branch).
-    PrepareSharedReads();
+const Atom& Document::FillAtom(NodeId id) const {
+  AtomTable& table = *atoms_;
+  // Compute outside the lock: subtree scans can be long, and two workers
+  // racing on the same cold node both compute — the first publish wins and
+  // the loser's result is dropped. Preorder ids make an element's text
+  // descendants, in document order, the kText nodes of
+  // [id+1, subtree_end): one text is viewed in place, two or more are
+  // concatenated once.
+  static constexpr std::string_view kEmpty = "";
+  const Node& n = nodes_[id];
+  std::string_view bytes = kEmpty;
+  std::string concat;
+  size_t text_count = 0;
+  if (n.kind == NodeKind::kText || n.kind == NodeKind::kAttribute) {
+    bytes = texts_[n.text];
+  } else {
+    for (NodeId d = id + 1; d < n.subtree_end; ++d) {
+      if (nodes_[d].kind != NodeKind::kText) continue;
+      std::string_view text = texts_[nodes_[d].text];
+      if (++text_count == 1) {
+        bytes = text;
+        continue;
+      }
+      if (text_count == 2) concat.assign(bytes);
+      concat += text;
+    }
+    if (text_count >= 2) bytes = concat;
   }
-  StringValueCache::Slot& slot = cache.slots[id];
-  // Hot path: lock-free hit.
-  if (slot.ready.load(std::memory_order_acquire) != nullptr) {
-    return slot.value;
-  }
-  // Compute outside the lock: string-value walks can be long, and two
-  // workers racing on the same cold node both compute — the first publish
-  // wins and the loser's copy is dropped.
-  auto value = std::make_shared<const std::string>(StringValue(id));
-  std::lock_guard<std::mutex> lock(cache.mu);
-  if (slot.ready.load(std::memory_order_relaxed) == nullptr) {
-    slot.value = std::move(value);
-    slot.ready.store(slot.value.get(), std::memory_order_release);
-  }
-  return slot.value;
+  Atom atom{bytes, std::hash<std::string_view>{}(bytes),
+            TryParseNumber(bytes)};
+  std::lock_guard<std::mutex> lock(table.mu);
+  std::atomic<const Atom*>& slot = table.slots[id];
+  if (const Atom* won = slot.load(std::memory_order_relaxed)) return *won;
+  if (text_count >= 2) atom.bytes = table.owned.emplace_back(std::move(concat));
+  const Atom& published = table.entries.emplace_back(atom);
+  slot.store(&published, std::memory_order_release);
+  return published;
 }
 
 size_t Document::CountElements(std::string_view tag) const {

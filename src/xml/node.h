@@ -20,8 +20,10 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,6 +54,29 @@ struct Node {
   /// attributes and all descendants. Valid at all times during depth-first
   /// construction (see Document::NewNode).
   NodeId subtree_end = kNoNode;
+};
+
+/// Parses untyped text as a number if it looks like one: XML whitespace
+/// trimmed, the rest exactly std::from_chars' decimal syntax. The engine's
+/// one number parser — a node's cached Atom::number and nal::TryParseNumber
+/// (untyped XML text against numeric literals, e.g. @year > 1993) are both
+/// this function, so a borrowed and an owned "1999" convert alike.
+std::optional<double> TryParseNumber(std::string_view s);
+
+/// A node's atomized value: its XPath string value, the hash of those bytes
+/// and their numeric parse, computed once per node (Document::AtomOf). The
+/// hash is std::hash<std::string_view>, the function nal::Value::Hash uses
+/// for owned strings, so equal strings hash alike in either form.
+///
+/// `bytes` views the document's own text for text and attribute nodes and
+/// for elements with exactly one text descendant; an element (or the
+/// document node) with two or more owns one concatenation held by the
+/// document; one with none views the empty string. An Atom lives as long as
+/// its document (xml/store.h, borrowed atoms).
+struct Atom {
+  std::string_view bytes;
+  size_t hash = 0;
+  std::optional<double> number;  ///< TryParseNumber(bytes)
 };
 
 /// One XML document. Node 0 is the document node.
@@ -103,24 +128,29 @@ class Document {
 
   /// XPath string value: concatenation of all descendant text (for elements),
   /// the text itself (text/attribute nodes), or the whole document's text.
+  /// A fresh copy, walked along the child chains: the reference the tests
+  /// check AtomOf's extent scan against.
   std::string StringValue(NodeId id) const;
 
-  /// Memoized shared form of StringValue: the first call per node computes
-  /// and caches the string, later calls (and every Value atomized from the
-  /// node) share the one allocation. Safe under concurrent readers (the
-  /// parallel executor's workers share one document store): hits read an
-  /// atomically published slot with no lock — this is the Atomize hot path,
-  /// a per-document mutex here convoys badly under contention — and cold
-  /// fills compute outside a build mutex, first publisher wins. The cache
-  /// is per-document and lives until the document is dropped.
-  std::shared_ptr<const std::string> SharedStringValue(NodeId id) const;
+  /// The node's atom (see Atom): filled on first use, then shared by every
+  /// Value atomized from the node. Safe under concurrent readers (the
+  /// parallel executor's workers share one document store): a hit is one
+  /// acquire-load of the node's table slot with no lock — this is the
+  /// Atomize hot path, and a per-document mutex here convoys badly under
+  /// contention. A cold fill computes outside the table's mutex, then
+  /// double-checks and publishes under it, so the first publisher wins and
+  /// every reader sees one Atom per node. Requires a table sized by
+  /// PrepareSharedReads, which the Store does for every document it holds.
+  const Atom& AtomOf(NodeId id) const {
+    const std::vector<std::atomic<const Atom*>>& slots = atoms_->slots;
+    assert(id < slots.size() && "atom table not sized (PrepareSharedReads)");
+    const Atom* atom = slots[id].load(std::memory_order_acquire);
+    return atom != nullptr ? *atom : FillAtom(id);
+  }
 
-  /// Sizes the string-value memo to node_count() so concurrent readers
-  /// never race a lazy grow. The Store calls it once per document, before
-  /// publication (AddDocument, fault-in); a stored document never grows
-  /// afterwards, so the relocating resize never runs under a concurrent
-  /// lock-free hit. Documents used outside a Store grow the memo lazily,
-  /// which is safe single-threaded.
+  /// Sizes the atom table to node_count(). The Store calls it once per
+  /// document, before publication (AddDocument, fault-in); a stored
+  /// document never grows afterwards.
   void PrepareSharedReads() const;
 
   /// Number of element nodes named `tag` in the whole document.
@@ -136,28 +166,20 @@ class Document {
  private:
   NodeId NewNode(NodeKind kind, NodeId parent);
   void AppendChild(NodeId parent, NodeId child);
+  /// Cold path of AtomOf.
+  const Atom& FillAtom(NodeId id) const;
 
-  /// String-value memo. Heap-allocated so Document stays movable (the mutex
-  /// and atomics are not); eagerly created in the constructor, so
-  /// concurrent readers never race on the pointer itself. Slots are flat —
-  /// the hot hit path is one array load plus one acquire-load, no hashing,
-  /// no lock. `ready` republishes `value` after the one-time fill; once
-  /// non-null, `value` is never written again, so concurrent shared_ptr
-  /// copies (atomic refcount) are safe.
-  struct StringValueCache {
-    struct Slot {
-      std::shared_ptr<const std::string> value;
-      std::atomic<const std::string*> ready{nullptr};
-
-      Slot() = default;
-      // Used only by single-threaded growth under `mu` (see
-      // PrepareSharedReads); slots are never moved while readers exist.
-      Slot(Slot&& other) noexcept
-          : value(std::move(other.value)),
-            ready(other.ready.load(std::memory_order_relaxed)) {}
-    };
+  /// The atom table: one slot per node, 8 bytes each until filled.
+  /// Heap-allocated so Document stays movable (the mutex and atomics are
+  /// not); eagerly created in the constructor, so concurrent readers never
+  /// race on the pointer itself. A slot goes null → published exactly once;
+  /// `entries` and `owned` are deques, so a published Atom and the
+  /// concatenation it views never move.
+  struct AtomTable {
     std::mutex mu;
-    std::vector<Slot> slots;
+    std::vector<std::atomic<const Atom*>> slots;
+    std::deque<Atom> entries;
+    std::deque<std::string> owned;
   };
 
   std::string name_;
@@ -165,7 +187,7 @@ class Document {
   std::vector<std::string> texts_;
   StringInterner names_;
   std::string dtd_text_;
-  mutable std::unique_ptr<StringValueCache> string_value_cache_;
+  std::unique_ptr<AtomTable> atoms_;
 };
 
 using DocId = uint32_t;

@@ -61,8 +61,8 @@ DocId Store::AddDocument(Document doc) {
   slot.dtd_text = doc.dtd_text();
   slot.doc = std::make_unique<Document>(std::move(doc));
   slot.lazy = false;
-  // Size the string-value memo before publication, so parallel readers
-  // never race a lazy grow (xml/node.h).
+  // Size the atom table before publication: AtomOf requires it, and
+  // parallel readers then never race a resize (xml/node.h).
   slot.doc->PrepareSharedReads();
   slot.ready.store(slot.doc.get(), std::memory_order_release);
   BumpVersion();
@@ -103,8 +103,7 @@ const Document& Store::FaultIn(DocId id) const {
          "non-resident document without a source to fault it in from");
   auto loaded =
       std::make_unique<Document>(source_->LoadDocument(slot.source_index));
-  // Size the string-value memo before publication so concurrent readers of
-  // the freshly faulted document never race a lazy grow.
+  // Size the atom table before publication, as AddDocument does.
   loaded->PrepareSharedReads();
   slot.doc = std::move(loaded);
   fault_order_.push_back(id);

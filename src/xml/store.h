@@ -31,6 +31,20 @@
 // source's reconstruction-determinism contract means a refault rebuilds a
 // field-for-field identical document, so indexes, statistics and compiled
 // plans stay valid across it.
+//
+// Borrowed atoms: an atomized node value points at its node's xml::Atom
+// (node.h) inside the document, so it is valid while the document is
+// resident. A run's StoreReadLease guarantees that for the whole run,
+// because eviction happens only at reader-free lease boundaries, and a
+// document added with AddDocument is never evicted (only replaced, which
+// needs a reader-free store too). Nothing a run hands back to a client
+// holds a value: query output is serialized bytes and spool files hold
+// bytes, never pointers. The sequence-returning entry points used by tests
+// (Evaluator::Eval, ExecuteStreaming, ExecuteParallel, reference::Eval)
+// return values that stay valid after the call while their documents stay
+// resident, which an AddDocument document is until it is replaced.
+// Whatever changes when eviction runs must keep the rule that a document
+// outlives every run that resolved it.
 #ifndef NALQ_XML_STORE_H_
 #define NALQ_XML_STORE_H_
 

@@ -9,6 +9,7 @@
 // nested Ξ under a would-be partition boundary).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "datagen/datagen.h"
@@ -533,7 +534,7 @@ TEST_F(ExchangeQueryTest, EngineParallelModeMatchesStreaming) {
 // Concurrent shared-read paths (also exercised under TSan in CI)
 // ---------------------------------------------------------------------------
 
-TEST(SharedStoreTest, ConcurrentStringValueAndIndexReaders) {
+TEST(SharedStoreTest, ConcurrentColdAtomFillsAndIndexReaders) {
   engine::Engine engine;
   datagen::BibOptions bib;
   bib.books = 40;
@@ -541,22 +542,64 @@ TEST(SharedStoreTest, ConcurrentStringValueAndIndexReaders) {
   engine.AddDocument("bib.xml", datagen::GenerateBib(bib));
   const xml::Store& store = engine.store();
   xml::StoreReadLease lease(store);
+  const xml::Document& doc = store.document(0);
+  const size_t n = doc.node_count();
 
-  std::vector<std::string> first(8);
+  // Every node is cold, and the nodes cover each kind of atom: the document
+  // node, elements with one text descendant (views) and with several (one
+  // owned concatenation), text nodes and attributes.
+  size_t elements = 0;
+  size_t single = 0;
+  size_t multi = 0;
+  size_t attributes = 0;
+  for (xml::NodeId id = 0; id < n; ++id) {
+    if (doc.kind(id) == xml::NodeKind::kAttribute) ++attributes;
+    if (doc.kind(id) != xml::NodeKind::kElement) continue;
+    ++elements;
+    size_t texts = 0;
+    for (xml::NodeId d = id + 1; d < doc.subtree_end(id); ++d) {
+      texts += doc.kind(d) == xml::NodeKind::kText;
+    }
+    single += texts == 1;
+    multi += texts >= 2;
+  }
+  ASSERT_GT(single, 0u);
+  ASSERT_GT(multi, 0u);
+  ASSERT_GT(attributes, 0u);
+
+  // Eight threads fill the same cold atoms and record what they saw.
+  // Before each node they meet at a spinning barrier, so that they race on
+  // every fill (and on the cold index build): a blocking barrier's wake-ups
+  // stagger them by more than a fill takes.
+  std::vector<std::vector<const xml::Atom*>> seen(8);
+  std::vector<std::vector<std::string>> bytes(8);
+  std::atomic<size_t> arrivals{0};
+  auto meet = [&](size_t phase) {
+    arrivals.fetch_add(1);
+    while (arrivals.load() < phase * seen.size()) std::this_thread::yield();
+  };
   std::vector<std::thread> threads;
-  for (size_t i = 0; i < first.size(); ++i) {
-    threads.emplace_back([&store, &first, i] {
-      const xml::DocumentIndex& index = store.index(0);
-      const xml::Document& doc = store.document(0);
-      std::string all;
-      for (xml::NodeId id : index.AllElements()) {
-        all += *doc.SharedStringValue(id);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&, i] {
+      meet(1);
+      EXPECT_EQ(store.index(0).AllElements().size(), elements);
+      for (xml::NodeId id = 0; id < n; ++id) {
+        meet(id + 2);
+        const xml::Atom& atom = doc.AtomOf(id);
+        seen[i].push_back(&atom);
+        bytes[i].emplace_back(atom.bytes);
       }
-      first[i] = std::move(all);
     });
   }
   for (std::thread& t : threads) t.join();
-  for (size_t i = 1; i < first.size(); ++i) EXPECT_EQ(first[0], first[i]);
+  for (xml::NodeId id = 0; id < n; ++id) {
+    std::string expected = doc.StringValue(id);
+    for (size_t i = 0; i < seen.size(); ++i) {
+      ASSERT_EQ(seen[i][id], seen[0][id]) << "node " << id;
+      ASSERT_EQ(bytes[i][id], expected) << "node " << id;
+    }
+    EXPECT_EQ(&doc.AtomOf(id), seen[0][id]);
+  }
 }
 
 }  // namespace

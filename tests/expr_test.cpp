@@ -126,6 +126,10 @@ TEST_F(ExprTest, AggregateFunctions) {
   // min over non-numeric strings is lexicographic.
   Value words = Value::FromItems({S("pear"), S("apple")});
   EXPECT_EQ(E(MakeFnCall("min", {MakeConst(words)})).AsString(), "apple");
+  // So is a mixed sequence, with its numbers rendered: "10" < "20" < "5".
+  Value mixed = Value::FromItems({I(20), S("b"), I(10), I(5)});
+  EXPECT_EQ(E(MakeFnCall("min", {MakeConst(mixed)})).AsString(), "10");
+  EXPECT_EQ(E(MakeFnCall("max", {MakeConst(mixed)})).AsString(), "b");
 }
 
 TEST_F(ExprTest, StringAndTestFunctions) {
@@ -146,6 +150,10 @@ TEST_F(ExprTest, StringAndTestFunctions) {
             39.95);
   EXPECT_TRUE(E(MakeFnCall("decimal", {MakeConst(S("n/a"))})).is_null());
   EXPECT_EQ(E(MakeFnCall("string-length", {MakeConst(S("abc"))})).AsInt(), 3);
+  EXPECT_EQ(E(MakeFnCall("string-length", {MakeConst(I(12345))})).AsInt(), 5);
+  EXPECT_TRUE(E(MakeFnCall("contains", {MakeConst(I(12345)),
+                                        MakeConst(I(234))}))
+                  .AsBool());
   EXPECT_EQ(E(MakeFnCall("concat", {MakeConst(S("a")), MakeConst(S("b")),
                                     MakeConst(I(1))}))
                 .AsString(),

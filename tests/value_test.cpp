@@ -1,7 +1,11 @@
 // Unit tests for the NAL value domain, tuples and sequences.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "nal/physical.h"
 #include "nal/sequence.h"
+#include "nal/spool.h"
 #include "nal/tuple.h"
 #include "nal/value.h"
 #include "test_util.h"
@@ -93,6 +97,190 @@ TEST(TryParseNumberTest, TrimsAndValidates) {
   EXPECT_EQ(TryParseNumber(""), std::nullopt);
   EXPECT_EQ(TryParseNumber("   "), std::nullopt);
   EXPECT_EQ(TryParseNumber("1 2"), std::nullopt);
+}
+
+// ---- Borrowed strings (node atoms) and owned strings are one value -------
+
+const char* const kTexts[] = {"",
+                              "x",
+                              "1999",
+                              " 12 ",
+                              "hello world",
+                              "a text longer than any small-string buffer",
+                              "caf\xc3\xa9"};
+
+/// Adds a document <e a="text">text</e>: element 1 has `text` as its only
+/// text node (3), and attribute 2 holds it too.
+xml::DocId AddTextDoc(xml::Store* store, const std::string& name,
+                      std::string_view text) {
+  xml::Document doc(name);
+  xml::NodeId e = doc.AddElement(doc.root(), "e");
+  doc.AddAttribute(e, "a", text);
+  doc.AddText(e, text);
+  return store->AddDocument(std::move(doc));
+}
+
+Value AtomOfNode(const xml::Store& store, xml::DocId doc, xml::NodeId id) {
+  return Value(xml::NodeRef{doc, id}).Atomize(store);
+}
+
+TEST(BorrowedStringTest, NodeAtomIsTheOwnedString) {
+  for (const char* text : kTexts) {
+    xml::Store store;
+    xml::DocId d = AddTextDoc(&store, "d.xml", text);
+    Value owned{std::string(text)};
+    for (xml::NodeId id : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string("text \"") + text + "\", node " +
+                   std::to_string(id));
+      Value atom = AtomOfNode(store, d, id);
+      EXPECT_EQ(atom.kind(), ValueKind::kString);
+      EXPECT_EQ(atom.AsString(), text);
+      EXPECT_TRUE(atom.Equals(owned));
+      EXPECT_TRUE(owned.Equals(atom));
+      EXPECT_EQ(atom.Hash(), owned.Hash());
+      EXPECT_EQ(Value::Compare(atom, owned), std::strong_ordering::equal);
+      EXPECT_EQ(Value::Compare(owned, atom), std::strong_ordering::equal);
+      EXPECT_FALSE(atom.Equals(Value("y")));
+    }
+  }
+}
+
+TEST(BorrowedStringTest, EqualTextInTwoDocumentsIsOneValue) {
+  for (const char* text : kTexts) {
+    SCOPED_TRACE(std::string("text \"") + text + "\"");
+    xml::Store store;
+    xml::DocId a = AddTextDoc(&store, "a.xml", text);
+    xml::DocId b = AddTextDoc(&store, "b.xml", text);
+    xml::DocId other = AddTextDoc(&store, "c.xml", std::string(text) + "!");
+    EXPECT_NE(&store.document(a).AtomOf(3), &store.document(b).AtomOf(3));
+    Value x = AtomOfNode(store, a, 3);
+    Value y = AtomOfNode(store, b, 3);
+    EXPECT_TRUE(x.Equals(y));
+    EXPECT_EQ(x.Hash(), y.Hash());
+    EXPECT_FALSE(x.Equals(AtomOfNode(store, other, 3)));
+  }
+}
+
+TEST(BorrowedStringTest, ElementAtomsAreTheStringValue) {
+  // <a><b>Hello</b><c/><b>World<d>!</d></b></a>
+  xml::Document doc("d.xml");
+  xml::NodeId a = doc.AddElement(doc.root(), "a");
+  xml::NodeId b1 = doc.AddElement(a, "b");
+  doc.AddText(b1, "Hello");
+  xml::NodeId c = doc.AddElement(a, "c");
+  xml::NodeId b2 = doc.AddElement(a, "b");
+  doc.AddText(b2, "World");
+  xml::NodeId d = doc.AddElement(b2, "d");
+  doc.AddText(d, "!");
+  xml::Store store;
+  xml::DocId id = store.AddDocument(std::move(doc));
+  const xml::Document& stored = store.document(id);
+  for (xml::NodeId n = 0; n < stored.node_count(); ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    Value atom = AtomOfNode(store, id, n);
+    Value owned(stored.StringValue(n));
+    EXPECT_EQ(atom.AsString(), owned.AsString());
+    EXPECT_TRUE(atom.Equals(owned));
+    EXPECT_EQ(atom.Hash(), owned.Hash());
+  }
+  EXPECT_EQ(AtomOfNode(store, id, stored.root()).AsString(), "HelloWorld!");
+  EXPECT_EQ(AtomOfNode(store, id, a).AsString(), "HelloWorld!");
+  EXPECT_EQ(AtomOfNode(store, id, b2).AsString(), "World!");
+  EXPECT_TRUE(AtomOfNode(store, id, c).Equals(Value("")));
+  EXPECT_EQ(AtomOfNode(store, id, c).Hash(), Value("").Hash());
+}
+
+TEST(BorrowedStringTest, SpoolEncodingIsTheOwnedString) {
+  for (const char* text : kTexts) {
+    SCOPED_TRACE(std::string("text \"") + text + "\"");
+    xml::Store store;
+    Value atom = AtomOfNode(store, AddTextDoc(&store, "d.xml", text), 3);
+    std::string borrowed_bytes;
+    std::string owned_bytes;
+    EncodeValue(atom, &borrowed_bytes);
+    EncodeValue(Value(std::string(text)), &owned_bytes);
+    EXPECT_EQ(borrowed_bytes, owned_bytes);
+    const uint8_t* p =
+        reinterpret_cast<const uint8_t*>(borrowed_bytes.data());
+    const uint8_t* end = p + borrowed_bytes.size();
+    Value decoded;
+    ASSERT_TRUE(DecodeValue(&p, end, &decoded));
+    EXPECT_EQ(p, end);
+    EXPECT_TRUE(decoded.Equals(atom));
+    EXPECT_EQ(decoded.Hash(), atom.Hash());
+  }
+}
+
+TEST(BorrowedStringTest, HashIndexOverAtomsFindsOwnedProbes) {
+  const char* const kAuthors[] = {"Stevens", "Abiteboul", "Stevens",
+                                  "Buneman", "", "Abiteboul", "Suciu"};
+  xml::Document doc("bib.xml");
+  xml::NodeId bib = doc.AddElement(doc.root(), "bib");
+  std::vector<xml::NodeId> authors;
+  for (const char* name : kAuthors) {
+    xml::NodeId author = doc.AddElement(bib, "author");
+    if (*name != '\0') doc.AddText(author, name);
+    authors.push_back(author);
+  }
+  xml::Store store;
+  xml::DocId d = store.AddDocument(std::move(doc));
+  Sequence input;
+  for (xml::NodeId author : authors) {
+    input.Append(T({{"a", Value(xml::NodeRef{d, author})}}));
+  }
+  const Symbol attrs[] = {Symbol("a")};
+  HashIndex index;
+  index.Build(input, attrs, store);
+  EXPECT_EQ(index.bucket_count(), 5u);
+  for (const char* probe : {"Stevens", "Abiteboul", "Buneman", "", "Suciu",
+                            "Nobody"}) {
+    std::vector<uint32_t> expected;
+    for (uint32_t i = 0; i < std::size(kAuthors); ++i) {
+      if (std::string_view(kAuthors[i]) == probe) expected.push_back(i);
+    }
+    EXPECT_EQ(index.Lookup(T({{"a", Value(probe)}}), attrs, store), expected)
+        << "probe \"" << probe << "\"";
+  }
+}
+
+TEST(BorrowedStringTest, ToStringViewIsToString) {
+  xml::Store store;
+  xml::DocId d = AddTextDoc(&store, "d.xml", "hello");
+  const Value values[] = {Value(),
+                          Value(true),
+                          I(42),
+                          Value(2.5),
+                          S("x"),
+                          Value(xml::NodeRef{d, 1}),
+                          AtomOfNode(store, d, 3),
+                          Value::FromItems({Value(xml::NodeRef{d, 2})}),
+                          Value::FromItems({I(1), S("y")})};
+  for (const Value& v : values) {
+    std::string scratch;
+    EXPECT_EQ(v.ToStringView(store, &scratch), v.ToString(store))
+        << v.DebugString();
+  }
+}
+
+TEST(BorrowedStringTest, NodeAtomNumbersAreTryParseNumber) {
+  for (const char* text : {"12", " 12 ", "1e3", "-0", "abc", "", "1 2"}) {
+    SCOPED_TRACE(std::string("text \"") + text + "\"");
+    xml::Store store;
+    xml::DocId d = AddTextDoc(&store, "d.xml", text);
+    std::optional<double> owned = Value(text).ToNumber(store);
+    EXPECT_EQ(owned, TryParseNumber(text));
+    for (xml::NodeId id : {1u, 2u, 3u}) {
+      for (const Value& v :
+           {AtomOfNode(store, d, id), Value(xml::NodeRef{d, id})}) {
+        std::optional<double> borrowed = v.ToNumber(store);
+        ASSERT_EQ(borrowed.has_value(), owned.has_value());
+        if (owned.has_value()) {
+          EXPECT_EQ(*borrowed, *owned);
+          EXPECT_EQ(std::signbit(*borrowed), std::signbit(*owned));
+        }
+      }
+    }
+  }
 }
 
 TEST(TupleTest, SetGetHas) {
