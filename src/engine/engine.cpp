@@ -114,9 +114,7 @@ RunResult Engine::Run(const nal::AlgebraPtr& plan, ExecMode mode,
                       nal::QueryControl* control,
                       const RunInstrumentation* instr) const {
   nal::Evaluator evaluator(store_);
-  evaluator.set_path_mode(path_mode == PathMode::kIndexed
-                              ? xml::PathEvalMode::kIndexed
-                              : xml::PathEvalMode::kScan);
+  evaluator.set_path_mode(path_mode);
   const bool profiling = instr != nullptr && instr->profile;
   obs::TraceLog* trace = instr != nullptr ? instr->trace : nullptr;
   evaluator.set_trace(trace);

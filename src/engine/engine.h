@@ -17,6 +17,7 @@
 #include "rewrite/unnester.h"
 #include "xml/dtd.h"
 #include "xml/store.h"
+#include "xml/xpath.h"
 #include "xquery/ast.h"
 
 namespace nalq::engine {
@@ -117,15 +118,10 @@ enum class ExecMode {
   kParallel,       ///< exchange-parallel streaming (threads knob on Run)
 };
 
-/// Which XPath evaluation strategy the evaluators use, mirroring ExecMode.
-/// Both produce identical results on every path and plan (asserted by
-/// tests/xpath_index_test.cpp); indexed resolves path steps against the
-/// per-document structural index (xml/index.h) instead of walking subtrees,
-/// so only the XPathStats counters differ.
-enum class PathMode {
-  kIndexed,  ///< occurrence-list range scans (default)
-  kScan,     ///< chain-walk of the subtree per step
-};
+/// Which XPath evaluation strategy the evaluators use (xml/xpath.h). Both
+/// produce identical results on every path and plan (asserted by
+/// tests/xpath_index_test.cpp); only the XPathStats counters differ.
+using PathMode = xml::PathEvalMode;
 
 class Engine {
  public:

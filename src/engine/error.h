@@ -31,7 +31,7 @@ enum class ErrorCode {
                        ///< or queue deadline) before it ever ran
   kStoreIo,            ///< persistent-store file open/read/write/rename failed
   kStoreCorrupt,       ///< persistent-store page/manifest failed validation
-                       ///< (checksum, truncation, structural replay mismatch)
+                       ///< (checksum, truncation, a malformed document)
   kStoreVersionMismatch,  ///< persisted format version this build can't read
 };
 

@@ -382,11 +382,6 @@ void QueryService::Drain() {
   cv_.wait(lock, [&] { return active_ == 0 && queue_.empty(); });
 }
 
-void QueryService::InvalidateCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-}
-
 unsigned QueryService::in_flight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return active_;

@@ -200,10 +200,6 @@ class QueryService {
   /// layer has deleted every temp file (asserted by tests/service_test.cpp).
   void Drain();
 
-  /// Drops every cached plan (version mismatches already self-invalidate;
-  /// this reclaims the memory too).
-  void InvalidateCache();
-
   engine::Engine& engine() { return engine_; }
   const ServiceOptions& options() const { return options_; }
 

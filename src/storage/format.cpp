@@ -33,6 +33,38 @@ using nal::codec::PutU32;
   throw Error(ErrorCode::kStoreCorrupt, what, 0, path, "storage.page");
 }
 
+/// Checks the 20-byte file header at `header` (`n` bytes available): the
+/// magic, then the version BEFORE the checksum (see format.h), then the
+/// file kind.
+void CheckFileHeader(const uint8_t* header, size_t n,
+                     const std::string& path) {
+  if (n < 20) {
+    ThrowCorrupt("persistent-store file too short for its header", path);
+  }
+  if (std::memcmp(header, kFileMagic, sizeof(kFileMagic)) != 0) {
+    ThrowCorrupt("persistent-store file magic mismatch", path);
+  }
+  uint32_t version = 0;
+  uint32_t kind = 0;
+  uint32_t header_crc = 0;
+  std::memcpy(&version, header + 8, 4);
+  std::memcpy(&kind, header + 12, 4);
+  std::memcpy(&header_crc, header + 16, 4);
+  if (version != kFormatVersion) {
+    throw Error(ErrorCode::kStoreVersionMismatch,
+                "persistent-store format version " + std::to_string(version) +
+                    " (this build reads version " +
+                    std::to_string(kFormatVersion) + ")",
+                0, path, "storage.page");
+  }
+  if (Crc32(header, 16) != header_crc) {
+    ThrowCorrupt("persistent-store file header checksum mismatch", path);
+  }
+  if (kind != kFileKind) {
+    ThrowCorrupt("persistent-store file kind mismatch", path);
+  }
+}
+
 /// fsyncs the directory containing `path` so a just-committed rename in it
 /// is durable. Returns 0 on success, the errno otherwise. No-op success on
 /// platforms without directory fsync.
@@ -213,34 +245,9 @@ PageFileReader::PageFileReader(std::string path) : path_(std::move(path)) {
     ThrowIo("persistent-store file read failed", path_, read_errno,
             FaultSite::kStoreRead);
   }
-  // File header: magic, then version BEFORE the checksum (see format.h).
   const auto* base = reinterpret_cast<const uint8_t*>(buffer_.data());
-  ByteReader r{base, base + buffer_.size()};
-  const uint8_t* magic = nullptr;
-  uint32_t version = 0;
-  uint32_t kind = 0;
-  uint32_t header_crc = 0;
-  if (!r.Bytes(sizeof(kFileMagic), &magic) || !r.U32(&version) ||
-      !r.U32(&kind) || !r.U32(&header_crc)) {
-    ThrowCorrupt("persistent-store file too short for its header", path_);
-  }
-  if (std::memcmp(magic, kFileMagic, sizeof(kFileMagic)) != 0) {
-    ThrowCorrupt("persistent-store file magic mismatch", path_);
-  }
-  if (version != kFormatVersion) {
-    throw Error(ErrorCode::kStoreVersionMismatch,
-                "persistent-store format version " + std::to_string(version) +
-                    " (this build reads version " +
-                    std::to_string(kFormatVersion) + ")",
-                0, path_, "storage.page");
-  }
-  if (Crc32(buffer_.data(), 16) != header_crc) {
-    ThrowCorrupt("persistent-store file header checksum mismatch", path_);
-  }
-  if (kind != kFileKind) {
-    ThrowCorrupt("persistent-store file kind mismatch", path_);
-  }
-  reader_ = r;
+  CheckFileHeader(base, buffer_.size(), path_);
+  reader_ = ByteReader{base + 20, base + buffer_.size()};
 }
 
 bool PageFileReader::Next(PageInfo* out) {
@@ -294,31 +301,7 @@ void ValidateFileHeader(const std::string& path) {
   uint8_t header[20];
   size_t n = std::fread(header, 1, sizeof(header), f);
   std::fclose(f);
-  if (n != sizeof(header)) {
-    ThrowCorrupt("persistent-store file too short for its header", path);
-  }
-  if (std::memcmp(header, kFileMagic, sizeof(kFileMagic)) != 0) {
-    ThrowCorrupt("persistent-store file magic mismatch", path);
-  }
-  uint32_t version;
-  uint32_t kind;
-  uint32_t header_crc;
-  std::memcpy(&version, header + 8, 4);
-  std::memcpy(&kind, header + 12, 4);
-  std::memcpy(&header_crc, header + 16, 4);
-  if (version != kFormatVersion) {
-    throw Error(ErrorCode::kStoreVersionMismatch,
-                "persistent-store format version " + std::to_string(version) +
-                    " (this build reads version " +
-                    std::to_string(kFormatVersion) + ")",
-                0, path, "storage.page");
-  }
-  if (Crc32(header, 16) != header_crc) {
-    ThrowCorrupt("persistent-store file header checksum mismatch", path);
-  }
-  if (kind != kFileKind) {
-    ThrowCorrupt("persistent-store file kind mismatch", path);
-  }
+  CheckFileHeader(header, n, path);
 }
 
 void CommitRename(const std::string& from, const std::string& to) {

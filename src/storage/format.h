@@ -14,11 +14,11 @@
 //
 // PageHeader (28 bytes): page magic "NPAG" (u32), page type (u32,
 // PageType), payload byte count (u32), item count (u32), first item id
-// (u32 — the first node id / string id the page carries, making the
-// format seekable for an mmap-based pager), CRC32 of the payload (u32),
-// CRC32 of the preceding 24 header bytes (u32). A file ends exactly at a
-// page boundary; anything else — a short header, a payload cut off by
-// truncation, a checksum mismatch — fails closed with
+// (u32 — the first string id, node id or arena offset the page carries,
+// making the format seekable for an mmap-based pager), CRC32 of the
+// payload (u32), CRC32 of the preceding 24 header bytes (u32). A file ends
+// exactly at a page boundary; anything else — a short header, a payload cut
+// off by truncation, a checksum mismatch — fails closed with
 // engine::Error(kStoreCorrupt) naming the file.
 //
 // Integers use the host's native byte order via the shared spool framing
@@ -46,7 +46,7 @@ namespace nalq::storage {
 /// Bumped whenever the page or manifest layout changes incompatibly. A
 /// store written under any other version fails to open with
 /// kStoreVersionMismatch.
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 
 inline constexpr char kFileMagic[8] = {'N', 'A', 'L', 'Q', 'S', 'T', 'R', '1'};
 inline constexpr char kManifestMagic[8] = {'N', 'A', 'L', 'Q', 'M', 'A',
@@ -62,13 +62,16 @@ inline constexpr uint32_t kEndianTag = 0x01020304u;
 inline constexpr size_t kPagePayloadTarget = 64 * 1024;
 
 /// The file-kind word of every file header. A store has one kind of data
-/// file (a document's name-table and node-record pages); the word stays in
-/// the header and is checked against this value.
+/// file (a document's three arrays); the word stays in the header and is
+/// checked against this value.
 inline constexpr uint32_t kFileKind = 1;
 
+/// A document file holds its pages in this order. Item counts and first
+/// items count names, 16-byte records and arena bytes respectively.
 enum class PageType : uint32_t {
   kNameTable = 1,    ///< length-prefixed interner strings, id order
-  kNodeRecords = 2,  ///< fixed-shape preorder node records
+  kNodeRecords = 2,  ///< xml::Node records, as in memory, preorder
+  kTextArena = 3,    ///< xml::Document's text arena, as in memory
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib one) — self-contained so the

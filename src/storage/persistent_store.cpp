@@ -1,5 +1,6 @@
 #include "storage/persistent_store.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -296,13 +297,8 @@ bool ReadCountMap(ByteReader* r, std::unordered_map<Key, uint64_t>* m) {
 // ---------------------------------------------------------------------------
 
 uint64_t StoreCodec::ApproxResidentBytes(const xml::Document& doc) {
-  uint64_t bytes = doc.node_count() * (sizeof(xml::Node) + 24);
-  for (xml::NodeId i = 0; i < doc.node_count(); ++i) {
-    xml::NodeKind kind = doc.kind(i);
-    if (kind == xml::NodeKind::kText || kind == xml::NodeKind::kAttribute) {
-      bytes += doc.raw_text(i).size();
-    }
-  }
+  uint64_t bytes = doc.records().size_bytes() + doc.arena().size() +
+                   doc.node_count() * sizeof(void*);
   for (uint32_t i = 0; i < doc.names().size(); ++i) {
     bytes += doc.names().Get(i).size();
   }
@@ -311,176 +307,96 @@ uint64_t StoreCodec::ApproxResidentBytes(const xml::Document& doc) {
 
 void StoreCodec::EncodeDocument(const xml::Document& doc,
                                 PageFileWriter* out) {
-  // Section 1: the interner's full string table in id order. Pre-interning
-  // it on decode pins every name id before replay, so ids survive even if
-  // the table holds strings no node references (a component may intern
-  // probe strings through the non-const names() accessor).
+  // The interner's full string table in id order, so every name id reads
+  // back as itself: one page, names are few.
   const xml::StringInterner& names = doc.names();
   std::string payload;
-  uint32_t first = 0;
-  uint32_t count = 0;
-  for (uint32_t i = 0; i < names.size(); ++i) {
-    PutBytes(&payload, names.Get(i));
-    ++count;
-    if (payload.size() >= kPagePayloadTarget) {
-      out->WritePage(PageType::kNameTable, count, first, payload);
-      first += count;
-      count = 0;
-      payload.clear();
-    }
+  for (uint32_t i = 0; i < names.size(); ++i) PutBytes(&payload, names.Get(i));
+  out->WritePage(PageType::kNameTable, static_cast<uint32_t>(names.size()), 0,
+                 payload);
+  // Then the records and the arena, byte for byte as they are in memory.
+  constexpr size_t kRecordsPerPage = kPagePayloadTarget / sizeof(xml::Node);
+  const std::span<const xml::Node> records = doc.records();
+  for (size_t at = 0; at < records.size(); at += kRecordsPerPage) {
+    const size_t n = std::min(kRecordsPerPage, records.size() - at);
+    out->WritePage(PageType::kNodeRecords, static_cast<uint32_t>(n),
+                   static_cast<uint32_t>(at),
+                   std::string_view(
+                       reinterpret_cast<const char*>(records.data() + at),
+                       n * sizeof(xml::Node)));
   }
-  if (count > 0 || names.size() == 0) {
-    out->WritePage(PageType::kNameTable, count, first, payload);
-  }
-  // Section 2: one record per node in preorder — the [pre, pre+size)
-  // numbering makes the node id implicit in the record's position, and the
-  // persisted subtree_end doubles as the structural validation target on
-  // decode.
-  payload.clear();
-  first = 0;
-  count = 0;
-  for (xml::NodeId i = 0; i < doc.node_count(); ++i) {
-    const xml::Node& n = doc.node(i);
-    payload.push_back(static_cast<char>(n.kind));
-    PutU32(&payload, n.parent);
-    PutU32(&payload, n.name);
-    PutU32(&payload, n.subtree_end);
-    bool has_text = n.kind == xml::NodeKind::kText ||
-                    n.kind == xml::NodeKind::kAttribute;
-    PutBytes(&payload, has_text ? doc.raw_text(i) : std::string_view());
-    ++count;
-    if (payload.size() >= kPagePayloadTarget) {
-      out->WritePage(PageType::kNodeRecords, count, first, payload);
-      first += count;
-      count = 0;
-      payload.clear();
-    }
-  }
-  if (count > 0) {
-    out->WritePage(PageType::kNodeRecords, count, first, payload);
+  const std::span<const char> arena = doc.arena();
+  for (size_t at = 0; at < arena.size(); at += kPagePayloadTarget) {
+    const size_t n = std::min(kPagePayloadTarget, arena.size() - at);
+    out->WritePage(PageType::kTextArena, static_cast<uint32_t>(n),
+                   static_cast<uint32_t>(at),
+                   std::string_view(arena.data() + at, n));
   }
 }
 
 xml::Document StoreCodec::DecodeDocument(const ManifestDoc& meta,
                                          const std::string& path) {
-  // Names and texts are views into the reader's whole-file buffer, which
-  // outlives the replay, so each string is copied once: into the document.
-  PageFileReader reader(path);
-  struct Rec {
-    uint8_t kind;
-    uint32_t parent;
-    uint32_t name;
-    uint32_t subtree_end;
-    std::string_view text;
-  };
-  std::vector<std::string_view> names;
-  std::vector<Rec> recs;
-  PageInfo page;
   auto corrupt = [&path](const std::string& what) -> void {
     throw Error(ErrorCode::kStoreCorrupt, what, 0, path, "storage.document");
   };
+  // One pass over the checksummed pages checks their order and sizes the
+  // three arrays exactly; the second copies the pages into them.
+  PageFileReader reader(path);
+  std::vector<PageInfo> pages;
+  uint64_t items[3] = {0, 0, 0};  // names, records, arena bytes so far
+  size_t section = 0;
+  PageInfo page;
   while (reader.Next(&page)) {
-    const auto* base = reinterpret_cast<const uint8_t*>(page.payload.data());
-    ByteReader r{base, base + page.payload.size()};
-    if (page.type == PageType::kNameTable) {
-      if (page.first_item != names.size() || !recs.empty()) {
-        corrupt("persistent-store document pages out of order");
-      }
-      for (uint32_t i = 0; i < page.item_count; ++i) {
+    const auto type = static_cast<uint32_t>(page.type);
+    if (type < 1 || type > 3 || type - 1 < section ||
+        page.first_item != items[type - 1]) {
+      corrupt("persistent-store document pages out of order or unknown");
+    }
+    section = type - 1;
+    const uint64_t unit =
+        page.type == PageType::kNodeRecords ? sizeof(xml::Node) : 1;
+    if (page.type != PageType::kNameTable &&
+        page.payload.size() != page.item_count * unit) {
+      corrupt("persistent-store document page size disagrees with its count");
+    }
+    items[section] += page.item_count;
+    pages.push_back(page);
+  }
+  if (items[1] != meta.node_count) {
+    corrupt("persistent-store document node count does not match manifest");
+  }
+  xml::StringInterner names;
+  std::vector<xml::Node> records(items[1]);
+  std::vector<char> arena(items[2]);
+  for (const PageInfo& p : pages) {
+    if (p.type == PageType::kNameTable) {
+      const auto* base = reinterpret_cast<const uint8_t*>(p.payload.data());
+      ByteReader r{base, base + p.payload.size()};
+      for (uint32_t i = 0; i < p.item_count; ++i) {
         std::string_view s;
         if (!r.LengthPrefixed(&s)) {
           corrupt("persistent-store name-table page malformed");
         }
-        names.push_back(s);
-      }
-    } else if (page.type == PageType::kNodeRecords) {
-      if (page.first_item != recs.size()) {
-        corrupt("persistent-store document pages out of order");
-      }
-      for (uint32_t i = 0; i < page.item_count; ++i) {
-        Rec rec;
-        if (!r.U8(&rec.kind) || !r.U32(&rec.parent) || !r.U32(&rec.name) ||
-            !r.U32(&rec.subtree_end) || !r.LengthPrefixed(&rec.text)) {
-          corrupt("persistent-store node-record page malformed");
+        // The interner starts with the empty name as id 0, so the table's
+        // first entry must be that name and every later one new.
+        if (names.Intern(s) != p.first_item + i) {
+          corrupt("persistent-store name table is not an interner's table");
         }
-        recs.push_back(rec);
       }
-    } else {
-      corrupt("persistent-store document file has an unexpected page type");
-    }
-    if (r.remaining() != 0) {
-      corrupt("persistent-store document page has trailing bytes");
-    }
-  }
-  if (recs.size() != meta.node_count) {
-    corrupt("persistent-store document node count does not match manifest");
-  }
-  if (recs.empty() || names.empty()) {
-    corrupt("persistent-store document file is empty");
-  }
-  // Reconstruct by replay (see the file comment in persistent_store.h).
-  xml::Document doc(meta.name);
-  if (!names[0].empty()) {
-    corrupt("persistent-store name table does not start with the empty id");
-  }
-  for (uint32_t i = 0; i < names.size(); ++i) {
-    if (doc.names().Intern(names[i]) != i) {
-      corrupt("persistent-store name table holds a duplicate string");
+      if (r.remaining() != 0) {
+        corrupt("persistent-store document page has trailing bytes");
+      }
+    } else if (!p.payload.empty()) {  // memcpy takes no null pointer
+      char* to = p.type == PageType::kNodeRecords
+                     ? reinterpret_cast<char*>(records.data() + p.first_item)
+                     : arena.data() + p.first_item;
+      std::memcpy(to, p.payload.data(), p.payload.size());
     }
   }
-  const Rec& root = recs[0];
-  if (static_cast<xml::NodeKind>(root.kind) != xml::NodeKind::kDocument ||
-      root.parent != xml::kNoNode) {
-    corrupt("persistent-store document record 0 is not a document node");
-  }
-  for (uint32_t i = 1; i < recs.size(); ++i) {
-    const Rec& rec = recs[i];
-    // Structural pre-validation, mirroring the depth-first construction
-    // invariant Document::NewNode asserts: the parent must be an earlier
-    // node whose subtree extent currently ends exactly here. Checking it
-    // before the call turns corrupt structure into a thrown error instead
-    // of an assert/abort (Debug) or silent extent corruption (Release).
-    if (rec.parent >= i || doc.subtree_end(rec.parent) != i ||
-        rec.name >= names.size()) {
-      corrupt("persistent-store node record violates preorder structure");
-    }
-    xml::NodeKind kind = static_cast<xml::NodeKind>(rec.kind);
-    xml::NodeId id = xml::kNoNode;
-    switch (kind) {
-      case xml::NodeKind::kElement:
-        id = doc.AddElement(rec.parent, doc.names().Get(rec.name));
-        break;
-      case xml::NodeKind::kText:
-        id = doc.AddText(rec.parent, rec.text);
-        break;
-      case xml::NodeKind::kAttribute:
-        if (doc.kind(rec.parent) != xml::NodeKind::kElement) {
-          corrupt("persistent-store attribute record off a non-element");
-        }
-        id = doc.AddAttribute(rec.parent, doc.names().Get(rec.name),
-                              rec.text);
-        break;
-      default:
-        corrupt("persistent-store node record has an unknown kind");
-    }
-    if (id != i) {
-      corrupt("persistent-store replay produced a divergent node id");
-    }
-  }
-  // Full-field validation: the replayed tree must match the persisted
-  // records exactly — any divergence (an interner collision, a wrong
-  // extent) means the file does not describe a document this code could
-  // have written, so fail closed.
-  if (doc.node_count() != recs.size()) {
-    corrupt("persistent-store replay produced a divergent node count");
-  }
-  for (uint32_t i = 0; i < recs.size(); ++i) {
-    const xml::Node& n = doc.node(i);
-    const Rec& rec = recs[i];
-    if (static_cast<uint8_t>(n.kind) != rec.kind || n.parent != rec.parent ||
-        n.name != rec.name || n.subtree_end != rec.subtree_end) {
-      corrupt("persistent-store replay diverged from the persisted records");
-    }
+  xml::Document doc(meta.name, std::move(names), std::move(records),
+                    std::move(arena));
+  if (const char* broken = doc.Validate()) {
+    corrupt(std::string("persistent-store document is malformed: ") + broken);
   }
   return doc;
 }

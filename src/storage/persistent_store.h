@@ -10,7 +10,8 @@
 //
 //   MANIFEST.nalq        commit point — per document: name, DTD text, node
 //                        count, resident footprint, encoded statistics
-//   e<E>_doc_<i>.nalq    document i: name-table + preorder node pages
+//   e<E>_doc_<i>.nalq    document i (format version 3): name-table pages,
+//                        node-record pages, text-arena pages
 //
 // Data file names are derived from the manifest's epoch E and the
 // document's position i; the manifest stores no file names.
@@ -38,15 +39,10 @@
 // superseded epoch's files are reclaimed by the next Persist into that
 // directory from a store not attached to it.
 //
-// Reconstruction determinism (what makes lazy eviction safe, see
-// document_source.h): a document is persisted as its interner's string
-// table plus one record per node in preorder — exactly the depth-first
-// construction order — and decoded by replaying those records through
-// Document::AddElement/AddText/AddAttribute after pre-interning the string
-// table. Replay therefore reproduces the original node vector and interned
-// name ids field for field; DecodeDocument validates every reconstructed
-// node against its persisted record (kind, parent, name id, subtree extent)
-// and fails closed with kStoreCorrupt on any mismatch.
+// A document file is the document's three arrays — name table, 16-byte
+// node records, text arena — as xml/node.h holds them in memory, so the
+// bytes are the document: a page-in copies them back and runs
+// xml::Document::Validate, and every load of one file is the same document.
 #ifndef NALQ_STORAGE_PERSISTENT_STORE_H_
 #define NALQ_STORAGE_PERSISTENT_STORE_H_
 
@@ -83,10 +79,11 @@ struct Manifest {
 /// of being rebuilt from the document.
 class StoreCodec {
  public:
-  /// Writes `doc` as name-table + node-record pages into `out`.
+  /// Writes `doc`'s name table, records and arena as pages into `out`.
   static void EncodeDocument(const xml::Document& doc, PageFileWriter* out);
 
-  /// Reads, replays and validates a document file. Throws kStoreIo /
+  /// Reads a document file: the page checksums, a copy of the pages into
+  /// the three arrays and xml::Document::Validate. Throws kStoreIo /
   /// kStoreCorrupt / kStoreVersionMismatch.
   static xml::Document DecodeDocument(const ManifestDoc& meta,
                                       const std::string& path);
@@ -96,11 +93,10 @@ class StoreCodec {
   static std::unique_ptr<xml::DocumentStats> DecodeStats(
       std::string_view blob);
 
-  /// Footprint estimate charged to the residency account while the
-  /// document is materialized: node vector + texts + interner strings + a
-  /// flat 24 bytes per node for the atom table (xml/node.h: an 8-byte slot
-  /// per node plus the entries filled on use). The flat charge keeps the
-  /// estimate a function of the persisted document alone.
+  /// Footprint charged to the residency account while the document is
+  /// materialized: its three arrays (records, arena, name bytes) plus the
+  /// atom table's 8-byte slot per node. Atoms filled on use are not
+  /// charged, which keeps the charge a function of the persisted document.
   static uint64_t ApproxResidentBytes(const xml::Document& doc);
 };
 

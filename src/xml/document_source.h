@@ -6,14 +6,11 @@
 // but materializes nothing: the first access to a document faults it in
 // through LoadDocument, and the Store may evict resident documents again
 // at reader-free lease boundaries when the source reports residency above
-// its cache limit (see Store::BeginRead). The contract that makes
-// eviction safe is reconstruction determinism: LoadDocument(i) must
-// rebuild a Document that is field-for-field identical to every earlier
-// load — same node records, same interned name ids — so a structural
-// index built against one incarnation, and the source's statistics, stay
-// valid for the next (the storage layer guarantees this by replaying
-// persisted preorder node records through the depth-first construction API
-// and validating the result; see src/storage/README.md).
+// its cache limit (see Store::BeginRead). Eviction is safe because the
+// persisted bytes are the document: every LoadDocument(i) returns the same
+// records, arena and name ids (src/storage/README.md), so a structural index
+// built against one incarnation, and the source's statistics, stay valid
+// for the next.
 //
 // Thread-safety: the Store calls LoadDocument and UnloadDocument only under
 // its fault mutex, so they never overlap each other. LoadStats runs under

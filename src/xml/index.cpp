@@ -1,7 +1,5 @@
 #include "xml/index.h"
 
-#include <stdexcept>
-
 namespace nalq::xml {
 
 DocumentIndex::DocumentIndex(const Document& doc)
@@ -13,17 +11,6 @@ DocumentIndex::DocumentIndex(const Document& doc)
   size_t element_total = 0;
   size_t text_total = 0;
   for (NodeId id = 0; id < doc.node_count(); ++id) {
-    // Validate the structural numbering while we are touching every node
-    // anyway: a sibling starting inside the previous sibling's extent means
-    // the document was not built depth-first (Document::NewNode asserts
-    // this in Debug builds; in Release the corruption would otherwise make
-    // indexed range scans silently return wrong results).
-    NodeId sibling = doc.next_sibling(id);
-    if (sibling != kNoNode && sibling < doc.subtree_end(id)) {
-      throw std::logic_error(
-          "document '" + doc.name() +
-          "' was not built depth-first: subtree extents overlap");
-    }
     switch (doc.kind(id)) {
       case NodeKind::kElement:
         ++element_counts[doc.name_id(id)];

@@ -25,7 +25,7 @@ namespace nalq::xml {
 
 class DocumentIndex {
  public:
-  /// Builds the index with two passes over `doc`'s node vector.
+  /// Builds the index with two passes over `doc`'s node records.
   explicit DocumentIndex(const Document& doc);
 
   /// Preorder-sorted ids of the elements named `name_id` (empty span if the

@@ -1,6 +1,7 @@
 #include "xml/node.h"
 
 #include <charconv>
+#include <stdexcept>
 
 namespace nalq::xml {
 
@@ -18,28 +19,59 @@ std::optional<double> TryParseNumber(std::string_view s) {
   return out;
 }
 
-Document::Document(std::string name)
-    : name_(std::move(name)), atoms_(std::make_unique<AtomTable>()) {
-  Node doc;
-  doc.kind = NodeKind::kDocument;
-  doc.subtree_end = 1;
-  nodes_.push_back(doc);
+namespace {
+
+uint32_t PackKindName(NodeKind kind, uint32_t name) {
+  assert(name <= Node::kNameMask);
+  return static_cast<uint32_t>(kind) << Node::kNameBits | name;
 }
 
-NodeId Document::NewNode(NodeKind kind, NodeId parent) {
-  NodeId id = static_cast<NodeId>(nodes_.size());
+}  // namespace
+
+std::optional<std::string_view> ArenaValue(std::span<const char> arena,
+                                           uint32_t offset) {
+  // A LEB128 length prefix of at most five bytes, then the value's bytes.
+  uint64_t length = 0;
+  for (size_t at = offset, shift = 0; at < arena.size() && shift < 35;
+       shift += 7) {
+    const auto b = static_cast<uint8_t>(arena[at++]);
+    length |= static_cast<uint64_t>(b & 0x7F) << shift;
+    if ((b & 0x80) != 0) continue;
+    if (length > UINT32_MAX || length > arena.size() - at) break;
+    return std::string_view(arena.data() + at, length);
+  }
+  return std::nullopt;
+}
+
+Document::Document(std::string name)
+    : name_(std::move(name)), atoms_(std::make_unique<AtomTable>()) {
+  nodes_.push_back(
+      Node{PackKindName(NodeKind::kDocument, 0), kNoNode, 1, 0});
+}
+
+Document::Document(std::string name, StringInterner names,
+                   std::vector<Node> records, std::vector<char> arena)
+    : name_(std::move(name)),
+      names_(std::move(names)),
+      nodes_(std::move(records)),
+      arena_(std::move(arena)),
+      atoms_(std::make_unique<AtomTable>()) {}
+
+NodeId Document::NewNode(NodeKind kind, uint32_t name, NodeId parent,
+                         uint32_t text) {
+  if (nodes_.size() >= kNoNode || name > Node::kNameMask) {
+    throw std::length_error("document '" + name_ +
+                            "' exceeds the node or name id range");
+  }
+  const NodeId id = static_cast<NodeId>(nodes_.size());
   // Depth-first construction means every append targets the rightmost open
   // node, whose extent currently ends exactly at the new id. Appending
   // anywhere else would silently corrupt the structural numbering (an
   // ancestor's extent would swallow its later siblings), so fail fast in
   // Debug builds rather than let indexed path evaluation return wrong
   // results.
-  assert(parent == kNoNode || nodes_[parent].subtree_end == id);
-  Node n;
-  n.kind = kind;
-  n.parent = parent;
-  n.subtree_end = id + 1;
-  nodes_.push_back(n);
+  assert(parent < id && nodes_[parent].subtree_end == id);
+  nodes_.push_back(Node{PackKindName(kind, name), parent, id + 1, text});
   // Extending every ancestor's extent over the new node keeps all subtree
   // extents contiguous — the [pre, pre+size) structural numbering. O(depth)
   // per append (the same depth the building recursion already carries);
@@ -50,85 +82,128 @@ NodeId Document::NewNode(NodeKind kind, NodeId parent) {
   return id;
 }
 
-void Document::AppendChild(NodeId parent, NodeId child) {
-  Node& p = nodes_[parent];
-  if (p.first_child == kNoNode) {
-    p.first_child = child;
-  } else {
-    nodes_[p.last_child].next_sibling = child;
+uint32_t Document::AppendValue(std::string_view value) {
+  if (arena_.size() + value.size() + 5 > UINT32_MAX) {
+    throw std::length_error("document '" + name_ +
+                            "' exceeds the 4 GiB text arena");
   }
-  p.last_child = child;
+  const auto offset = static_cast<uint32_t>(arena_.size());
+  for (size_t n = value.size();; n >>= 7) {  // the LEB128 length prefix
+    arena_.push_back(static_cast<char>(n < 0x80 ? n : (n & 0x7F) | 0x80));
+    if (n < 0x80) break;
+  }
+  arena_.insert(arena_.end(), value.begin(), value.end());
+  return offset;
 }
 
 NodeId Document::AddElement(NodeId parent, std::string_view tag) {
-  NodeId id = NewNode(NodeKind::kElement, parent);
-  nodes_[id].name = names_.Intern(tag);
-  AppendChild(parent, id);
-  return id;
+  return NewNode(NodeKind::kElement, names_.Intern(tag), parent, 0);
 }
 
 NodeId Document::AddText(NodeId parent, std::string_view text) {
-  NodeId id = NewNode(NodeKind::kText, parent);
-  nodes_[id].text = static_cast<uint32_t>(texts_.size());
-  texts_.emplace_back(text);
-  AppendChild(parent, id);
-  return id;
+  return NewNode(NodeKind::kText, 0, parent, AppendValue(text));
 }
 
 NodeId Document::AddAttribute(NodeId element, std::string_view name,
                               std::string_view value) {
-  assert(nodes_[element].kind == NodeKind::kElement);
-  NodeId id = NewNode(NodeKind::kAttribute, element);
-  nodes_[id].name = names_.Intern(name);
-  nodes_[id].text = static_cast<uint32_t>(texts_.size());
-  texts_.emplace_back(value);
-  // Chain onto the element's attribute list (order of declaration).
-  Node& el = nodes_[element];
-  if (el.first_attr == kNoNode) {
-    el.first_attr = id;
-  } else {
-    NodeId a = el.first_attr;
-    while (nodes_[a].next_sibling != kNoNode) a = nodes_[a].next_sibling;
-    nodes_[a].next_sibling = id;
+  // Attributes directly follow their element (the navigation in node.h
+  // derives first_attr and first_child from it): the last node is the
+  // element itself or one of its attributes.
+  assert(kind(element) == NodeKind::kElement);
+  assert(nodes_.size() == element + 1 ||
+         (nodes_.back().kind() == NodeKind::kAttribute &&
+          nodes_.back().parent == element));
+  return NewNode(NodeKind::kAttribute, names_.Intern(name), element,
+                 AppendValue(value));
+}
+
+const char* Document::Validate() const {
+  const size_t n = nodes_.size();
+  if (n == 0 || n >= kNoNode || kind(0) != NodeKind::kDocument ||
+      name_id(0) != 0 || nodes_[0].parent != kNoNode ||
+      nodes_[0].subtree_end != n || nodes_[0].text != 0) {
+    return "node 0 is not a document node spanning every node";
   }
-  return id;
+  // One preorder pass. `open` holds the nodes whose extents contain the
+  // current id, innermost last; extents nest, so the innermost one ends
+  // first and closing from the back suffices.
+  std::vector<NodeId> open = {0};
+  // The element each attribute name was last seen on: a repeat on the same
+  // element is a duplicate (XML's "Unique Att Spec").
+  std::vector<NodeId> attribute_owner(names_.size(), kNoNode);
+  for (NodeId id = 1; id < n; ++id) {
+    const Node& node = nodes_[id];
+    while (nodes_[open.back()].subtree_end <= id) open.pop_back();
+    if (node.parent != open.back()) {
+      return "a node's parent is not the innermost extent enclosing it";
+    }
+    if (node.subtree_end <= id ||
+        node.subtree_end > nodes_[node.parent].subtree_end) {
+      return "a node's extent does not nest in its parent's";
+    }
+    const NodeKind k = node.kind();
+    const bool named = k == NodeKind::kElement || k == NodeKind::kAttribute;
+    const bool valued = k == NodeKind::kText || k == NodeKind::kAttribute;
+    if (k == NodeKind::kDocument) return "a document node below node 0";
+    if (named ? node.name() >= names_.size() : node.name() != 0) {
+      return "a name id is out of range";
+    }
+    if (valued ? !ArenaValue(arena_, node.text) : node.text != 0) {
+      return "a text offset is out of range";
+    }
+    if (valued && node.subtree_end != id + 1) {
+      return "a text or attribute node has descendants";
+    }
+    if (k == NodeKind::kAttribute) {
+      const Node& previous = nodes_[id - 1];
+      if (kind(node.parent) != NodeKind::kElement ||
+          (node.parent != id - 1 &&
+           (previous.kind() != NodeKind::kAttribute ||
+            previous.parent != node.parent))) {
+        return "an attribute does not directly follow its element";
+      }
+      if (attribute_owner[node.name()] == node.parent) {
+        return "an element has two attributes of one name";
+      }
+      attribute_owner[node.name()] = node.parent;
+    }
+    open.push_back(id);
+  }
+  return nullptr;
 }
 
 std::string Document::StringValue(NodeId id) const {
-  const Node& n = nodes_[id];
-  if (n.kind == NodeKind::kText || n.kind == NodeKind::kAttribute) {
-    return std::string(texts_[n.text]);
+  const NodeKind k = kind(id);
+  if (k == NodeKind::kText || k == NodeKind::kAttribute) {
+    return std::string(raw_text(id));
   }
   // Element/document: concatenate text of all descendants, in order.
-  // Allocation-free pre-order walk via the child/sibling chains (ids are in
-  // document order but the chain walk is robust even if they were not).
+  // Allocation-free pre-order walk via first_child/next_sibling.
   std::string out;
-  NodeId cur = n.first_child;
+  NodeId cur = first_child(id);
   while (cur != kNoNode) {
-    const Node& c = nodes_[cur];
-    if (c.kind == NodeKind::kText) {
-      out += texts_[c.text];
-    }
-    NodeId child =
-        c.kind == NodeKind::kElement ? c.first_child : kNoNode;
+    if (kind(cur) == NodeKind::kText) out += raw_text(cur);
+    NodeId child = first_child(cur);
     if (child != kNoNode) {
       cur = child;
       continue;
     }
     while (cur != kNoNode) {
-      NodeId sibling = nodes_[cur].next_sibling;
+      NodeId sibling = next_sibling(cur);
       if (sibling != kNoNode) {
         cur = sibling;
         break;
       }
-      NodeId parent = nodes_[cur].parent;
-      cur = parent == id ? kNoNode : parent;
+      NodeId up = parent(cur);
+      cur = up == id ? kNoNode : up;
     }
   }
   return out;
 }
 
-void Document::PrepareSharedReads() const {
+void Document::PrepareSharedReads() {
+  nodes_.shrink_to_fit();
+  arena_.shrink_to_fit();
   atoms_->slots = std::vector<std::atomic<const Atom*>>(nodes_.size());
 }
 
@@ -141,16 +216,16 @@ const Atom& Document::FillAtom(NodeId id) const {
   // [id+1, subtree_end): one text is viewed in place, two or more are
   // concatenated once.
   static constexpr std::string_view kEmpty = "";
-  const Node& n = nodes_[id];
+  const NodeKind k = kind(id);
   std::string_view bytes = kEmpty;
   std::string concat;
   size_t text_count = 0;
-  if (n.kind == NodeKind::kText || n.kind == NodeKind::kAttribute) {
-    bytes = texts_[n.text];
+  if (k == NodeKind::kText || k == NodeKind::kAttribute) {
+    bytes = raw_text(id);
   } else {
-    for (NodeId d = id + 1; d < n.subtree_end; ++d) {
-      if (nodes_[d].kind != NodeKind::kText) continue;
-      std::string_view text = texts_[nodes_[d].text];
+    for (NodeId d = id + 1; d < nodes_[id].subtree_end; ++d) {
+      if (kind(d) != NodeKind::kText) continue;
+      std::string_view text = raw_text(d);
       if (++text_count == 1) {
         bytes = text;
         continue;
@@ -174,10 +249,9 @@ const Atom& Document::FillAtom(NodeId id) const {
 size_t Document::CountElements(std::string_view tag) const {
   uint32_t id = names_.Find(tag);
   if (id == UINT32_MAX) return 0;
+  const uint32_t element = PackKindName(NodeKind::kElement, id);
   size_t count = 0;
-  for (const Node& n : nodes_) {
-    if (n.kind == NodeKind::kElement && n.name == id) ++count;
-  }
+  for (const Node& n : nodes_) count += n.kind_name == element ? 1 : 0;
   return count;
 }
 

@@ -1,6 +1,7 @@
 #include "xml/parser.h"
 
 #include <cctype>
+#include <vector>
 
 namespace nalq::xml {
 
@@ -157,7 +158,17 @@ class Parser {
       if (Eof()) Fail("unterminated attribute value");
       std::string value = DecodeEntities(in_.substr(start, pos_ - start));
       ++pos_;
-      doc_->AddAttribute(el, name, value);
+      const uint32_t name_id =
+          doc_->name_id(doc_->AddAttribute(el, name, value));
+      // XML 1.0 "Unique Att Spec"; the rewriter relies on it (an `@name`
+      // step yields at most one node).
+      if (name_id >= attribute_owner_.size()) {
+        attribute_owner_.resize(name_id + 1, kNoNode);
+      }
+      if (attribute_owner_[name_id] == el) {
+        Fail("duplicate attribute '" + std::string(name) + "'");
+      }
+      attribute_owner_[name_id] = el;
     }
     // Content.
     for (;;) {
@@ -211,6 +222,8 @@ class Parser {
   size_t pos_ = 0;
   ParseOptions options_;
   Document* doc_;
+  /// The element each attribute name id was last seen on.
+  std::vector<NodeId> attribute_owner_;
 };
 
 }  // namespace

@@ -10,10 +10,12 @@ void Indent(std::string* out, int level) {
   out->append(static_cast<size_t>(level) * 2, ' ');
 }
 
+/// Children are walked the way node.h derives them: past the element's
+/// attributes, each child starts where the previous one's extent ends.
 void SerializeRec(const Document& doc, NodeId id, std::string* out,
                   const SerializeOptions& options, int level) {
-  const Node& n = doc.node(id);
-  switch (n.kind) {
+  const NodeId end = doc.subtree_end(id);
+  switch (doc.kind(id)) {
     case NodeKind::kText:
       if (options.indent) Indent(out, level);
       *out += EncodeEntities(doc.raw_text(id));
@@ -23,8 +25,7 @@ void SerializeRec(const Document& doc, NodeId id, std::string* out,
       *out += EncodeEntities(doc.raw_text(id), /*for_attribute=*/true);
       return;
     case NodeKind::kDocument:
-      for (NodeId c = n.first_child; c != kNoNode;
-           c = doc.next_sibling(c)) {
+      for (NodeId c = doc.first_child(id); c < end; c = doc.subtree_end(c)) {
         SerializeRec(doc, c, out, options, level);
       }
       return;
@@ -34,24 +35,25 @@ void SerializeRec(const Document& doc, NodeId id, std::string* out,
   if (options.indent) Indent(out, level);
   *out += '<';
   *out += doc.node_name(id);
-  for (NodeId a = n.first_attr; a != kNoNode; a = doc.next_sibling(a)) {
+  NodeId first = id + 1;  // past the attributes: the first child, if < end
+  for (; first < end && doc.kind(first) == NodeKind::kAttribute; ++first) {
     *out += ' ';
-    *out += doc.node_name(a);
+    *out += doc.node_name(first);
     *out += "=\"";
-    *out += EncodeEntities(doc.raw_text(a), /*for_attribute=*/true);
+    *out += EncodeEntities(doc.raw_text(first), /*for_attribute=*/true);
     *out += '"';
   }
-  if (n.first_child == kNoNode) {
+  if (first == end) {
     *out += "/>";
     if (options.indent) *out += '\n';
     return;
   }
   *out += '>';
   // Elements with a single text child render inline even when indenting.
-  bool single_text = doc.kind(n.first_child) == NodeKind::kText &&
-                     doc.next_sibling(n.first_child) == kNoNode;
+  bool single_text = doc.kind(first) == NodeKind::kText &&
+                     doc.subtree_end(first) == end;
   if (options.indent && !single_text) *out += '\n';
-  for (NodeId c = n.first_child; c != kNoNode; c = doc.next_sibling(c)) {
+  for (NodeId c = first; c < end; c = doc.subtree_end(c)) {
     if (single_text) {
       *out += EncodeEntities(doc.raw_text(c));
     } else {

@@ -61,8 +61,9 @@ DocId Store::AddDocument(Document doc) {
   slot.dtd_text = doc.dtd_text();
   slot.doc = std::make_unique<Document>(std::move(doc));
   slot.lazy = false;
-  // Size the atom table before publication: AtomOf requires it, and
-  // parallel readers then never race a resize (xml/node.h).
+  // Trim the arrays and size the atom table before publication: AtomOf
+  // requires it, atoms view the arena, and parallel readers then never race
+  // a resize (xml/node.h).
   slot.doc->PrepareSharedReads();
   slot.ready.store(slot.doc.get(), std::memory_order_release);
   BumpVersion();
@@ -103,7 +104,7 @@ const Document& Store::FaultIn(DocId id) const {
          "non-resident document without a source to fault it in from");
   auto loaded =
       std::make_unique<Document>(source_->LoadDocument(slot.source_index));
-  // Size the atom table before publication, as AddDocument does.
+  // Trim and size before publication, as AddDocument does.
   loaded->PrepareSharedReads();
   slot.doc = std::move(loaded);
   fault_order_.push_back(id);
@@ -126,10 +127,10 @@ void Store::EvictOverLimit() const {
     fault_order_.pop_front();
     if (!victim.lazy) continue;  // made eager by AddDocument since its fault
     // Reader-free (BeginRead holds reader_reg_mu_), so the document can be
-    // freed outright. The index and statistics slots stay published:
-    // reconstruction determinism (document_source.h) keeps them valid for
-    // the refaulted incarnation, and version() is deliberately not bumped
-    // (content unchanged, cached plans stay good).
+    // freed outright. The index and statistics slots stay published: a
+    // refault reads the same bytes (document_source.h), so they stay valid
+    // for the refaulted incarnation, and version() is deliberately not
+    // bumped (content unchanged, cached plans stay good).
     victim.ready.store(nullptr, std::memory_order_release);
     victim.doc.reset();
     source_->UnloadDocument(victim.source_index);

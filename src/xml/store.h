@@ -27,10 +27,9 @@
 // optimizer reads come from the source without any fault-in. BeginRead is
 // the lease boundary: when no reader is open it evicts resident attached
 // documents, oldest fault first, while the source's residency exceeds its
-// cache limit. Eviction never bumps version(): the
-// source's reconstruction-determinism contract means a refault rebuilds a
-// field-for-field identical document, so indexes, statistics and compiled
-// plans stay valid across it.
+// cache limit. Eviction never bumps version(): a refault reads the same
+// bytes (document_source.h), so indexes, statistics and compiled plans stay
+// valid across it.
 //
 // Borrowed atoms: an atomized node value points at its node's xml::Atom
 // (node.h) inside the document, so it is valid while the document is

@@ -104,32 +104,29 @@ std::string Path::ToString() const {
 namespace {
 
 /// Appends all matching nodes for one step from `from`, in document order,
-/// by walking the child/sibling chains (PathEvalMode::kScan, and the
-/// chain-walk side of the indexed child/attribute fast path). `name_id` is
-/// the step name resolved against `doc`'s interner (resolved once per step
-/// by the caller, not per context node).
+/// by walking the context's extent (PathEvalMode::kScan, and the walk side
+/// of the indexed child/attribute fast path). Children are found the way
+/// node.h derives them: past the element's attributes, each child starts
+/// where the previous one's extent ends. `name_id` is the step name
+/// resolved against `doc`'s interner (resolved once per step by the caller,
+/// not per context node). Skipping attributes is not a visit.
 void ApplyStep(const Document& doc, DocId doc_id, const Step& step,
                uint32_t name_id, NodeId from, std::vector<NodeRef>* out,
                XPathStats* stats) {
   auto matches = [&](NodeId id) {
     if (stats != nullptr) ++stats->nodes_visited;
-    const Node& n = doc.node(id);
-    switch (step.axis) {
-      case Axis::kText:
-        return n.kind == NodeKind::kText;
-      case Axis::kAttribute:
-        return false;  // attributes handled separately
-      default:
-        return n.kind == NodeKind::kElement &&
-               (step.wildcard() || n.name == name_id);
-    }
+    const NodeKind kind = doc.kind(id);
+    if (step.axis == Axis::kText) return kind == NodeKind::kText;
+    return kind == NodeKind::kElement &&
+           (step.wildcard() || doc.name_id(id) == name_id);
   };
+  const NodeId end = doc.subtree_end(from);
   switch (step.axis) {
     case Axis::kAttribute: {
       if (doc.kind(from) != NodeKind::kElement) return;
       if (name_id == UINT32_MAX && !step.wildcard()) return;
-      for (NodeId a = doc.first_attr(from); a != kNoNode;
-           a = doc.next_sibling(a)) {
+      for (NodeId a = from + 1;
+           a < end && doc.kind(a) == NodeKind::kAttribute; ++a) {
         if (stats != nullptr) ++stats->nodes_visited;
         if (step.wildcard() || doc.name_id(a) == name_id) {
           out->push_back(NodeRef{doc_id, a});
@@ -143,35 +140,18 @@ void ApplyStep(const Document& doc, DocId doc_id, const Step& step,
           step.axis != Axis::kText) {
         return;  // name never occurs in this document
       }
-      for (NodeId c = doc.first_child(from); c != kNoNode;
-           c = doc.next_sibling(c)) {
+      for (NodeId c = doc.first_child(from); c < end; c = doc.subtree_end(c)) {
         if (matches(c)) out->push_back(NodeRef{doc_id, c});
       }
       return;
     }
     case Axis::kDescendant: {
       if (name_id == UINT32_MAX && !step.wildcard()) return;
-      // Allocation-free pre-order walk of the subtree via the child/sibling
-      // chains; emission order = document order.
-      NodeId cur = doc.first_child(from);
-      while (cur != kNoNode) {
-        if (matches(cur)) out->push_back(NodeRef{doc_id, cur});
-        NodeId child = doc.kind(cur) == NodeKind::kElement
-                           ? doc.first_child(cur)
-                           : kNoNode;
-        if (child != kNoNode) {
-          cur = child;
-          continue;
-        }
-        while (cur != kNoNode) {
-          NodeId sibling = doc.next_sibling(cur);
-          if (sibling != kNoNode) {
-            cur = sibling;
-            break;
-          }
-          NodeId parent = doc.parent(cur);
-          cur = parent == from ? kNoNode : parent;
-        }
+      // Every non-attribute node of the extent, in preorder: the
+      // descendant axis in document order.
+      for (NodeId d = from + 1; d < end; ++d) {
+        if (doc.kind(d) == NodeKind::kAttribute) continue;
+        if (matches(d)) out->push_back(NodeRef{doc_id, d});
       }
       return;
     }
@@ -233,10 +213,10 @@ void IndexedDescendantStep(const Document& doc, DocId doc_id,
 
 /// Child/attribute/text step from one context via the occurrence list:
 /// binary-search the slice inside the context's extent and keep the entries
-/// whose parent is the context. Returns false when the chain walk is the
+/// whose parent is the context. Returns false when the walk is the
 /// better plan (wildcard step, or the slice is not much smaller than the
 /// subtree — the ancestor-check filter would touch more nodes than the
-/// child chain).
+/// children).
 bool TryIndexedDirectStep(const Document& doc, DocId doc_id,
                           const DocumentIndex& index, const Step& step,
                           uint32_t name_id, NodeId from,
@@ -259,7 +239,7 @@ bool TryIndexedDirectStep(const Document& doc, DocId doc_id,
   }
   NodeId lo = from + 1;
   NodeId hi = doc.subtree_end(from);
-  // Small subtree: the chain walk touches at most `extent` nodes
+  // Small subtree: the walk touches at most `extent` nodes
   // sequentially, cheaper than two binary searches over a document-wide
   // occurrence list (the per-tuple hot case — child steps from one small
   // element).
@@ -274,9 +254,9 @@ bool TryIndexedDirectStep(const Document& doc, DocId doc_id,
     return true;
   }
   // The slice holds every occurrence in the whole subtree; filtering it on
-  // parent == context only beats walking the child chain when the slice is
-  // much smaller than the subtree (the extent is the proxy for the chain
-  // length we would walk).
+  // parent == context only beats walking the children when the slice is
+  // much smaller than the subtree (the extent is the proxy for the length
+  // of that walk).
   if (k * 8 > static_cast<size_t>(hi - lo)) return false;
   if (stats != nullptr) {
     ++stats->index_hits;
@@ -335,7 +315,7 @@ void EvalPathInto(const Store& store, const Path& path, NodeRef context,
         ApplyStep(doc, doc_id, step, name_id, ref.id, &next, stats);
       }
       if (current.size() > 1 && nested) {
-        // Nested contexts: a descendant chain walk re-emits the inner
+        // Nested contexts: a descendant walk re-emits the inner
         // context's matches (duplicates), and child/attribute/text outputs
         // of the ancestor interleave around the inner context's outputs
         // (order). Disjoint contexts need neither — their outputs

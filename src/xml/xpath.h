@@ -67,11 +67,11 @@ enum class PathEvalMode : uint8_t {
   /// a descendant step is a binary-search range scan of the name's
   /// occurrence list restricted to the context's [pre, pre+size) extent —
   /// document order for free, no subtree walk. Child/attribute/text steps
-  /// keep the direct chain walk with an occurrence-slice fast path when the
-  /// name is rare under the context.
+  /// keep the direct walk of the children with an occurrence-slice fast
+  /// path when the name is rare under the context.
   kIndexed,
-  /// Chain-walk of the subtree per step — the pre-index behavior; kept as
-  /// the differential-testing reference.
+  /// A walk of the context's extent per step — the pre-index behavior;
+  /// kept as the differential-testing reference.
   kScan,
 };
 
@@ -89,17 +89,18 @@ inline uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
 /// and how much of that walking the structural index avoids.
 struct XPathStats {
   uint64_t steps_evaluated = 0;
-  /// Nodes touched: chain-walk visits in scan mode, occurrence-list
-  /// candidates in indexed mode.
+  /// Nodes touched: walk visits in scan mode (attributes skipped on the way
+  /// to an element's children are not visits), occurrence-list candidates
+  /// in indexed mode.
   uint64_t nodes_visited = 0;
   /// Occurrence-list probes (one per binary-searched lookup).
   uint64_t index_lookups = 0;
   /// Probes the index answered outright (slice emitted, or provably empty);
-  /// the remainder fell back to the chain walk.
+  /// the remainder fell back to the walk.
   uint64_t index_hits = 0;
   /// Subtree nodes a scan-mode walk would have visited that the indexed
   /// range scan never touched. An upper bound: extents count attributes
-  /// (which the chain walk skips), and nested contexts count their extent
+  /// (which the walk skips), and nested contexts count their extent
   /// once per context — mirroring the scan walk, which re-walks an inner
   /// context's subtree for every enclosing context.
   uint64_t index_nodes_skipped = 0;

@@ -547,6 +547,43 @@ TEST_F(StorageCorruptionTest, StaleFormatVersionInManifestFailsAtOpen) {
   EXPECT_EQ(e.path(), manifest.string());
 }
 
+// A store written before the 16-byte record layout (format version 2) fails
+// closed with kStoreVersionMismatch, through its manifest and through each
+// of its document files, whose header checksum is intact.
+TEST_F(StorageCorruptionTest, VersionTwoStoreFailsClosed) {
+  ASSERT_EQ(storage::kFormatVersion, 3u);
+  auto set_version = [](const fs::path& file, bool reseal) {
+    std::string bytes;
+    {
+      std::ifstream in(file, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const uint32_t version = 2;
+    std::memcpy(&bytes[8], &version, sizeof(version));
+    if (reseal) {
+      const uint32_t crc = storage::Crc32(bytes.data(), 16);
+      std::memcpy(&bytes[16], &crc, sizeof(crc));
+    }
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  const fs::path doc = FindStoreFile(dir_.path, "_doc_1");
+  set_version(doc, /*reseal=*/true);
+  engine::Engine warm;
+  engine::Error e = CaptureError([&] { warm.AttachStore(dir_.str()); });
+  EXPECT_EQ(e.code(), engine::ErrorCode::kStoreVersionMismatch) << e.what();
+  EXPECT_EQ(e.path(), doc.string());
+  EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+      << e.what();
+
+  const fs::path manifest = dir_.path / "MANIFEST.nalq";
+  set_version(manifest, /*reseal=*/false);
+  engine::Engine warm2;
+  e = CaptureError([&] { warm2.AttachStore(dir_.str()); });
+  EXPECT_EQ(e.code(), engine::ErrorCode::kStoreVersionMismatch) << e.what();
+  EXPECT_EQ(e.path(), manifest.string());
+}
+
 TEST_F(StorageCorruptionTest, FlippedManifestChecksumByteFailsAtOpen) {
   fs::path manifest = dir_.path / "MANIFEST.nalq";
   FlipByteAt(manifest, fs::file_size(manifest) - 5);

@@ -2,7 +2,11 @@
 // store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "xml/node.h"
 #include "xml/parser.h"
@@ -60,6 +64,94 @@ TEST(DocumentTest, CountElements) {
   EXPECT_EQ(doc.CountElements("x"), 2u);
   EXPECT_EQ(doc.CountElements("y"), 1u);
   EXPECT_EQ(doc.CountElements("z"), 0u);
+}
+
+/// A random document built through the construction API: elements with
+/// zero to three attributes of distinct names, mixed content (text between
+/// elements, never two texts in a row), empty elements and, now and then, a
+/// chain nested 20–60 levels deep.
+Document RandomDocument(std::mt19937* rng, int max_nodes) {
+  static const char* const kTags[] = {"a", "b", "c", "d"};
+  static const char* const kAttrs[] = {"x", "y", "z"};
+  std::uniform_int_distribution<int> pct(0, 99);
+  Document doc("rand.xml");
+  int budget = max_nodes;
+  auto element = [&](NodeId parent) {
+    --budget;
+    NodeId el = doc.AddElement(parent, kTags[pct(*rng) % 4]);
+    const int first = pct(*rng) % 3;
+    for (int a = 0, n = pct(*rng) % 4; a < n && budget > 0; ++a, --budget) {
+      doc.AddAttribute(el, kAttrs[(first + a) % 3], std::to_string(pct(*rng)));
+    }
+    return el;
+  };
+  auto build = [&](auto&& self, NodeId parent, int depth) -> void {
+    if (pct(*rng) < 5 && depth < 3) {
+      NodeId cur = parent;
+      for (int d = 0, n = 20 + pct(*rng) % 41; d < n && budget > 0; ++d) {
+        cur = element(cur);
+      }
+      if (budget > 0) self(self, cur, depth + 1);
+      return;
+    }
+    bool last_text = false;
+    for (int i = 0, n = depth > 5 ? 0 : pct(*rng) % 5; i < n && budget > 0;
+         ++i) {
+      if (!last_text && pct(*rng) < 30) {
+        --budget;
+        doc.AddText(parent, "t" + std::to_string(pct(*rng)));
+        last_text = true;
+        continue;
+      }
+      last_text = false;
+      self(self, element(parent), depth + 1);
+    }
+  };
+  build(build, element(doc.root()), 0);
+  return doc;
+}
+
+// indexed and scan XPath share first_child/next_sibling/first_attr for child
+// steps, so the path differential cannot catch a wrong derivation: check it
+// against each node's children and attributes computed from `parent` alone.
+TEST(DocumentTest, DerivedNavigationMatchesParentPointers) {
+  std::mt19937 rng(20261020);
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const Document doc = RandomDocument(&rng, 400);
+    ASSERT_EQ(doc.Validate(), nullptr);
+    const size_t n = doc.node_count();
+    std::vector<std::vector<NodeId>> attrs(n);
+    std::vector<std::vector<NodeId>> children(n);
+    for (NodeId id = 1; id < n; ++id) {
+      (doc.kind(id) == NodeKind::kAttribute ? attrs : children)[doc.parent(id)]
+          .push_back(id);
+    }
+    EXPECT_EQ(doc.next_sibling(doc.root()), kNoNode);
+    for (NodeId id = 0; id < n; ++id) {
+      std::vector<NodeId> got_attrs;
+      for (NodeId a = doc.first_attr(id); a != kNoNode;
+           a = doc.next_sibling(a)) {
+        got_attrs.push_back(a);
+      }
+      std::vector<NodeId> got_children;
+      for (NodeId c = doc.first_child(id); c != kNoNode;
+           c = doc.next_sibling(c)) {
+        got_children.push_back(c);
+      }
+      ASSERT_EQ(got_attrs, attrs[id]) << "attributes of node " << id;
+      ASSERT_EQ(got_children, children[id]) << "children of node " << id;
+    }
+    // The text form parses back into the same bytes: one construction
+    // order, one layout.
+    const Document reparsed = ParseDocument("rand.xml", SerializeDocument(doc));
+    ASSERT_EQ(reparsed.node_count(), n);
+    EXPECT_EQ(std::memcmp(reparsed.records().data(), doc.records().data(),
+                          doc.records().size_bytes()),
+              0);
+    EXPECT_TRUE(std::equal(reparsed.arena().begin(), reparsed.arena().end(),
+                           doc.arena().begin(), doc.arena().end()));
+  }
 }
 
 TEST(ParserTest, ParsesElementsAttributesText) {
@@ -131,6 +223,25 @@ TEST(ParserTest, RejectsTruncatedInput) {
   EXPECT_THROW(ParseDocument("t", "<a><b>"), ParseError);
   EXPECT_THROW(ParseDocument("t", "<a b='x"), ParseError);
   EXPECT_THROW(ParseDocument("t", ""), ParseError);
+}
+
+TEST(ParserTest, RejectsRepeatedAttributeName) {
+  EXPECT_THROW(ParseDocument("t", R"(<a x="1" x="2"/>)"), ParseError);
+  EXPECT_THROW(ParseDocument("t", R"(<r><b/><a y="0" x="1" x="1">t</a></r>)"),
+               ParseError);
+}
+
+TEST(ParserTest, DistinctAttributeNamesParse) {
+  // One name on several elements, and several names on one element.
+  Document doc = ParseDocument("t", R"(<r x="0"><a x="1" y="2"/><b x="3"/></r>)");
+  NodeId r = doc.first_child(doc.root());
+  NodeId a = doc.first_child(r);
+  NodeId b = doc.next_sibling(a);
+  EXPECT_EQ(doc.raw_text(doc.first_attr(r)), "0");
+  EXPECT_EQ(doc.raw_text(doc.first_attr(a)), "1");
+  EXPECT_EQ(doc.raw_text(doc.next_sibling(doc.first_attr(a))), "2");
+  EXPECT_EQ(doc.raw_text(doc.first_attr(b)), "3");
+  EXPECT_EQ(doc.Validate(), nullptr);
 }
 
 TEST(ParserTest, RejectsTrailingContent) {
